@@ -13,9 +13,8 @@ module Experiments = Hlts_eval.Experiments
 module Pool = Hlts_pool.Pool
 
 let usage =
-  "bench/main.exe [--table 1|2|3|extra] [-j N] [--backend fork|domains] \
-   [--figure 1|2|3] [--ablation params|balance] [--bechamel] [--trace FILE] \
-   [--seed N] [--json FILE] [--json-bench NAMES] [--json-pool FILE] \
+  "bench/main.exe [--table 1|2|3|extra] [-j N] [--figure 1|2|3] \
+   [--ablation params|balance] [--bechamel] [--trace FILE] [--seed N] [--json FILE] [--json-bench NAMES] [--json-pool FILE] \
    [--json-atpg FILE] [--json-atpg-oracle] [--json-serve FILE] [--all]"
 
 let atpg_config seed = { Hlts_atpg.Atpg.default_config with Hlts_atpg.Atpg.seed }
@@ -25,24 +24,24 @@ let elapsed label f =
   Hlts_obs.span ~cat:"bench" label (fun _ -> f ());
   Printf.printf "[%.1fs]\n%!" (Hlts_obs.Clock.seconds_since t0)
 
-let run_table ?jobs ?backend seed which =
+let run_table ?jobs seed which =
   let atpg = atpg_config seed in
   match which with
   | "1" ->
     elapsed "table1" (fun () ->
         Render.table Format.std_formatter
           ~title:"Table 1: area-optimized Ex benchmark"
-          (Experiments.table1 ~atpg ?jobs ?backend ()))
+          (Experiments.table1 ~atpg ?jobs ()))
   | "2" ->
     elapsed "table2" (fun () ->
         Render.table Format.std_formatter ~with_area:true
           ~title:"Table 2: area-optimized Dct benchmark"
-          (Experiments.table2 ~atpg ?jobs ?backend ()))
+          (Experiments.table2 ~atpg ?jobs ()))
   | "3" ->
     elapsed "table3" (fun () ->
         Render.table Format.std_formatter ~with_area:true
           ~title:"Table 3: area-optimized Diffeq benchmark"
-          (Experiments.table3 ~atpg ?jobs ?backend ()))
+          (Experiments.table3 ~atpg ?jobs ()))
   | "extra" ->
     elapsed "table-extra" (fun () ->
         List.iter
@@ -50,7 +49,7 @@ let run_table ?jobs ?backend seed which =
             Render.table Format.std_formatter ~with_area:true
               ~title:(Printf.sprintf "Extra (X1): %s benchmark at 8 bit" name)
               rows)
-          (Experiments.extra_rows ~atpg ?jobs ?backend ()))
+          (Experiments.extra_rows ~atpg ?jobs ()))
   | other -> Printf.eprintf "unknown table %S\n" other
 
 let run_figure which =
@@ -183,40 +182,23 @@ let synthetic_bits = 8
 
 let synthetic_jobs = [ 1; 4 ]
 
-(* One run per (backend, jobs) pair, fork before domains: the OCaml 5
-   runtime refuses to fork once a domain has been spawned, so the
-   backend-major order is load-bearing, not cosmetic. [-j 1] never
-   starts a pool — it is the serial path regardless of backend — so it
-   appears once, labelled "serial". *)
-let synthetic_runs () =
-  (None, 1)
-  :: (Some Pool.Fork, 4)
-  ::
-  (if Pool.backend_available Pool.Domains then [ (Some Pool.Domains, 4) ]
-   else [])
-
-let backend_label ~jobs backend =
-  if jobs <= 1 then "serial"
-  else
-    Pool.backend_name
-      (match backend with Some b -> b | None -> Pool.default_backend ())
-
 (* Host metadata stamped into both BENCH documents: the wall-clock
    fields are only meaningful relative to the machine and toolchain
    that produced them. Everything deterministic is elsewhere. *)
+let nproc =
+  lazy
+    (try
+       let ic = Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" in
+       let n = try int_of_string (String.trim (input_line ic)) with _ -> 0 in
+       ignore (Unix.close_process_in ic);
+       max n 1
+     with _ -> 1)
+
 let host_json ~jobs =
-  let nproc =
-    try
-      let ic = Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" in
-      let n = try int_of_string (String.trim (input_line ic)) with _ -> 0 in
-      ignore (Unix.close_process_in ic);
-      max n 1
-    with _ -> 1
-  in
   Hlts_obs.Json.(
     Obj
       ([
-         ("nproc", Int nproc);
+         ("nproc", Int (Lazy.force nproc));
          ("ocaml", Str Sys.ocaml_version);
          ("os_type", Str Sys.os_type);
          ("word_size", Int Sys.word_size);
@@ -251,13 +233,21 @@ let records_digest records =
   in
   Digest.to_hex (Digest.string (String.concat "\n" (List.map line records)))
 
-let json_entry ?(jobs = 1) ?backend name dfg bits =
+(* What a wall time measures: the serial path at [-j 1]; at [-j N] a
+   speedup only when the host has N cores, otherwise the pool's
+   overhead on too few cores. *)
+let wall_kind ~jobs =
+  if jobs <= 1 then "serial"
+  else if Lazy.force nproc < jobs then "overhead"
+  else "parallel"
+
+let json_entry ?(jobs = 1) name dfg bits =
   let summary = Hlts_obs.Summary.create () in
   let params = { Synth.default_params with Synth.bits } in
   let t0 = Hlts_obs.Clock.now_ns () in
   let r =
     Hlts_obs.with_sink (Hlts_obs.Summary.sink summary) (fun () ->
-        Synth.run ~params ~jobs ?backend dfg)
+        Synth.run ~params ~jobs dfg)
   in
   let wall_s = Hlts_obs.Clock.seconds_since t0 in
   let counter = Hlts_obs.Summary.counter summary in
@@ -268,8 +258,8 @@ let json_entry ?(jobs = 1) ?backend name dfg bits =
         ("name", Str name);
         ("bits", Int bits);
         ("jobs", Int jobs);
-        ("backend", Str (backend_label ~jobs backend));
         ("wall_s", Float wall_s);
+        ("wall_kind", Str (wall_kind ~jobs));
         ("iterations", Int r.Synth.iterations);
         ("merge_attempts", Int (counter "synth.merge_attempts"));
         ("reschedule_attempts", Int (counter "sched.reschedule_attempts"));
@@ -285,23 +275,27 @@ let json_entry ?(jobs = 1) ?backend name dfg bits =
     digest,
     wall_s )
 
+(* The names of [only] that a JSON mode can run, in [valid] order; the
+   whole set when [only] is empty. A name the mode cannot run is a
+   usage error: it is reported with the valid names and the harness
+   exits 1 rather than writing a BENCH file without it. *)
+let select_names ~mode ~valid only =
+  match List.filter (fun n -> not (List.mem n valid)) only with
+  | [] -> if only = [] then valid else List.filter (fun n -> List.mem n only) valid
+  | unknown ->
+    Printf.eprintf "error: %s cannot run %s (available: %s)\n" mode
+      (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+      (String.concat ", " valid);
+    exit 1
+
 let run_json ~only file =
-  let known = json_benchmarks @ List.map fst json_synthetics in
   let selected =
-    match only with
-    | [] -> json_benchmarks
-    | names ->
-      List.iter
-        (fun n ->
-          if not (List.mem n known) then
-            Printf.eprintf "unknown benchmark %S for --json-bench\n" n)
-        names;
-      List.filter (fun n -> List.mem n names) json_benchmarks
+    select_names ~mode:"--json"
+      ~valid:(json_benchmarks @ List.map fst json_synthetics)
+      only
   in
   let selected_syn =
-    match only with
-    | [] -> json_synthetics
-    | names -> List.filter (fun (n, _) -> List.mem n names) json_synthetics
+    List.filter (fun (n, _) -> List.mem n selected) json_synthetics
   in
   let paper_entries =
     List.concat_map
@@ -314,25 +308,20 @@ let run_json ~only file =
             Printf.printf " done\n%!";
             e)
           json_widths)
-      selected
+      (List.filter (fun n -> List.mem n json_benchmarks) selected)
   in
-  (* One entry per (synthetic, backend, jobs), iterated backend-major
-     so every fork pool precedes the first domains pool (see
-     [synthetic_runs]); the merge trajectory must depend on neither the
-     worker count nor the transport, so a digest disagreement aborts
-     the benchmark rather than committing an invalid file. *)
+  (* One entry per (synthetic, jobs); the merge trajectory must not
+     depend on the worker count, so a digest disagreement aborts the
+     benchmark rather than committing an invalid file. *)
   let synthetic_entries =
     let serial_digest = Hashtbl.create 4 and serial_wall = Hashtbl.create 4 in
     List.concat_map
-      (fun (backend, jobs) ->
+      (fun jobs ->
         List.map
           (fun (name, dfg) ->
-            let label = backend_label ~jobs backend in
-            Printf.printf "json: %s @ %d bit -j %d (%s)...%!" name
-              synthetic_bits jobs label;
-            let e, digest, wall =
-              json_entry ~jobs ?backend name dfg synthetic_bits
-            in
+            Printf.printf "json: %s @ %d bit -j %d...%!" name synthetic_bits
+              jobs;
+            let e, digest, wall = json_entry ~jobs name dfg synthetic_bits in
             Printf.printf " done [%.1fs]\n%!" wall;
             (match Hashtbl.find_opt serial_digest name with
             | None ->
@@ -341,22 +330,21 @@ let run_json ~only file =
             | Some d0 ->
               if digest <> d0 then
                 failwith
-                  (Printf.sprintf
-                     "%s: -j %d (%s) digest %s differs from -j 1 digest %s"
-                     name jobs label digest d0);
+                  (Printf.sprintf "%s: -j %d digest %s differs from -j 1 digest %s"
+                     name jobs digest d0);
               Printf.printf "json: %s speedup at -j %d (%s): %.2fx\n%!" name
-                jobs label
+                jobs (wall_kind ~jobs)
                 (Hashtbl.find serial_wall name /. wall));
             e)
           selected_syn)
-      (synthetic_runs ())
+      synthetic_jobs
   in
   let entries = paper_entries @ synthetic_entries in
   let doc =
     Hlts_obs.Json.(
       Obj
         [
-          ("schema", Str "hlts-bench-synth/5");
+          ("schema", Str "hlts-bench-synth/6");
           ("host", host_json ~jobs:synthetic_jobs);
           ("res", res_json ());
           ("benchmarks", List entries);
@@ -370,21 +358,14 @@ let run_json ~only file =
 
 (* --- JSON pool microbenchmark (BENCH_pool.json) --------------------- *)
 
-(* Transport-level costs of the two pool backends on this host:
-   dispatch throughput on no-op tasks, single-task round-trip latency,
-   framed bytes for payload-carrying replies, and the framed bytes of
-   an instrumented (tally-shipping) task versus the same task on a
-   passive pool. The last pair quantifies the slim-fork path: an
-   uninstrumented fork worker never captures, so every reply carries
-   the physically shared empty tally, which Marshal's within-message
-   sharing collapses to a back-reference. The domains transport frames
-   nothing in any scenario (bytes are 0 by construction).
+(* Costs of the worker pool on this host: dispatch throughput on no-op
+   tasks, single-task round-trip latency, payload-carrying replies, and
+   an instrumented (tally-capturing) task versus the same task on a
+   passive pool.
 
    Everything here is wall-clock and host-dependent; nothing is
-   asserted or drift-gated. Backends run fork-major because the OCaml 5
-   runtime refuses to fork once a domain has been spawned. The passive
-   tally scenario assumes no ambient sink, so run --json-pool without
-   --trace. *)
+   asserted or drift-gated. The passive tally scenario assumes no
+   ambient sink, so run --json-pool without --trace. *)
 
 let pool_tally_task n =
   Hlts_obs.span ~cat:"bench" "pool.task" (fun _ ->
@@ -395,105 +376,55 @@ let pool_tally_task n =
       n)
 
 let run_json_pool file =
-  let backends =
-    (Pool.Fork, "fork")
-    ::
-    (if Pool.backend_available Pool.Domains then [ (Pool.Domains, "domains") ]
-     else [])
-  in
   let jobs = 4 in
-  let timed k =
-    let t0 = Hlts_obs.Clock.now_ns () in
-    k ();
-    Hlts_obs.Clock.seconds_since t0
-  in
-  let entry bname scenario tasks (wall_s, (bytes_out, bytes_in)) =
-    Printf.printf "json-pool: %s %s: %d tasks in %.3fs\n%!" bname scenario
-      tasks wall_s;
+  (* [n] tasks through a fresh pool of [f], timed by [drive] *)
+  let entry scenario n f drive =
+    let wall_s =
+      Pool.with_pool ~name:"bench.pool" ~jobs f @@ fun pool ->
+      let t0 = Hlts_obs.Clock.now_ns () in
+      drive pool n;
+      Hlts_obs.Clock.seconds_since t0
+    in
+    Printf.printf "json-pool: %s: %d tasks in %.3fs\n%!" scenario n wall_s;
     let open Hlts_obs.Json in
     Obj
       [
-        ("backend", Str bname);
         ("scenario", Str scenario);
         ("jobs", Int jobs);
-        ("tasks", Int tasks);
+        ("tasks", Int n);
         ("wall_s", Float wall_s);
         ( "tasks_per_s",
-          Float (if wall_s > 0.0 then float_of_int tasks /. wall_s else 0.0) );
-        ("task_us", Float (wall_s *. 1e6 /. float_of_int tasks));
-        ("bytes_out", Int bytes_out);
-        ("bytes_in", Int bytes_in);
-        ( "reply_bytes_per_task",
-          Float (float_of_int bytes_in /. float_of_int tasks) );
+          Float (if wall_s > 0.0 then float_of_int n /. wall_s else 0.0) );
+        ("task_us", Float (wall_s *. 1e6 /. float_of_int n));
       ]
   in
-  let scenarios (backend, bname) =
-    (* pipelined dispatch: minimal task and payload *)
-    let noop =
-      let n = 2000 in
-      entry bname "noop" n
-        ( Pool.with_pool ~name:"bench.pool" ~backend ~jobs (fun (i : int) -> i)
-        @@ fun pool ->
-          let w =
-            timed (fun () -> ignore (Pool.map pool (List.init n Fun.id)))
-          in
-          (w, Pool.io_bytes pool) )
-    in
-    (* one task in flight at a time: submit-to-await round-trip *)
-    let roundtrip =
-      let n = 400 in
-      entry bname "roundtrip" n
-        ( Pool.with_pool ~name:"bench.pool" ~backend ~jobs (fun (i : int) -> i)
-        @@ fun pool ->
-          let w =
-            timed (fun () ->
-                for i = 1 to n do
-                  ignore (Pool.await pool (Pool.submit pool i))
-                done)
-          in
-          (w, Pool.io_bytes pool) )
-    in
-    (* 64 KiB replies: framing cost of payload-carrying results *)
-    let payload =
-      let n = 128 in
-      entry bname "payload64k" n
-        ( Pool.with_pool ~name:"bench.pool" ~backend ~jobs (fun i ->
-              String.make 65536 (Char.chr (i land 0xff)))
-        @@ fun pool ->
-          let w =
-            timed (fun () -> ignore (Pool.map pool (List.init n Fun.id)))
-          in
-          (w, Pool.io_bytes pool) )
-    in
-    (* tally shipping, passive vs instrumented: the bytes_in spread is
-       the slim-fork saving *)
-    let tally ~instrument =
-      let n = 512 in
-      let body () =
-        Pool.with_pool ~name:"bench.pool" ~backend ~jobs pool_tally_task
-        @@ fun pool ->
-        let w = timed (fun () -> ignore (Pool.map pool (List.init n Fun.id))) in
-        (w, Pool.io_bytes pool)
-      in
-      entry bname
-        (if instrument then "tally_instrumented" else "tally_passive")
-        n
-        (if instrument then
-           Hlts_obs.with_sink
-             (Hlts_obs.Summary.sink (Hlts_obs.Summary.create ()))
-             body
-         else body ())
-    in
-    let tally_passive = tally ~instrument:false in
-    let tally_instrumented = tally ~instrument:true in
-    [ noop; roundtrip; payload; tally_passive; tally_instrumented ]
+  (* pipelined dispatch *)
+  let mapped pool n = ignore (Pool.map pool (List.init n Fun.id)) in
+  (* one task in flight at a time: submit-to-await round-trip *)
+  let one_by_one pool n =
+    for i = 1 to n do
+      ignore (Pool.await pool (Pool.submit pool i))
+    done
   in
-  let entries = List.concat_map scenarios backends in
+  let noop = entry "noop" 2000 (fun (i : int) -> i) mapped in
+  let roundtrip = entry "roundtrip" 400 (fun (i : int) -> i) one_by_one in
+  let payload =
+    entry "payload64k" 128
+      (fun i -> String.make 65536 (Char.chr (i land 0xff)))
+      mapped
+  in
+  let tally_passive = entry "tally_passive" 512 pool_tally_task mapped in
+  let tally_instrumented =
+    Hlts_obs.with_sink
+      (Hlts_obs.Summary.sink (Hlts_obs.Summary.create ()))
+      (fun () -> entry "tally_instrumented" 512 pool_tally_task mapped)
+  in
+  let entries = [ noop; roundtrip; payload; tally_passive; tally_instrumented ] in
   let doc =
     Hlts_obs.Json.(
       Obj
         [
-          ("schema", Str "hlts-bench-pool/1");
+          ("schema", Str "hlts-bench-pool/2");
           ("host", host_json ~jobs:[ jobs ]);
           ("res", res_json ());
           ("scenarios", List entries);
@@ -621,11 +552,7 @@ let atpg_json_entry ~oracle seed name dfg bits =
      @ oracle_fields)
 
 let run_json_atpg ~only ~oracle ~widths seed file =
-  let selected =
-    match only with
-    | [] -> json_benchmarks
-    | names -> List.filter (fun n -> List.mem n names) json_benchmarks
-  in
+  let selected = select_names ~mode:"--json-atpg" ~valid:json_benchmarks only in
   let entries =
     List.concat_map
       (fun name ->
@@ -868,7 +795,6 @@ let run_bechamel () =
 let () =
   let seed = ref 1 in
   let jobs = ref None in
-  let backend = ref None in
   let json_only = ref [] in
   let atpg_oracle = ref false in
   let atpg_widths = ref json_widths in
@@ -877,9 +803,9 @@ let () =
   let add f = actions := f :: !actions in
   let all seed =
     run_figure "1";
-    List.iter (run_table ?jobs:!jobs ?backend:!backend seed) [ "1"; "2"; "3" ];
+    List.iter (run_table ?jobs:!jobs seed) [ "1"; "2"; "3" ];
     List.iter run_figure [ "2"; "3" ];
-    run_table ?jobs:!jobs ?backend:!backend seed "extra";
+    run_table ?jobs:!jobs seed "extra";
     run_ablation seed "params";
     run_ablation seed "balance";
     run_ablation seed "latency";
@@ -892,19 +818,11 @@ let () =
       ( "--table",
         Arg.String
           (fun s ->
-            add (fun () -> run_table ?jobs:!jobs ?backend:!backend !seed s)),
+            add (fun () -> run_table ?jobs:!jobs !seed s)),
         "TABLE  regenerate one table (1|2|3|extra)" );
       ( "-j",
         Arg.Int (fun n -> jobs := Some n),
         "N      run N pool workers for the table ATPG cells (also: HLTS_JOBS)" );
-      ( "--backend",
-        Arg.String
-          (fun s ->
-            match Pool.backend_of_string s with
-            | Ok b -> backend := Some b
-            | Error msg -> raise (Arg.Bad msg)),
-        "NAME   pool transport for -j runs: fork or domains \
-         (also: HLTS_BACKEND)" );
       ( "--figure",
         Arg.String (fun s -> add (fun () -> run_figure s)),
         "FIG    regenerate one figure (1|2|3)" );

@@ -150,9 +150,8 @@ let with_obs ~stats ~trace ~jsonl ?(journal = None) ?(metrics = None)
 
 (* Stamps what was run into the event stream so traces and reports are
    self-describing. An [Instant], not a journal decision: the jobs count
-   and pool backend may differ between runs whose decisions must stay
-   byte-identical. *)
-let run_meta ~bench ~approach ~bits ?jobs ?backend () =
+   may differ between runs whose decisions must stay byte-identical. *)
+let run_meta ~bench ~approach ~bits ?jobs () =
   if Obs.enabled () then
     Obs.instant ~cat:"meta" "run.meta"
       ~args:
@@ -162,30 +161,7 @@ let run_meta ~bench ~approach ~bits ?jobs ?backend () =
            ("bits", Obs.Int bits);
          ]
         @ (match jobs with Some j -> [ ("jobs", Obs.Int j) ] | None -> [])
-        @ (match backend with
-          | Some b -> [ ("backend", Obs.Str (Hlts_pool.Pool.backend_name b)) ]
-          | None -> [])
         @ [ ("ocaml", Obs.Str Sys.ocaml_version) ])
-
-(* Shared by synth/atpg/table/bench: which pool transport runs the
-   parallel work. Parsed strictly — an unknown name is a CLI error, and
-   an explicit choice the runtime cannot provide (domains on 4.14)
-   surfaces as Pool.create's one-line Invalid_argument. *)
-let backend_conv =
-  let parse s =
-    match Hlts_pool.Pool.backend_of_string s with
-    | Ok b -> Ok b
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf b = Format.pp_print_string ppf (Hlts_pool.Pool.backend_name b) in
-  Arg.conv (parse, print)
-
-let backend_arg =
-  let doc =
-    "Worker-pool transport: $(b,fork) (processes + pipes + Marshal, any      OCaml) or $(b,domains) (shared-memory domains, zero-copy, OCaml 5      only). Default: the HLTS_BACKEND environment variable, else      domains when the runtime supports it, else fork. Results are      byte-identical across backends."
-  in
-  Arg.(
-    value & opt (some backend_conv) None & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
 let with_errors f =
   match f () with
@@ -199,9 +175,8 @@ let with_errors f =
     Printf.eprintf "error: %s\n" msg;
     1
   | exception Invalid_argument msg ->
-    (* a documented refusal with its own one-line message, e.g. asking
-       for --backend domains on a 4.14 runtime — print it bare so the
-       text matches the docs (and the CI grep) *)
+    (* a refusal with its own one-line message, e.g. a malformed
+       HLTS_DOMAINS — printed bare, without the exception wrapper *)
     Printf.eprintf "error: %s\n" msg;
     125
   | exception e ->
@@ -240,15 +215,15 @@ let synth_cmd =
     in
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let run bench approach bits jobs backend stats trace jsonl journal metrics
+  let run bench approach bits jobs stats trace jsonl journal metrics
       heartbeat heartbeat_ms =
     with_errors (fun () ->
         let* d = find_bench bench in
         let* a = find_approach approach in
         with_obs ~stats ~trace ~jsonl ~journal ~metrics ~heartbeat ~heartbeat_ms
           (fun () ->
-            run_meta ~bench ~approach ~bits ?jobs ?backend ();
-            let o = Eval.outcome ?jobs ?backend a d ~bits in
+            run_meta ~bench ~approach ~bits ?jobs ();
+            let o = Eval.outcome ?jobs a d ~bits in
             Render.schedule_figure Format.std_formatter d o;
             let stats = Hlts_etpn.Etpn.stats o.Flows.etpn in
             Printf.printf
@@ -262,8 +237,8 @@ let synth_cmd =
     (Cmd.info "synth"
        ~doc:"Synthesize a benchmark and print its schedule and allocation.")
     Term.(const run $ bench_arg $ approach_arg $ bits_arg $ jobs_arg
-          $ backend_arg $ stats_arg $ trace_arg $ jsonl_arg $ journal_arg
-          $ metrics_arg $ heartbeat_arg $ heartbeat_ms_arg)
+          $ stats_arg $ trace_arg $ jsonl_arg $ journal_arg $ metrics_arg
+          $ heartbeat_arg $ heartbeat_ms_arg)
 
 let testability_cmd =
   let run bench approach bits =
@@ -316,24 +291,24 @@ let atpg_cmd =
   in
   let jobs_arg =
     let doc =
-      "Fan PPSFP fault-word batches out over $(docv) forked workers; \
+      "Fan PPSFP fault-word batches out over $(docv) pooled workers; \
        the results (and digest) are byte-identical for every job count."
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let run bench approach bits seed collapse_gates engine jobs backend stats
-      trace jsonl journal metrics heartbeat heartbeat_ms =
+  let run bench approach bits seed collapse_gates engine jobs stats trace jsonl
+      journal metrics heartbeat heartbeat_ms =
     with_errors (fun () ->
         let* d = find_bench bench in
         let* a = find_approach approach in
         with_obs ~stats ~trace ~jsonl ~journal ~metrics ~heartbeat ~heartbeat_ms
           (fun () ->
-            run_meta ~bench ~approach ~bits ?backend ();
+            run_meta ~bench ~approach ~bits ();
             let atpg =
               { (atpg_config seed) with
                 Hlts_atpg.Atpg.collapse_gate_inputs = collapse_gates }
             in
-            let row = Eval.evaluate ~atpg ~engine ~jobs ?backend a d ~bits in
+            let row = Eval.evaluate ~atpg ~engine ~jobs a d ~bits in
             let engine_name =
               match engine with
               | `Ppsfp -> "ppsfp"
@@ -360,9 +335,9 @@ let atpg_cmd =
   Cmd.v
     (Cmd.info "atpg" ~doc:"Run the full synthesis + test-generation pipeline.")
     Term.(const run $ bench_arg $ approach_arg $ bits_arg $ seed_arg
-          $ collapse_gates_arg $ engine_arg $ jobs_arg $ backend_arg
-          $ stats_arg $ trace_arg $ jsonl_arg $ journal_arg $ metrics_arg
-          $ heartbeat_arg $ heartbeat_ms_arg)
+          $ collapse_gates_arg $ engine_arg $ jobs_arg $ stats_arg
+          $ trace_arg $ jsonl_arg $ journal_arg $ metrics_arg $ heartbeat_arg
+          $ heartbeat_ms_arg)
 
 let table_cmd =
   let which =
@@ -371,7 +346,7 @@ let table_cmd =
   in
   let jobs_arg =
     let doc =
-      "Fan the table's ATPG cells out over $(docv) forked workers \
+      "Fan the table's ATPG cells out over $(docv) pooled workers \
        (default: the HLTS_JOBS environment variable, else 1). The \
        output is byte-identical for every job count."
     in
@@ -384,7 +359,7 @@ let table_cmd =
     in
     Arg.(value & flag & info [ "no-time" ] ~doc)
   in
-  let run which seed jobs backend no_time =
+  let run which seed jobs no_time =
     with_errors (fun () ->
         let atpg = atpg_config seed in
         let with_time = not no_time in
@@ -392,17 +367,17 @@ let table_cmd =
         | "1" ->
           Render.table Format.std_formatter ~with_time
             ~title:"Table 1: area-optimized Ex benchmark"
-            (Experiments.table1 ~atpg ?jobs ?backend ());
+            (Experiments.table1 ~atpg ?jobs ());
           Ok ()
         | "2" ->
           Render.table Format.std_formatter ~with_area:true ~with_time
             ~title:"Table 2: area-optimized Dct benchmark"
-            (Experiments.table2 ~atpg ?jobs ?backend ());
+            (Experiments.table2 ~atpg ?jobs ());
           Ok ()
         | "3" ->
           Render.table Format.std_formatter ~with_area:true ~with_time
             ~title:"Table 3: area-optimized Diffeq benchmark"
-            (Experiments.table3 ~atpg ?jobs ?backend ());
+            (Experiments.table3 ~atpg ?jobs ());
           Ok ()
         | "extra" ->
           List.iter
@@ -412,13 +387,13 @@ let table_cmd =
                   (Printf.sprintf "Extra: %s benchmark at 8 bit (paper §5)"
                      name)
                 rows)
-            (Experiments.extra_rows ~atpg ?jobs ?backend ());
+            (Experiments.extra_rows ~atpg ?jobs ());
           Ok ()
         | other -> Error (Printf.sprintf "unknown table %S" other))
   in
   Cmd.v
     (Cmd.info "table" ~doc:"Regenerate a table of the paper's evaluation.")
-    Term.(const run $ which $ seed_arg $ jobs_arg $ backend_arg $ no_time_arg)
+    Term.(const run $ which $ seed_arg $ jobs_arg $ no_time_arg)
 
 let figure_cmd =
   let which =
@@ -834,8 +809,8 @@ let serve_cmd =
     in
     Arg.(value & opt int 8 & info [ "slow-k" ] ~docv:"K" ~doc)
   in
-  let run tcp socket cache_dir jobs backend queue_limit mem_entries no_disk
-      access_log metrics slow_k =
+  let run tcp socket cache_dir jobs queue_limit mem_entries no_disk access_log
+      metrics slow_k =
     with_errors (fun () ->
         let dir = resolve_cache_dir cache_dir in
         let* addr = resolve_addr ~tcp ~socket ~cache_dir:dir in
@@ -876,7 +851,7 @@ let serve_cmd =
             ~finally:close_access
             (fun () ->
               Serve.run
-                { Serve.addr; cache; jobs; backend; queue_limit; log;
+                { Serve.addr; cache; jobs; backend = None; queue_limit; log;
                   access_log; metrics; slow_k })
         with
         | () -> Ok ()
@@ -893,8 +868,8 @@ let serve_cmd =
           over a Unix-domain socket (or --tcp), answered from the \
           content-addressed result cache. SIGTERM drains gracefully.")
     Term.(const run $ tcp_arg $ socket_arg $ cache_dir_arg $ jobs_arg
-          $ backend_arg $ queue_arg $ mem_arg $ no_disk_arg
-          $ access_log_arg $ serve_metrics_arg $ slow_k_arg)
+          $ queue_arg $ mem_arg $ no_disk_arg $ access_log_arg
+          $ serve_metrics_arg $ slow_k_arg)
 
 let submit_cmd =
   let op_arg =

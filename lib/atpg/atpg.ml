@@ -57,10 +57,9 @@ type replayer = {
   rp_ppsfp : Ppsfp.t option;
   rp_collapse : Fault.t -> Fault.t;
   rp_jobs : int;
-  rp_backend : Pool.backend option;
 }
 
-let make_replayer sim engine ~collapse ~jobs ~backend =
+let make_replayer sim engine ~collapse ~jobs =
   { rp_sim = sim; rp_engine = engine;
     rp_scratch = Sim.scratch sim; rp_machine = Sim.machine sim;
     rp_ppsfp =
@@ -68,8 +67,7 @@ let make_replayer sim engine ~collapse ~jobs ~backend =
       | `Ppsfp -> Some (Ppsfp.create sim)
       | `Cone | `Full -> None);
     rp_collapse = collapse;
-    rp_jobs = jobs;
-    rp_backend = backend }
+    rp_jobs = jobs }
 
 (* First (cycle, lane-diff word) of [fault] against the recorded good
    trajectory, or None; only lanes in [mask] count. All engines are
@@ -103,18 +101,12 @@ let grade ?mask rp targets trajectory ~evals =
     Obs.set sp "faults" (Obs.Int (Ppsfp.fault_count plan));
     Obs.set sp "words" (Obs.Int n_words);
     let map =
-      if rp.rp_jobs > 1 && n_words > 1
-         && (not (Pool.in_worker ()))
-         && (rp.rp_backend <> None
-            || Sys.getenv_opt "HLTS_BACKEND" <> None
-            || Pool.backend_available (Pool.default_backend ()))
-      then
+      if rp.rp_jobs > 1 && n_words > 1 && not (Pool.in_worker ()) then
         Some
           (fun _worker ids ->
             let jobs = min rp.rp_jobs n_words in
             (* One plane scratch per worker lane instead of the shared
-               [pp]: a forked lane copy-on-writes its slot anyway, and
-               under domains no two lanes may share mutable planes.
+               [pp]: no two lanes may share mutable planes.
                [plan] and [batch] were built parent-side against [pp]
                and are read-only here; they work with any scratch over
                the same compiled Sim.t. *)
@@ -131,7 +123,7 @@ let grade ?mask rp targets trajectory ~evals =
               in
               Ppsfp.grade_word t plan batch w
             in
-            Pool.with_pool ~name:"atpg.ppsfp" ?backend:rp.rp_backend ~jobs
+            Pool.with_pool ~name:"atpg.ppsfp" ~jobs
               grade_in_lane
               (fun pool -> Pool.map pool ids))
       else None
@@ -194,8 +186,7 @@ let pack_tests sim tests =
   in
   Sim.record sim stimuli
 
-let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) ?backend
-    circuit =
+let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) circuit =
   Obs.span ~cat:"atpg" ~res:true "atpg.run" @@ fun run_sp ->
   let t0 = Obs.Clock.now_ns () in
   let sim = Obs.span ~cat:"atpg" "atpg.compile" (fun _ -> Sim.compile circuit) in
@@ -208,7 +199,7 @@ let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) ?backend
   let collapse =
     Fault.collapse_map ~gate_inputs:config.collapse_gate_inputs circuit
   in
-  let rp = make_replayer sim engine ~collapse ~jobs ~backend in
+  let rp = make_replayer sim engine ~collapse ~jobs in
   let evals = ref 0 in
   let detected_random = ref 0 in
   let test_cycles = ref 0 in

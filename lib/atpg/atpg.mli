@@ -72,15 +72,13 @@ type result = {
 }
 
 val run :
-  ?config:config -> ?engine:engine -> ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend -> Hlts_netlist.Netlist.t -> result
-(** [jobs] (default 1) fans PPSFP word batches out over a worker pool —
-    forked processes or shared-memory domains per [backend] (default:
-    [Pool.default_backend ()]); every result field is byte-identical at
-    any job count on either backend (word verdicts are merged in word
-    order and observability tallies are replayed per ticket). Each pool
-    lane grades into its own plane scratch. Ignored by the single-fault
-    engines.
+  ?config:config -> ?engine:engine -> ?jobs:int -> Hlts_netlist.Netlist.t ->
+  result
+(** [jobs] (default 1) fans PPSFP word batches out over a worker pool
+    ({!Hlts_pool.Pool}); every result field is byte-identical at any job
+    count (word verdicts are merged in word order and observability
+    tallies are replayed per ticket). Each pool lane grades into its own
+    plane scratch. Ignored by the single-fault engines.
     @raise Invalid_argument as {!Hlts_pool.Pool.create}. *)
 
 val coverage_pct : result -> float

@@ -50,7 +50,7 @@ let separate_step approach scheduler dfg =
     let state = State.make ~dfg ~cons ~schedule ~binding () in
     { approach; state; etpn = State.etpn state; records = [] }
 
-let synthesize ?(params = Synth.default_params) ?jobs ?backend approach dfg =
+let synthesize ?(params = Synth.default_params) ?jobs approach dfg =
   match approach with
   | Approach1 ->
     let latency = budget params dfg in
@@ -64,7 +64,7 @@ let synthesize ?(params = Synth.default_params) ?jobs ?backend approach dfg =
       dfg
   | Camad ->
     let params = { params with Synth.strategy = Candidates.Connectivity } in
-    let r = Synth.run ~params ?jobs ?backend dfg in
+    let r = Synth.run ~params ?jobs dfg in
     {
       approach = Camad;
       state = r.Synth.final;
@@ -73,7 +73,7 @@ let synthesize ?(params = Synth.default_params) ?jobs ?backend approach dfg =
     }
   | Ours ->
     let params = { params with Synth.strategy = Candidates.Balance } in
-    let r = Synth.run ~params ?jobs ?backend dfg in
+    let r = Synth.run ~params ?jobs dfg in
     {
       approach = Ours;
       state = r.Synth.final;

@@ -28,13 +28,11 @@ type outcome = {
 }
 
 val synthesize :
-  ?params:Synth.params -> ?jobs:int -> ?backend:Hlts_pool.Pool.backend ->
-  approach -> Hlts_dfg.Dfg.t -> outcome
+  ?params:Synth.params -> ?jobs:int -> approach -> Hlts_dfg.Dfg.t -> outcome
 (** [params] applies to the iterative flows ([Ours], [Camad]); the
     separate-step flows schedule at the critical-path latency. [jobs]
     (also only meaningful for the iterative flows) evaluates merge
-    candidates on that many pooled workers on [backend] (default:
-    [Pool.default_backend ()]) — see {!Synth.run}; the outcome is
-    bit-identical to the serial run on either backend.
+    candidates on that many pooled workers — see {!Synth.run}; the
+    outcome is bit-identical to the serial run.
     @raise Invalid_argument if a separate-step flow fails to schedule
     (cannot happen on an acyclic DFG). *)

@@ -85,9 +85,8 @@ let metrics params ~budget =
   (cost, acceptable)
 
 (* The same commit rule on slim [(dE, dH, sched_len)] triples. The
-   pooled step decides on these (the full outcome never crosses the
-   wire), and the journal verdicts below are derived from them in both
-   paths, so serial and pooled runs cannot disagree on a verdict. *)
+   journal verdicts below are derived from them in both the serial and
+   the pooled step, so the two paths cannot disagree on a verdict. *)
 let metrics_d params ~budget =
   let reg_unit = Hlts_floorplan.Module_library.reg_area ~bits:params.bits in
   let cost_d (delta_e, delta_h, _) =
@@ -235,17 +234,13 @@ let step params ~budget ~sp ~iteration state =
 
 (* Worker protocol: [W_state] (a broadcast) re-bases the worker on the
    committed design after each iteration; [W_try] attempts a slice of
-   candidate mergers, in order, against that base. Everything on the
-   wire is closure-free plain data. Replies are deliberately slim —
-   only the deltas and schedule length the commit rule reads — because
-   shipping the full post-merge constraint set back for every
-   speculative attempt costs more in (de)marshalling than the attempt
-   itself; the parent re-executes just the one winning attempt locally
-   to obtain the committed state. Slicing several candidates into one
-   task amortizes the per-message framing and syscalls (the dominant
-   coordinator cost once replies are slim); each attempt still ships
-   its own counter tally so the parent can replay exactly the attempts
-   a sequential scan would have made. *)
+   candidate mergers, in order, against that base. The re-base ships
+   the committed design's parts rather than the state itself: a state
+   carries unsynchronized lazy caches, so each sharing group rebuilds
+   its own. Slicing several candidates into one task amortizes the
+   per-task queueing; each attempt still returns its own counter tally
+   so the parent can replay exactly the attempts a sequential scan
+   would have made. *)
 type wtask =
   | W_state of
       Hlts_sched.Constraints.t
@@ -255,63 +250,32 @@ type wtask =
       * float (* its floorplanned area at [params.bits] *)
   | W_try of Candidates.pair list
 
-(* Per attempt: (delta_e, delta_h, post-merge schedule length) — [None]
-   = infeasible — plus, on shared-heap transports only, the full
-   outcome by reference (a forked worker strips it: the outcome's state
-   holds closures and lazies no Marshal frame can carry, and shipping
-   it serialized is the very cost the slim triples exist to avoid), and
-   the counters the attempt emitted in the worker. *)
-type wreply =
-  ((int * float * int) option * Merge.outcome option * Pool.tally) list
+(* Per attempt: the outcome ([None] = infeasible), handed back by
+   reference, and the counters the attempt emitted in the worker. *)
+type wreply = (Merge.outcome option * Pool.tally) list
 
 (* The pooled mirror of [step]. The top-k attempts run concurrently;
    the widening scan evaluates [parallelism * k] candidates
    speculatively per chunk and commits the first acceptable one in
    score order. Chunks scale with {!Pool.parallelism}, not [jobs]:
    speculation is only free when spare hardware absorbs it, and when
-   the pool executes its lanes sequentially (the domains backend's
-   inline mode on one core) a chunk of one makes the scan evaluate
-   exactly what the serial scan would — measured on the 1-core box,
-   jobs-sized chunks wasted ~0.5 GB of allocation per run on feasible
-   mergers the scan never read. Cost and acceptability are computed
-   from the shipped deltas with the same float expressions as
-   [metrics], so the winner is the one the sequential scan would pick.
-   The winning outcome is taken by reference from the reply when the
-   transport shares the heap (the worker already built it; its
-   evaluation is deterministic, so it {e is} the object the parent
-   would construct), and re-executed parent-side under fork, where the
-   reply could not carry it. Worker tallies are replayed into the
-   parent's sinks only for the attempts the sequential scan would have
-   made (the whole top-k, and the widened prefix up to the winner); the
-   winner's own counters come from its replayed tally (zero-copy) or
-   from the parent's re-execution (fork) — identical streams, at the
-   same position — and later speculation is discarded and accounted as
-   [synth.pool.speculative_waste]. *)
+   the pool executes its lanes sequentially (inline mode on one core)
+   a chunk of one makes the scan evaluate exactly what the serial scan
+   would — measured on a 1-core host, jobs-sized chunks wasted ~0.5 GB
+   of allocation per run on feasible mergers the scan never read. Cost
+   and acceptability are computed with the same closures as [step], so
+   the winner is the one the sequential scan would pick, and the
+   winning outcome is the worker's own object (its evaluation is
+   deterministic, so it {e is} the object the parent would construct).
+   Worker tallies are replayed into the parent's sinks only for the
+   attempts the sequential scan would have made (the whole top-k, and
+   the widened prefix up to the winner); later speculation is discarded
+   and accounted as [synth.pool.speculative_waste]. *)
 let pool_step params ~budget ~sp ~pool ~iteration state =
   let candidates = score_candidates params ~sp state in
   journal_iter_begin ~iteration ~pool:(List.length candidates);
-  let cost, _acceptable = metrics params ~budget in
-  let cost_d, acceptable_d = metrics_d params ~budget in
-  (* Re-execute the winning attempt in the parent: same state, same
-     pair, same code path — the outcome (and its counter emissions)
-     are exactly what the sequential scan would have produced. *)
-  let materialize pair =
-    match attempt state ~bits:params.bits pair with
-    | Some o -> o
-    | None ->
-      invalid_arg "Synth.pool_step: worker and parent disagree on feasibility"
-  in
-  (* The winning attempt's outcome: by reference from the reply when
-     the transport shipped it (replaying its tally — the emissions the
-     parent's re-execution would have made), rebuilt locally when it
-     could not (fork). *)
-  let claim_outcome pair o_opt tally =
-    match o_opt with
-    | Some o ->
-      Pool.replay tally;
-      o
-    | None -> materialize pair
-  in
+  let cost, acceptable = metrics params ~budget in
+  let slim (pair, o, _) = (pair, Option.map slim_of_outcome o) in
   (* Evaluate [pairs] as contiguous slices of at most [slice] candidates
      per task, all in flight at once; flattening the slice replies in
      submission order restores the original score order. *)
@@ -334,43 +298,27 @@ let pool_step params ~budget ~sp ~pool ~iteration state =
            replayed journal is exactly the sequential scan's. *)
         Pool.replay
           { task_tally with Pool.counts = []; gauges = []; decisions = [] };
-        List.map2
-          (fun pair (slim, o_opt, tally) -> (pair, slim, o_opt, tally))
-          s replies)
+        List.map2 (fun pair (o, tally) -> (pair, o, tally)) s replies)
       tickets
   in
   let top, rest = Hlts_util.Listx.split_at params.k candidates in
-  let winner_of_top, top_slims, best_of_top =
-    (* one candidate per task: the top-k are few and spread widest *)
-    let replies = eval_batch ~slice:1 top in
-    let acceptable_replies =
-      List.mapi (fun i (_, slim, _, _) -> (i, slim)) replies
-      |> List.filter_map (fun (i, slim) ->
-             match slim with
-             | Some d when acceptable_d d -> Some (i, d)
-             | Some _ | None -> None)
-    in
-    let winner =
-      Hlts_util.Listx.min_by (fun (_, d) -> cost_d d) acceptable_replies
-    in
-    let outcome = ref None in
-    List.iteri
-      (fun i (pair, _, o_opt, tally) ->
-        match winner with
-        | Some (wi, _) when wi = i ->
-          outcome := Some (claim_outcome pair o_opt tally)
-        | Some _ | None -> Pool.replay tally)
-      replies;
-    ( Option.map fst winner,
-      List.map (fun (pair, slim, _, _) -> (pair, slim)) replies,
-      !outcome )
+  (* one candidate per task: the top-k are few and spread widest *)
+  let top_replies = eval_batch ~slice:1 top in
+  List.iter (fun (_, _, tally) -> Pool.replay tally) top_replies;
+  let best_of_top =
+    List.mapi (fun i (_, o, _) -> (i, o)) top_replies
+    |> List.filter_map (fun (i, o) ->
+           match o with
+           | Some o when acceptable o -> Some (i, o)
+           | Some _ | None -> None)
+    |> Hlts_util.Listx.min_by (fun (_, o) -> cost o)
   in
+  let top_slims = List.map slim top_replies in
   match best_of_top with
-  | Some o ->
-    journal_verdicts params ~budget top_slims ~winner:winner_of_top;
+  | Some (wi, o) ->
+    journal_verdicts params ~budget top_slims ~winner:(Some wi);
     let c = cost o in
-    let rank = 1 + Option.value ~default:0 winner_of_top in
-    journal_committed o ~reason:(top_reason params rank) ~cost:c;
+    journal_committed o ~reason:(top_reason params (wi + 1)) ~cost:c;
     Some (o, c)
   | None ->
     journal_verdicts params ~budget top_slims ~winner:None;
@@ -387,25 +335,22 @@ let pool_step params ~budget ~sp ~pool ~iteration state =
       | [] -> None
       | _ -> begin
         let chunk, rest' = Hlts_util.Listx.split_at chunk_size rest in
-        let replies = eval_batch ~slice:widen_slice chunk in
         let rec scan = function
           | [] -> None
-          | (pair, slim, o_opt, tally) :: tl -> begin
+          | ((_, o, tally) as reply) :: tl -> begin
             incr widened;
-            scanned := (pair, slim) :: !scanned;
-            match slim with
-            | Some d when acceptable_d d ->
-              let o = claim_outcome pair o_opt tally in
+            scanned := slim reply :: !scanned;
+            Pool.replay tally;
+            match o with
+            | Some o when acceptable o ->
               let waste = List.length tl in
               if waste > 0 then
                 Obs.count ~by:waste "synth.pool.speculative_waste";
               Some (o, cost o)
-            | Some _ | None ->
-              Pool.replay tally;
-              scan tl
+            | Some _ | None -> scan tl
           end
         in
-        match scan replies with
+        match scan (eval_batch ~slice:widen_slice chunk) with
         | Some found -> Some found
         | None -> widen_chunks rest'
       end
@@ -423,7 +368,7 @@ let pool_step params ~budget ~sp ~pool ~iteration state =
       journal_verdicts params ~budget slims_w ~winner:None;
       None)
 
-let run ?(params = default_params) ?jobs ?backend dfg =
+let run ?(params = default_params) ?jobs dfg =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   Obs.span ~cat:"synth" ~res:true "synth.run" @@ fun run_sp ->
   let critical_path = Hlts_dfg.Dfg.longest_chain dfg in
@@ -492,21 +437,11 @@ let run ?(params = default_params) ?jobs ?backend dfg =
     loop state0 [] 0
   in
   let final, records, iterations =
-    (* Serial fallback only when parallelism is impossible or nobody
-       asked for a specific backend; an explicit [?backend] or
-       [HLTS_BACKEND] request is handed to [Pool.create] so that an
-       unavailable backend fails loudly instead of silently running
-       serial. *)
-    if
-      jobs > 1
-      && (not (Pool.in_worker ()))
-      && (backend <> None
-         || Sys.getenv_opt "HLTS_BACKEND" <> None
-         || Pool.backend_available (Pool.default_backend ()))
-    then begin
+    (* Serial when one job was asked for, or when the caller is itself
+       a pool worker (pools never nest). *)
+    if jobs > 1 && not (Pool.in_worker ()) then begin
       (* Force the initial state's derived views before the workers
-         start so they share them already-evaluated — copy-on-write
-         under fork, and race-free under domains: forcing the shared
+         start so they share them already-evaluated: forcing the shared
          lazies here happens-before every Domain.spawn, so workers only
          ever read them forced (no counters are emitted by the forcing,
          so observability is unchanged). *)
@@ -516,12 +451,9 @@ let run ?(params = default_params) ?jobs ?backend dfg =
          single shared ref: a [W_state]-built state carries
          unsynchronized lazy caches, so it must never be visible to two
          concurrent workers — but lanes in the same group run
-         sequentially, so they can share one copy. Under fork each lane
-         is its own group (the child copy-on-writes the whole array
-         anyway); under domains the lanes served by one domain share a
-         single re-based state, which also means its closure/memo
-         caches warm once per domain per iteration instead of once per
-         lane. *)
+         sequentially, so they share one re-based state, whose
+         closure/memo caches warm once per domain per iteration instead
+         of once per lane. *)
       let worker_states = Array.make jobs state0 in
       (* Each attempt is evaluated under its own capture sink so its
          counters travel back individually: the parent replays only the
@@ -530,21 +462,13 @@ let run ?(params = default_params) ?jobs ?backend dfg =
          uninstrumented run the pool installs no capture sink in the
          worker, [Obs.enabled ()] is false here, and the per-attempt
          capture is skipped entirely — every attempt shares one empty
-         tally, which also keeps the fork transport's reply frames
-         slim. *)
+         tally. *)
       let empty_tally =
         { Pool.counts = []; samples = []; gauges = []; decisions = [] }
       in
-      (* On shared-heap transports the full outcome rides the reply by
-         reference — the parent commits the worker's object instead of
-         re-evaluating the winner; a forked worker must strip it (the
-         reply is marshalled). *)
-      let keep o = if Pool.in_forked_worker () then None else Some o in
       let try_one base pair =
-        if not (Obs.enabled ()) then (
-          match attempt base ~bits:params.bits pair with
-          | None -> (None, None, empty_tally)
-          | Some o -> (Some (slim_of_outcome o), keep o, empty_tally))
+        if not (Obs.enabled ()) then
+          (attempt base ~bits:params.bits pair, empty_tally)
         else
         let counts = ref [] and samples = ref [] and gauges = ref [] in
         let decisions = ref [] in
@@ -563,14 +487,10 @@ let run ?(params = default_params) ?jobs ?backend dfg =
             flush = ignore;
           }
         in
-        let slim, o_opt =
-          Obs.with_sink capture (fun () ->
-              match attempt base ~bits:params.bits pair with
-              | None -> (None, None)
-              | Some o -> (Some (slim_of_outcome o), keep o))
+        let o =
+          Obs.with_sink capture (fun () -> attempt base ~bits:params.bits pair)
         in
-        ( slim,
-          o_opt,
+        ( o,
           {
             Pool.counts = List.rev !counts;
             samples = List.rev !samples;
@@ -581,7 +501,7 @@ let run ?(params = default_params) ?jobs ?backend dfg =
       let wf : wtask -> wreply = function
         | W_state (cons, schedule, binding, etime, area) ->
           (* The scalar views every attempt reads off the base state
-             come seeded over the wire: without them each worker would
+             come seeded with the re-base: without them each worker would
              rebuild the committed design's ETPN once per iteration
              just to recompute two numbers the parent already has. *)
           worker_states.(Pool.worker_group ()) <-
@@ -593,7 +513,7 @@ let run ?(params = default_params) ?jobs ?backend dfg =
           let base = worker_states.(Pool.worker_group ()) in
           List.map (try_one base) pairs
       in
-      Pool.with_pool ~name:"synth.pool" ?backend ~jobs wf @@ fun pool ->
+      Pool.with_pool ~name:"synth.pool" ~jobs wf @@ fun pool ->
       loop
         ~step_fn:(fun ~sp ~iteration state ->
           pool_step params ~budget ~sp ~pool ~iteration state)

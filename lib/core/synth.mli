@@ -57,22 +57,17 @@ type result = {
 }
 
 val run :
-  ?params:params -> ?jobs:int -> ?backend:Hlts_pool.Pool.backend ->
-  Hlts_dfg.Dfg.t -> result
+  ?params:params -> ?jobs:int -> Hlts_dfg.Dfg.t -> result
 (** Runs Algorithm 1 from the default allocation/schedule. The result
     state is always consistent.
 
     [jobs] (default: the [HLTS_JOBS] environment variable, else 1)
     evaluates merge candidates on a persistent pool of that many
-    workers — forked processes or shared-memory domains per [backend]
-    (default: [Pool.default_backend ()]): the top-k attempts run
-    concurrently, and the widening scan speculatively evaluates
-    [jobs * k] candidates per chunk, committing the first acceptable
-    one in score order. The committed trajectory — records, digests,
-    final state and observability counters — is bit-identical to
-    [jobs = 1] on either backend; only wall-clock time changes. Falls
-    back to the serial path when no backend was requested and the
-    default one is unavailable, or when the caller is itself a pool
-    worker; an explicit [backend] (or [HLTS_BACKEND]) that this runtime
-    cannot provide raises [Invalid_argument] instead.
+    lanes ({!Hlts_pool.Pool}): the top-k attempts run concurrently, and
+    the widening scan speculatively evaluates [parallelism * k]
+    candidates per chunk, committing the first acceptable one in score
+    order. The committed trajectory — records, digests, final state and
+    observability counters — is bit-identical to [jobs = 1]; only
+    wall-clock time changes. Runs the serial path when the caller is
+    itself a pool worker.
     @raise Invalid_argument as {!Hlts_pool.Pool.create}. *)

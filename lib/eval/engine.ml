@@ -435,15 +435,10 @@ let request_of_json j =
 type t = {
   cache : Cache.t;
   jobs : int option;
-  backend : Pool.backend option;
 }
 
-let create ?cache ?jobs ?backend () =
-  {
-    cache = (match cache with Some c -> c | None -> Cache.create ());
-    jobs;
-    backend;
-  }
+let create ?cache ?jobs () =
+  { cache = (match cache with Some c -> c | None -> Cache.create ()); jobs }
 
 let cache t = t.cache
 
@@ -475,8 +470,7 @@ let outcome t ?jobs s =
   | None ->
     let o, journal =
       capture_journal (fun () ->
-          Flows.synthesize ~params:s.params ?jobs ?backend:t.backend
-            s.approach s.dfg)
+          Flows.synthesize ~params:s.params ?jobs s.approach s.dfg)
     in
     Cache.store t.cache ~mem_only:true ~kind:"outcome" key (o, journal);
     (o, journal, false)
@@ -497,10 +491,7 @@ let atpg_result t ?jobs s circuit =
   match Cache.find t.cache ~kind:"atpg" key with
   | Some r -> r
   | None ->
-    let r =
-      Atpg.run ~config:s.atpg ~engine:s.engine ?jobs ?backend:t.backend
-        circuit
-    in
+    let r = Atpg.run ~config:s.atpg ~engine:s.engine ?jobs circuit in
     Cache.store t.cache ~kind:"atpg" key r;
     r
 
@@ -535,10 +526,22 @@ let atpg_row t ?jobs s =
   let r = atpg_result t ?jobs s circuit in
   (Eval.row_of_atpg o ~bits:s.bits r, journal)
 
+(* [List.map f xs] computed by up to [jobs] pool lanes, results in
+   input order. Serial — exactly [List.map] — at one job, for fewer
+   than two items, and inside a pool worker (pools never nest). *)
+let fan_out ?jobs f xs =
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  match xs with
+  | _ when jobs <= 1 || Pool.in_worker () -> List.map f xs
+  | [] | [ _ ] -> List.map f xs
+  | _ ->
+    Pool.with_pool ~name:"sweep.pool" ~jobs:(min jobs (List.length xs)) f
+      (fun pool -> Pool.map pool xs)
+
 (* A sweep fans the missing cells out over the worker pool exactly as
    the old [Experiments.table_rows] did: outcomes are synthesized
    in-process (they are shared across widths), then each cell evaluates
-   its (outcome, width) on a pooled worker. Cached cells skip the pool
+   its (outcome, width) on a pool lane. Cached cells skip the pool
    entirely. *)
 let run_sweep t ~find cells =
   let keyed =
@@ -565,7 +568,7 @@ let run_sweep t ~find cells =
         Cache.store t.cache ~kind:"result" key entry;
         (s, key, entry))
       missing
-      (Par.map ?jobs:t.jobs ?backend:t.backend
+      (fan_out ?jobs:t.jobs
          (fun (s, o) ->
            Eval.evaluate_outcome ~atpg:s.atpg ~engine:s.engine o ~bits:s.bits)
          (List.map (fun (s, _, o, _) -> (s, o)) missing))

@@ -5,8 +5,8 @@
     A {!request} names everything the answer depends on — the design
     (by content, not by name), the flow, the synthesis parameters, the
     evaluation width, the ATPG budget and engine — and nothing it does
-    not (job counts and pool backends change only wall-clock time, never
-    a result byte, so they live on the engine, not in the request).
+    not (job counts change only wall-clock time, never a result byte,
+    so they live on the engine, not in the request).
     {!request_digest} is an MD5 over that canonical content; two
     requests digest equal iff the pipeline is guaranteed to produce
     byte-identical results for them, which is what makes the digest a
@@ -127,23 +127,30 @@ type t
 val create :
   ?cache:Cache.t ->
   ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend ->
   unit ->
   t
 (** [cache] defaults to a fresh memory-only {!Cache.create} — callers
-    wanting cross-run reuse pass a disk-backed cache. [jobs]/[backend]
-    size the worker pool used for [Sweep] cell fan-out, single-request
-    PPSFP word batches and [Synth] candidate evaluation; defaults:
-    [Par.default_jobs ()] / [Pool.default_backend ()]. *)
+    wanting cross-run reuse pass a disk-backed cache. [jobs] sizes the
+    worker pool used for [Sweep] cell fan-out ({!fan_out}),
+    single-request PPSFP word batches and [Synth] candidate evaluation;
+    default [Pool.default_jobs ()]. *)
 
 val cache : t -> Cache.t
 
 val run : t -> request -> result
 (** Executes (or recalls) the request. Deterministic: for a fixed
     request, [response], [journal] and both digests are byte-identical
-    across cold/warm runs, job counts and pool backends.
-    @raise Invalid_argument as {!Hlts_pool.Pool.create} on an
-    unavailable backend. *)
+    across cold/warm runs and job counts.
+    @raise Invalid_argument as {!Hlts_pool.Pool.create}. *)
+
+val fan_out : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [fan_out ~jobs f xs] is [List.map f xs], computed by up to [jobs]
+    pool lanes (default [Pool.default_jobs ()]); results come back in
+    input order, byte-identical to the serial path. With [jobs <= 1],
+    fewer than two items, or inside a pool worker no pool starts and
+    this is exactly [List.map]. The [Sweep] cell fan-out.
+    @raise Failure if [f] raises on a pool lane (the message names the
+    task and carries the exception). *)
 
 (** {1 Wire codecs} (the [hlts serve] protocol payloads)
 

@@ -37,9 +37,9 @@ let params_for_bits bits =
   | 16 -> { base with Synth.alpha = 1.0; beta = 10.0; bits }
   | _ -> { base with Synth.bits }
 
-let outcome ?params ?jobs ?backend approach dfg ~bits =
+let outcome ?params ?jobs approach dfg ~bits =
   let params = Option.value ~default:(params_for_bits bits) params in
-  Flows.synthesize ~params ?jobs ?backend approach dfg
+  Flows.synthesize ~params ?jobs approach dfg
 
 let module_listing binding =
   List.map
@@ -83,12 +83,11 @@ let row_of_atpg (o : Flows.outcome) ~bits (r : Atpg.result) =
     detect_digest = r.Atpg.detect_digest;
   }
 
-let evaluate_outcome ?(atpg = Atpg.default_config) ?engine ?jobs ?backend
+let evaluate_outcome ?(atpg = Atpg.default_config) ?engine ?jobs
     (o : Flows.outcome) ~bits =
   let circuit = Hlts_netlist.Expand.circuit o.Flows.etpn ~bits in
-  row_of_atpg o ~bits (Atpg.run ~config:atpg ?engine ?jobs ?backend circuit)
+  row_of_atpg o ~bits (Atpg.run ~config:atpg ?engine ?jobs circuit)
 
-let evaluate ?params ?atpg ?engine ?jobs ?backend approach dfg ~bits =
-  evaluate_outcome ?atpg ?engine ?jobs ?backend
-    (outcome ?params ?backend approach dfg ~bits)
+let evaluate ?params ?atpg ?engine ?jobs approach dfg ~bits =
+  evaluate_outcome ?atpg ?engine ?jobs (outcome ?params approach dfg ~bits)
     ~bits

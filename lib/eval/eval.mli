@@ -37,16 +37,15 @@ val evaluate :
   ?atpg:Hlts_atpg.Atpg.config ->
   ?engine:Hlts_atpg.Atpg.engine ->
   ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend ->
   Hlts_synth.Flows.approach ->
   Hlts_dfg.Dfg.t ->
   bits:int ->
   row
 (** [params] defaults to {!params_for_bits}; [atpg] to
-    {!Hlts_atpg.Atpg.default_config}. [engine], [jobs] and [backend] go to
-    {!Hlts_atpg.Atpg.run} (fault-grading engine, worker count and pool
-    transport); the row is bit-identical for every combination except
-    the timing fields. *)
+    {!Hlts_atpg.Atpg.default_config}. [engine] and [jobs] go to
+    {!Hlts_atpg.Atpg.run} (fault-grading engine and worker count); the
+    row is bit-identical for every combination except the timing
+    fields. *)
 
 val row_of_atpg :
   Hlts_synth.Flows.outcome -> bits:int -> Hlts_atpg.Atpg.result -> row
@@ -60,7 +59,6 @@ val evaluate_outcome :
   ?atpg:Hlts_atpg.Atpg.config ->
   ?engine:Hlts_atpg.Atpg.engine ->
   ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend ->
   Hlts_synth.Flows.outcome ->
   bits:int ->
   row
@@ -73,7 +71,6 @@ val evaluate_outcome :
 val outcome :
   ?params:Hlts_synth.Synth.params ->
   ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend ->
   Hlts_synth.Flows.approach ->
   Hlts_dfg.Dfg.t ->
   bits:int ->

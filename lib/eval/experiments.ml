@@ -11,10 +11,10 @@ let widths = [ 4; 8; 16 ]
    row computed here, by the CLI, by the bench harness or by the daemon
    is byte-identical. Callers without an engine get a fresh memory-only
    one: behavior is then exactly the historical single-shot run. *)
-let engine_for ?engine ?jobs ?backend () =
+let engine_for ?engine ?jobs () =
   match engine with
   | Some e -> e
-  | None -> Engine.create ?jobs ?backend ()
+  | None -> Engine.create ?jobs ()
 
 let spec_exn ?params ?atpg ~bench ~dfg ~approach ~bits () =
   match Engine.spec ?params ?atpg ~dfg ~bench ~approach ~bits () with
@@ -38,12 +38,12 @@ let row_exn (r : Engine.result) =
 
    The engine shares the synthesized outcome across the three widths of
    an approach (its outcome tier is keyed without the width) and fans
-   the (approach, width) ATPG cells out over [Par.map], which with
-   [jobs <= 1] is exactly [List.map] — the serial path — and otherwise
-   forks workers and merges in the same cell order, so the rows are
-   identical for every job count. *)
-let table_rows ?engine ?atpg ?jobs ?backend ?(bench = "") dfg =
-  let eng = engine_for ?engine ?jobs ?backend () in
+   the (approach, width) ATPG cells out over the worker pool, which
+   with [jobs <= 1] is exactly [List.map] — the serial path — and
+   otherwise merges in the same cell order, so the rows are identical
+   for every job count. *)
+let table_rows ?engine ?atpg ?jobs ?(bench = "") dfg =
+  let eng = engine_for ?engine ?jobs () in
   let params = { Synth.default_params with Synth.bits = 8 } in
   let cells =
     List.concat_map
@@ -56,19 +56,19 @@ let table_rows ?engine ?atpg ?jobs ?backend ?(bench = "") dfg =
   in
   rows_exn (Engine.run eng (Engine.Sweep cells))
 
-let table1 ?engine ?atpg ?jobs ?backend () =
-  table_rows ?engine ?atpg ?jobs ?backend ~bench:"ex" B.ex
+let table1 ?engine ?atpg ?jobs () =
+  table_rows ?engine ?atpg ?jobs ~bench:"ex" B.ex
 
-let table2 ?engine ?atpg ?jobs ?backend () =
-  table_rows ?engine ?atpg ?jobs ?backend ~bench:"dct" B.dct
+let table2 ?engine ?atpg ?jobs () =
+  table_rows ?engine ?atpg ?jobs ~bench:"dct" B.dct
 
-let table3 ?engine ?atpg ?jobs ?backend () =
-  table_rows ?engine ?atpg ?jobs ?backend ~bench:"diffeq" B.diffeq
+let table3 ?engine ?atpg ?jobs () =
+  table_rows ?engine ?atpg ?jobs ~bench:"diffeq" B.diffeq
 
 let extra_benches = [ ("ewf", B.ewf); ("paulin", B.paulin); ("tseng", B.tseng) ]
 
-let extra_rows ?engine ?atpg ?jobs ?backend () =
-  let eng = engine_for ?engine ?jobs ?backend () in
+let extra_rows ?engine ?atpg ?jobs () =
+  let eng = engine_for ?engine ?jobs () in
   let params = { Synth.default_params with Synth.bits = 8 } in
   let cells =
     List.concat_map

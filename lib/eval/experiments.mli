@@ -9,37 +9,37 @@ val widths : int list
 
 val table_rows :
   ?engine:Engine.t -> ?atpg:Hlts_atpg.Atpg.config -> ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend -> ?bench:string -> Hlts_dfg.Dfg.t ->
+  ?bench:string -> Hlts_dfg.Dfg.t ->
   Eval.row list
 (** All approaches at all widths for one benchmark: the body of
     Tables 1, 2, 3, issued as one {!Engine.Sweep}. Rows are grouped by
     approach, widths ascending. [engine] carries the cache (and its
-    jobs/backend settings) across calls — [hlts serve] and the bench
-    harness pass one; without it a fresh memory-only engine reproduces
-    the historical single-shot behavior, where [jobs] fans the
-    (approach, width) ATPG cells out over that many pool workers on
-    [backend] ({!Par.map}); the default is [Par.default_jobs ()]
+    jobs setting) across calls — [hlts serve] and the bench harness
+    pass one; without it a fresh memory-only engine reproduces the
+    historical single-shot behavior, where [jobs] fans the (approach,
+    width) ATPG cells out over that many pool workers
+    ({!Engine.fan_out}); the default is [Pool.default_jobs ()]
     ([HLTS_JOBS], else 1 = the exact in-process serial path). The rows
-    are identical for every job count, backend and cache state. *)
+    are identical for every job count and cache state. *)
 
 val table1 :
   ?engine:Engine.t -> ?atpg:Hlts_atpg.Atpg.config -> ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend -> unit -> Eval.row list
+  unit -> Eval.row list
 (** Ex benchmark (Table 1). *)
 
 val table2 :
   ?engine:Engine.t -> ?atpg:Hlts_atpg.Atpg.config -> ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend -> unit -> Eval.row list
+  unit -> Eval.row list
 (** Dct benchmark (Table 2). *)
 
 val table3 :
   ?engine:Engine.t -> ?atpg:Hlts_atpg.Atpg.config -> ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend -> unit -> Eval.row list
+  unit -> Eval.row list
 (** Diffeq benchmark (Table 3). *)
 
 val extra_rows :
   ?engine:Engine.t -> ?atpg:Hlts_atpg.Atpg.config -> ?jobs:int ->
-  ?backend:Hlts_pool.Pool.backend -> unit -> (string * Eval.row list) list
+  unit -> (string * Eval.row list) list
 (** EWF, Paulin and Tseng at 8 bits (experiment X1: the benchmarks the
     paper ran but omitted for space). [engine]/[jobs] as in
     {!table_rows}. *)

@@ -1,78 +1,43 @@
-(** Persistent worker pool with two transports behind one interface.
+(** Persistent worker pool over OCaml 5 domains.
 
-    A pool starts [jobs] workers once and streams tasks to them;
-    tickets, tally replay, {!map} and the determinism contract are
-    identical across backends:
-
-    - {b Fork} ([Pool_fork]): each worker is a [Unix.fork] child that
-      inherits the parent's heap copy-on-write and exchanges one
-      marshalled message per task / one marshalled reply per result
-      over a pipe pair. The parent never blocks on a write — outbound
-      messages are queued and pumped through non-blocking descriptors
-      while replies are drained. Works on OCaml 4.14 and 5.x.
-    - {b Domains} ([Pool_domains], OCaml >= 5.0 only): each worker is a
-      [Domain] sharing the parent's heap; tasks and results are passed
-      as ordinary values through Mutex+Condition queues — no Marshal
-      anywhere on the path, so large compiled structures (bitsets, Sim
-      CSRs, PPSFP plans) are shared, not serialized. On 4.14 the
-      backend reports itself unavailable with a one-line
-      [Invalid_argument].
+    A pool starts [jobs] deterministic {e lanes} once and streams tasks
+    to them. Lanes are multiplexed onto at most
+    [Domain.recommended_domain_count ()] worker domains (override with
+    [HLTS_DOMAINS]); when that budget is one core the pool spawns no
+    domain at all and runs its lanes inline on the caller's domain.
+    Workers share the parent's heap: tasks and results are passed as
+    ordinary values through Mutex+Condition queues — no Marshal
+    anywhere on the path — so large compiled structures (bitsets, Sim
+    CSRs, PPSFP plans) and results holding closures or lazies cross the
+    pool by reference.
 
     Determinism: tasks are assigned round-robin by ticket
-    ([id mod jobs]), each worker processes its queue in FIFO order, and
+    ([id mod jobs]), each lane processes its tasks in FIFO order, and
     {!await}/{!map} hand results back keyed by ticket, so the caller
     observes results in a schedule-independent order — the same order
-    under both backends and every job count.
+    at every job count, domain count and in inline mode.
 
-    Observability: workers start with no sinks of their own (forked
-    children clear the inherited list; domains get a fresh domain-local
-    list) and, when the parent had a sink installed at creation time,
-    capture their own counter increments, histogram samples, gauge
-    settings and decision-journal events per task; the captured
-    {!tally} travels back with each result so the parent can {!replay}
-    it into its own sinks — selectively, which is what lets speculative
-    callers account only the work a sequential run would have
-    performed. Completed span records also travel back and are
+    Observability: workers start with no sinks of their own (a fresh
+    domain-local list) and, when the parent had a sink installed at
+    creation time, capture their own counter increments, histogram
+    samples, gauge settings and decision-journal events per task; the
+    captured {!tally} travels back with each result so the parent can
+    {!replay} it into its own sinks — selectively, which is what lets
+    speculative callers account only the work a sequential run would
+    have performed. Completed span records also travel back and are
     re-stamped into the live sinks as [Worker_span] events (lane =
     worker index, ticket = the reply's ticket), so a single trace shows
-    the parent pump and every worker or domain. The pool also reports a
+    the parent pump and every worker lane. The pool also reports a
     ["<name>.queue_depth"] gauge (total in-flight tasks) on submits and
     replies. When the parent had {e no} sink installed, workers skip
     capture entirely: [Hlts_obs.enabled ()] is false inside a worker,
-    so task code can skip its own capture paths and (on the fork
-    backend) replies marshal one shared empty tally instead of
-    per-attempt buffers. *)
-
-val available : bool
-(** [true] on Unix-like systems where [Unix.fork] works. *)
+    so task code can skip its own capture paths. *)
 
 val default_jobs : unit -> int
 (** The [HLTS_JOBS] environment variable as an int, else 1. *)
 
-(** {1 Backends} *)
-
-type backend =
-  | Fork  (** fork + pipe + Marshal; OCaml 4.14 and 5.x *)
-  | Domains  (** shared-memory domains, zero-copy; OCaml >= 5.0 only *)
-
-val backend_name : backend -> string
-(** ["fork"] / ["domains"]. *)
-
-val backend_of_string : string -> (backend, string) result
-(** Parses ["fork"] / ["domains"] (case-insensitive, trimmed). *)
-
-val backend_available : backend -> bool
-(** Whether this runtime can construct the backend: [Fork] needs
-    [Unix.fork], [Domains] needs an OCaml 5 runtime. *)
-
-val default_backend : unit -> backend
-(** The [HLTS_BACKEND] environment variable if it parses ([fork] /
-    [domains]) — honoured even when unavailable, so an explicit request
-    fails loudly in {!create} rather than silently switching — else
-    [Domains] when the runtime supports it, else [Fork]. *)
-
 val in_worker : unit -> bool
-(** [true] inside a pool worker (forked child or worker domain). Used
+(** [true] inside a pool worker (worker domain or inline lane). Used
     to keep workers from starting pools of their own (nested
     parallelism would oversubscribe the machine; callers fall back to
     their serial path instead). *)
@@ -81,38 +46,21 @@ val worker_index : unit -> int
 (** The 0-based lane of the calling worker ([0] outside any worker).
     Tasks needing per-worker mutable slots (scratch buffers, re-based
     states) index a [jobs]-sized array with this: slot [i] is only ever
-    touched by lane [i], whatever the backend. *)
+    touched by lane [i]. *)
 
 val worker_group : unit -> int
 (** The calling worker's {e sharing group} ([0] outside any worker):
-    the set of lanes guaranteed to execute sequentially, never
-    concurrently. Under fork every lane is its own process, so the
-    group is the lane; under domains the group is the serving domain —
-    the backend multiplexes [jobs] lanes onto at most
-    [Domain.recommended_domain_count ()] domains (override with
-    [HLTS_DOMAINS]), so several lanes may share a group. Tasks whose
-    per-worker slots hold {e redundant} copies of the same data (a
-    re-based state, a memo cache) should index them by group instead of
-    lane: same isolation guarantee, and under domains the copies —
-    and the lazy recomputation inside them — collapse to one per
-    domain. Keep per-{e lane} indexing for anything that must differ
-    per lane. Group indices stay within [0 .. jobs-1] on every
-    backend. *)
-
-val in_forked_worker : unit -> bool
-(** [true] only inside a {e forked} (process-isolated) worker, [false]
-    in a worker domain, inline execution, and outside any pool. Tasks
-    use this to decide whether their reply can carry heavy or
-    unmarshalable values by reference: on the shared-heap transports a
-    reply is handed to the parent untouched, so including (say) a full
-    result object costs one pointer, while a forked reply must survive
-    Marshal — such tasks ship the value when [not (in_forked_worker
-    ())] and let the parent recompute it otherwise. *)
+    the serving domain, i.e. the set of lanes guaranteed to execute
+    sequentially, never concurrently. Tasks whose per-worker slots hold
+    {e redundant} copies of the same data (a re-based state, a memo
+    cache) should index them by group instead of lane: same isolation
+    guarantee, and the copies — and the lazy recomputation inside them
+    — collapse to one per domain. Keep per-{e lane} indexing for
+    anything that must differ per lane. Group indices stay within
+    [0 .. jobs-1]. *)
 
 type ('task, 'res) t
-(** A pool computing ['task -> 'res]. Under the fork backend both types
-    must be marshallable (no closures, no custom blocks); the domains
-    backend passes values untouched. *)
+(** A pool computing ['task -> 'res]. *)
 
 type ticket
 (** Handle for one submitted task. *)
@@ -123,19 +71,18 @@ type ticket
     last-value-per-name). ["res."]-prefixed gauges are host-dependent
     readings and are never captured — worker resources travel as
     {!wres} instead — so a tally is deterministic content. *)
-type tally = Pool_tally.tally = {
+type tally = {
   counts : (string * int) list;
   samples : (string * float) list;
   gauges : (string * float) list;
   decisions : Hlts_obs.Journal.event list;
 }
 
-(** Cumulative resource usage of one worker, snapshotted as each
+(** Cumulative resource usage of one lane, snapshotted as each
     instrumented reply is sent (uninstrumented runs skip the sampling).
-    For forked workers every field is process-accurate; for domains the
-    GC fields are domain-local while CPU and RSS are process-wide
+    The GC fields are domain-local while CPU and RSS are process-wide
     readings. *)
-type wres = Pool_tally.wres = {
+type wres = {
   wr_tasks : int;              (** tasks served so far *)
   wr_utime_s : float;          (** user CPU seconds *)
   wr_stime_s : float;          (** system CPU seconds *)
@@ -146,59 +93,42 @@ type wres = Pool_tally.wres = {
   wr_major_collections : int;
 }
 
-val create :
-  ?name:string -> ?backend:backend -> jobs:int -> ('task -> 'res) ->
-  ('task, 'res) t
-(** [create ~jobs f] starts [max jobs 1] workers evaluating [f] on the
-    given backend (default {!default_backend}). [name] labels the
-    pool's observability spans (default ["pool"]).
-
-    Ordering rule when mixing backends in one process: the OCaml 5
-    runtime permanently refuses [Unix.fork] once any domain has been
-    spawned (even after [Domain.join]), so every fork pool must be
-    created before the first domains pool that actually spawns; a later
-    fork request is refused cleanly here rather than failing inside the
-    transport. Domains pools whose domain budget is 1 (single-core
-    hosts, [HLTS_DOMAINS=1]) execute inline without spawning and do not
-    trigger the refusal.
-    @raise Invalid_argument if the backend is unavailable on this
-    runtime, a fork pool is requested after a domains pool has run, or
-    the caller is itself a pool worker. *)
-
-val backend : _ t -> backend
-(** The transport this pool was created with. *)
+val create : ?name:string -> jobs:int -> ('task -> 'res) -> ('task, 'res) t
+(** [create ~jobs f] starts [max jobs 1] lanes evaluating [f]. [name]
+    labels the pool's observability spans (default ["pool"]).
+    @raise Invalid_argument if the caller is itself a pool worker, or
+    [HLTS_DOMAINS] is set but not a positive integer. *)
 
 val jobs : _ t -> int
-(** Number of workers actually started. *)
+(** Number of lanes actually started. *)
 
 val parallelism : _ t -> int
-(** How many of this pool's lanes can execute at the same instant:
-    [jobs] under fork (every lane is a preemptively-scheduled process),
-    the spawned domain count under domains (at most
-    [Domain.recommended_domain_count ()], override with
-    [HLTS_DOMAINS]), and [1] when the domains backend executes inline.
-    Callers sizing {e speculative} work — batches evaluated eagerly in
-    the hope that parallel hardware makes them free — should scale by
-    this, not by {!jobs}: lanes beyond it are deterministic bookkeeping
-    that run sequentially, where speculation is pure cost. *)
+(** How many of this pool's lanes can execute at the same instant: the
+    spawned domain count (at most [Domain.recommended_domain_count ()],
+    override with [HLTS_DOMAINS]), or [1] when the pool executes
+    inline. Callers sizing {e speculative} work — batches evaluated
+    eagerly in the hope that parallel hardware makes them free — should
+    scale by this, not by {!jobs}: lanes beyond it are deterministic
+    bookkeeping that run sequentially, where speculation is pure
+    cost. *)
 
 val broadcast : ('task, _) t -> 'task -> unit
-(** [broadcast t x] queues [x] to every worker as a control task: each
-    worker evaluates [f x] for its side effect (no reply, result and
-    tally discarded). Workers process it before any task submitted
-    later — per-worker FIFO order is the only ordering guarantee. A
-    control task that raises poisons the worker: subsequent tasks on
-    that worker fail at {!await}. *)
+(** [broadcast t x] queues [x] to every lane as a control task: each
+    lane evaluates [f x] for its side effect (no reply, result and
+    tally discarded). Lanes process it before any task submitted later
+    — per-lane FIFO order is the only ordering guarantee. A control
+    task that raises poisons the lane: subsequent tasks on that lane
+    fail at {!await}. *)
 
 val submit : ('task, 'res) t -> 'task -> ticket
 (** Queue one task; returns immediately. *)
 
 val await : ('task, 'res) t -> ticket -> 'res * tally
-(** Block until the task's reply arrives (pumping the whole pool
-    meanwhile under fork; sleeping on the reply condition under
-    domains). Each ticket may be awaited once.
-    @raise Failure if the task raised in the worker or its worker died
-    before replying. *)
+(** Block until the task's reply arrives (sleeping on the reply
+    condition, or running queued tasks in submission order when the
+    pool is inline). Each ticket may be awaited once.
+    @raise Failure if the task raised in the worker or its worker
+    domain died before replying. *)
 
 val replay : tally -> unit
 (** Re-emit the captured counters, samples, gauges and journal
@@ -209,21 +139,15 @@ val merge_gauges : tally list -> (string * float) list
 (** Deterministic cross-worker gauge merge: the maximum value recorded
     per gauge name over all tallies, names in first-seen order. Because
     the multiset of per-task (name, value) pairs is independent of the
-    job count and the backend, the merged list is byte-identical at
-    every [-j N] on both transports. *)
+    job count, the merged list is byte-identical at every [-j N]. *)
 
 val worker_resources : _ t -> (int * wres) list
-(** Latest resource snapshot per worker (workers that have not yet
-    replied to an instrumented task are absent), ascending by worker
-    index. The pool also folds these into ["<name>.workers_rss_kb"],
+(** Latest resource snapshot per lane (lanes that have not yet replied
+    to an instrumented task are absent), ascending by lane index. The
+    pool also folds these into ["<name>.workers_rss_kb"],
     ["<name>.workers_cpu_s"] and ["<name>.workers_tasks"] gauges as
-    replies arrive — summed across forked processes, max'd across
-    domains (whose CPU/RSS readings are process-wide). *)
-
-val io_bytes : _ t -> int * int
-(** [(bytes_out, bytes_in)] framed so far: Marshal bytes queued to /
-    parsed from workers under fork, [(0, 0)] under domains (zero-copy).
-    Host-dependent diagnostics, never part of determinism digests. *)
+    replies arrive — RSS and CPU max'd across lanes (they are
+    process-wide readings), tasks summed. *)
 
 val map : ('task, 'res) t -> 'task list -> 'res list
 (** [map t xs] submits every element, awaits them in order, replays
@@ -233,12 +157,11 @@ val map : ('task, 'res) t -> 'task list -> 'res list
     @raise Failure as {!await}. *)
 
 val shutdown : _ t -> unit
-(** Stop every worker (reaping children / joining domains) and release
-    transport resources. Idempotent; safe after worker deaths.
-    Outstanding tickets are abandoned. *)
+(** Stop every worker (joining its domain). Idempotent. Outstanding
+    tickets are abandoned. *)
 
 val with_pool :
-  ?name:string -> ?backend:backend -> jobs:int -> ('task -> 'res) ->
+  ?name:string -> jobs:int -> ('task -> 'res) ->
   (('task, 'res) t -> 'a) -> 'a
 (** [with_pool ~jobs f k] runs [k pool] and guarantees {!shutdown} on
     the way out, exception or not. *)

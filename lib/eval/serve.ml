@@ -12,7 +12,7 @@ type config = {
   addr : Wire.addr;
   cache : Cache.t;
   jobs : int option;
-  backend : Hlts_pool.Pool.backend option;
+  backend : unit option;
   queue_limit : int;
   log : string -> unit;
   access_log : (string -> unit) option;
@@ -485,8 +485,7 @@ let run cfg =
   let st =
     {
       cfg;
-      engine = Engine.create ~cache:cfg.cache ?jobs:cfg.jobs
-          ?backend:cfg.backend ();
+      engine = Engine.create ~cache:cfg.cache ?jobs:cfg.jobs ();
       listen;
       conns = Hashtbl.create 16;
       queue = Queue.create ();

@@ -54,7 +54,9 @@ type config = {
   addr : Wire.addr;
   cache : Cache.t;
   jobs : int option;
-  backend : Hlts_pool.Pool.backend option;
+  backend : unit option;
+      (** ignored: kept so existing config literals still build; the
+          pool has a single transport *)
   queue_limit : int;  (** async jobs held before busy-rejecting *)
   log : string -> unit;  (** one line per lifecycle event *)
   access_log : (string -> unit) option;

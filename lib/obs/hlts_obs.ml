@@ -484,19 +484,20 @@ type event =
 
 type sink = { emit : event -> unit; flush : unit -> unit }
 
-(* Both of these are domain-local (Tls is Domain.DLS on OCaml 5): a
-   worker domain installing its tally-capture sink must not flip
-   [enabled ()] in sibling domains, and concurrent spans must not share
-   a depth counter. On 4.14 Tls degenerates to a plain ref. *)
-let sinks : sink list Tls.t = Tls.make (fun () -> [])
-let depth : int Tls.t = Tls.make (fun () -> 0)
+(* Both of these are domain-local: a worker domain installing its
+   tally-capture sink must not flip [enabled ()] in sibling domains,
+   and concurrent spans must not share a depth counter. The [get] path
+   sits under every [enabled ()] check, which the no-sink overhead
+   budget test holds under 1 us/call. *)
+let sinks : sink list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+let depth : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
-let enabled () = Tls.get sinks <> []
-let add_sink s = Tls.set sinks (Tls.get sinks @ [ s ])
-let remove_sink s = Tls.set sinks (List.filter (fun s' -> s' != s) (Tls.get sinks))
-let clear_sinks () = Tls.set sinks []
+let enabled () = Domain.DLS.get sinks <> []
+let add_sink s = Domain.DLS.set sinks (Domain.DLS.get sinks @ [ s ])
+let remove_sink s = Domain.DLS.set sinks (List.filter (fun s' -> s' != s) (Domain.DLS.get sinks))
+let clear_sinks () = Domain.DLS.set sinks []
 
-let broadcast ev = List.iter (fun s -> s.emit ev) (Tls.get sinks)
+let broadcast ev = List.iter (fun s -> s.emit ev) (Domain.DLS.get sinks)
 
 let with_sink s f =
   add_sink s;
@@ -512,13 +513,13 @@ let with_sink s f =
    tasks worker-identical observability (capture sink only, or none)
    while running on the caller's own domain. *)
 let in_fresh_context ss f =
-  let outer_sinks = Tls.get sinks and outer_depth = Tls.get depth in
-  Tls.set sinks ss;
-  Tls.set depth 0;
+  let outer_sinks = Domain.DLS.get sinks and outer_depth = Domain.DLS.get depth in
+  Domain.DLS.set sinks ss;
+  Domain.DLS.set depth 0;
   Fun.protect
     ~finally:(fun () ->
-      Tls.set sinks outer_sinks;
-      Tls.set depth outer_depth)
+      Domain.DLS.set sinks outer_sinks;
+      Domain.DLS.set depth outer_depth)
     f
 
 type span = { mutable args : (string * value) list; live : bool }
@@ -540,13 +541,13 @@ let span ?(cat = "") ?(res = false) name f =
       if res then Some (Gc.counters (), Gc.quick_stat ()) else None
     in
     let t0 = Clock.now_ns () in
-    let d = Tls.get depth in
-    Tls.set depth (d + 1);
+    let d = Domain.DLS.get depth in
+    Domain.DLS.set depth (d + 1);
     broadcast (Span_begin { name; cat; ts_ns = t0; depth = d });
     let sp = { args = []; live = true } in
     Fun.protect
       ~finally:(fun () ->
-        Tls.set depth d;
+        Domain.DLS.set depth d;
         let t1 = Clock.now_ns () in
         (match g0 with
         | None -> ()

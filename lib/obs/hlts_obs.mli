@@ -63,8 +63,8 @@ end
     across the worker-pool boundary exactly like counters, so the
     journal is byte-identical at every [-j N].
 
-    Only plain data here — journal events must marshal across the pool
-    wire — and no timestamps: a journal event is deterministic content
+    Only plain data here — journal events are marshalled into the disk
+    cache — and no timestamps: a journal event is deterministic content
     by construction; the {!journal_sink} stamps a sequence number, never
     a clock reading. *)
 module Journal : sig

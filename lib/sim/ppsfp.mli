@@ -91,8 +91,8 @@ val grade_word :
   t -> plan -> batch -> int -> (int * int64) option array
 (** [grade_word t plan batch w] simulates word [w] and returns one
     {!Sim.replay}-shaped verdict per fault lane (length = the word's
-    lane count). Marshal-safe, so words can be fanned out over forked
-    workers; mutates only [t]'s scratch. *)
+    lane count). Mutates only [t]'s scratch, so words can be fanned out
+    over pool lanes that each own a [t]. *)
 
 val grade_words :
   ?map:

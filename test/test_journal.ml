@@ -151,11 +151,9 @@ let check_identical name dfg =
   Alcotest.(check (list string)) name j1 j4
 
 let test_tseng_identical () =
-  if not Hlts_pool.Pool.available then Alcotest.skip ();
   check_identical "tseng" Benchmarks.tseng
 
 let test_random_identical () =
-  if not Hlts_pool.Pool.available then Alcotest.skip ();
   for seed = 1 to 100 do
     let ops = 4 + (seed mod 17) in
     check_identical

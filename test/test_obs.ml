@@ -276,7 +276,6 @@ let test_journal_complete_on_exception () =
     lines
 
 let test_parallel_counters_match () =
-  if not Hlts_pool.Pool.available then Alcotest.skip ();
   let counters jobs =
     let s = Obs.Summary.create () in
     ignore

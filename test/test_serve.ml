@@ -13,7 +13,6 @@ module Flows = Hlts_synth.Flows
 module Atpg = Hlts_atpg.Atpg
 module Json = Hlts_obs.Json
 module Trace_ctx = Hlts_obs.Trace_ctx
-module Pool = Hlts_pool.Pool
 
 let cheap_atpg =
   { Atpg.default_config with
@@ -39,7 +38,7 @@ let spec ?(bits = 4) ?(approach = Flows.Ours) () =
 
 (* --- daemon harness ------------------------------------------------- *)
 
-let start_daemon ?(queue_limit = 64) ?(jobs = 1) ?backend ?access_log ~dir () =
+let start_daemon ?(queue_limit = 64) ?(jobs = 1) ?access_log ~dir () =
   let sock = Serve.default_socket_path dir in
   let addr = Wire.Unix_path sock in
   match Unix.fork () with
@@ -61,7 +60,7 @@ let start_daemon ?(queue_limit = 64) ?(jobs = 1) ?backend ?access_log ~dir () =
             Serve.addr;
             cache = Cache.create ~dir:(Some dir) ();
             jobs = Some jobs;
-            backend;
+            backend = None;
             queue_limit;
             log = ignore;
             access_log;
@@ -98,11 +97,9 @@ let expect_clean_exit pid =
   | _, Unix.WSIGNALED s -> Alcotest.failf "daemon killed by signal %d" s
   | _, Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped"
 
-let with_daemon ?queue_limit ?jobs ?backend ?access_log f =
+let with_daemon ?queue_limit ?jobs ?access_log f =
   let dir = temp_dir () in
-  let pid, addr, sock =
-    start_daemon ?queue_limit ?jobs ?backend ?access_log ~dir ()
-  in
+  let pid, addr, sock = start_daemon ?queue_limit ?jobs ?access_log ~dir () in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -312,14 +309,16 @@ let test_ping_identity () =
       shutdown c;
       Client.close c)
 
-(* One traced cache-miss request against a 2-worker fork-backend daemon
-   must come back with spans on the client, daemon and worker lanes —
-   and byte-identical result digests to the same request untraced. *)
+(* One traced cache-miss request against a 2-worker daemon must come
+   back with spans on the client, daemon and worker lanes — and
+   byte-identical result digests to the same request untraced. The
+   daemon's pool runs in the forked daemon process; this test process
+   never spawns a domain, so it can keep forking daemons. *)
 let test_merged_trace () =
   let req = Engine.Synth (spec ()) in
   let run_one ~traced =
     let result = ref None in
-    with_daemon ~jobs:2 ~backend:Pool.Fork
+    with_daemon ~jobs:2
       (fun ~pid:_ ~addr ~sock:_ ~dir:_ ->
         let c = Result.get_ok (Client.connect addr) in
         (if traced then
