@@ -15,7 +15,7 @@ module Pool = Hlts_pool.Pool
 let usage =
   "bench/main.exe [--table 1|2|3|extra] [-j N] [--figure 1|2|3] \
    [--ablation params|balance] [--bechamel] [--trace FILE] [--seed N] [--json FILE] [--json-bench NAMES] [--json-pool FILE] \
-   [--json-atpg FILE] [--json-atpg-oracle] [--json-serve FILE] [--all]"
+   [--json-atpg FILE] [--json-serve FILE] [--all]"
 
 let atpg_config seed = { Hlts_atpg.Atpg.default_config with Hlts_atpg.Atpg.seed }
 
@@ -441,52 +441,26 @@ let run_json_pool file =
 (* Machine-readable fault-simulation benchmark: for every paper
    benchmark at the selected bit widths (--json-atpg-widths, default
    4/8/16), synthesize with "Ours" (the canonical 8-bit structure, as
-   in the tables), expand at [bits] and run the full ATPG pipeline with
-   the word-parallel PPSFP engine. Everything except the wall-time and
-   throughput fields is deterministic; [detect_digest] pins the exact
-   detection events, so a drift in the engine shows up even when the
-   coverage happens to stay the same. With [oracle], each cell is
-   re-run on BOTH scalar replay engines (the cone-limited one and the
-   pre-optimization full-sweep one), every deterministic field is
-   asserted identical across all three, and the entry gains
-   [wall_cone_s] / [wall_full_s] / [speedup_vs_cone] /
-   [speedup_vs_full] plus [random_speedup_vs_cone] — the random-phase
-   fault-grading ratio, which is where PPSFP's 63-machines-per-sweep
-   packing pays. *)
+   in the tables), expand at [bits] and run the full ATPG pipeline.
+   Everything except the wall-time and throughput fields is
+   deterministic; [detect_digest] pins the exact detection events, so a
+   drift in fault grading or PODEM shows up even when the coverage
+   happens to stay the same. *)
 
 module Atpg = Hlts_atpg.Atpg
 
-let atpg_deterministic_fields (r : Atpg.result) =
-  [
-    ("total_faults", Hlts_obs.Json.Int r.Atpg.total_faults);
-    ("detected_random", Int r.Atpg.detected_random);
-    ("detected_det", Int r.Atpg.detected_det);
-    ("undetected", Int r.Atpg.undetected);
-    ("coverage", Float r.Atpg.coverage);
-    ("test_cycles", Int r.Atpg.test_cycles);
-    ("effort", Int r.Atpg.effort);
-    ("evals", Int r.Atpg.evals);
-    ("detect_digest", Str r.Atpg.detect_digest);
-  ]
-
-(* The scalar engines the oracle mode replays each cell on. *)
-let atpg_oracle_engines = [ ("cone", `Cone); ("full", `Full) ]
-
-let atpg_json_entry ~oracle seed name dfg bits =
+let atpg_json_entry seed name dfg bits =
   let params = { Synth.default_params with Synth.bits = 8 } in
   let o = Eval.outcome ~params Flows.Ours dfg ~bits:8 in
   let circuit = Hlts_netlist.Expand.circuit o.Flows.etpn ~bits in
   let config = atpg_config seed in
-  let run_engine engine =
-    let summary = Hlts_obs.Summary.create () in
-    let t0 = Hlts_obs.Clock.now_ns () in
-    let r =
-      Hlts_obs.with_sink (Hlts_obs.Summary.sink summary) (fun () ->
-          Atpg.run ~config ~engine circuit)
-    in
-    (r, Hlts_obs.Clock.seconds_since t0, summary)
+  let summary = Hlts_obs.Summary.create () in
+  let t0 = Hlts_obs.Clock.now_ns () in
+  let r =
+    Hlts_obs.with_sink (Hlts_obs.Summary.sink summary) (fun () ->
+        Atpg.run ~config circuit)
   in
-  let r, wall_s, summary = run_engine `Ppsfp in
+  let wall_s = Hlts_obs.Clock.seconds_since t0 in
   let per_s faults seconds =
     if seconds > 0.0 then float_of_int faults /. seconds else 0.0
   in
@@ -496,62 +470,39 @@ let atpg_json_entry ~oracle seed name dfg bits =
       s.Hlts_obs.Summary.sum /. float_of_int s.Hlts_obs.Summary.n
     | Some _ | None -> 0.0
   in
-  let oracle_fields =
-    if not oracle then []
-    else
-      List.concat_map
-        (fun (ename, engine) ->
-          let ro, wall_o, _ = run_engine engine in
-          if atpg_deterministic_fields r <> atpg_deterministic_fields ro then
-            failwith
-              (Printf.sprintf
-                 "engine mismatch on %s @ %d bit: ppsfp and %s disagree" name
-                 bits ename);
-          [
-            ("wall_" ^ ename ^ "_s", Hlts_obs.Json.Float wall_o);
-            ("speedup_vs_" ^ ename, Hlts_obs.Json.Float (wall_o /. wall_s));
-          ]
-          @
-          if ename <> "cone" then []
-          else
-            [
-              ( "random_speedup_vs_cone",
-                Hlts_obs.Json.Float
-                  (if r.Atpg.random_seconds > 0.0 then
-                     ro.Atpg.random_seconds /. r.Atpg.random_seconds
-                   else 0.0) );
-            ])
-        atpg_oracle_engines
-  in
   let open Hlts_obs.Json in
   Obj
-    ([
-       ("name", Str name);
-       ("bits", Int bits);
-       ("engine", Str "ppsfp");
-       ("wall_s", Float wall_s);
-       ("random_s", Float r.Atpg.random_seconds);
-       ("det_s", Float r.Atpg.det_seconds);
-       ("gates", Int r.Atpg.gate_count);
-       ("dffs", Int r.Atpg.dff_count);
-     ]
-     @ atpg_deterministic_fields r
-     @ [
-         ( "random_faults_per_s",
-           Float (per_s r.Atpg.total_faults r.Atpg.random_seconds) );
-         ( "det_faults_per_s",
-           Float
-             (per_s
-                (r.Atpg.total_faults - r.Atpg.detected_random)
-                r.Atpg.det_seconds) );
-         ( "words_simulated",
-           Int (Hlts_obs.Summary.counter summary "sim.words_simulated") );
-         ("mean_faults_per_word", Float (sample_mean "sim.faults_per_word"));
-         ("mean_cone_gates", Float (sample_mean "sim.cone_gates"));
-       ]
-     @ oracle_fields)
+    [
+      ("name", Str name);
+      ("bits", Int bits);
+      ("wall_s", Float wall_s);
+      ("random_s", Float r.Atpg.random_seconds);
+      ("det_s", Float r.Atpg.det_seconds);
+      ("gates", Int r.Atpg.gate_count);
+      ("dffs", Int r.Atpg.dff_count);
+      ("total_faults", Int r.Atpg.total_faults);
+      ("detected_random", Int r.Atpg.detected_random);
+      ("detected_det", Int r.Atpg.detected_det);
+      ("undetected", Int r.Atpg.undetected);
+      ("coverage", Float r.Atpg.coverage);
+      ("test_cycles", Int r.Atpg.test_cycles);
+      ("effort", Int r.Atpg.effort);
+      ("evals", Int r.Atpg.evals);
+      ("detect_digest", Str r.Atpg.detect_digest);
+      ( "random_faults_per_s",
+        Float (per_s r.Atpg.total_faults r.Atpg.random_seconds) );
+      ( "det_faults_per_s",
+        Float
+          (per_s
+             (r.Atpg.total_faults - r.Atpg.detected_random)
+             r.Atpg.det_seconds) );
+      ( "words_simulated",
+        Int (Hlts_obs.Summary.counter summary "sim.words_simulated") );
+      ("mean_faults_per_word", Float (sample_mean "sim.faults_per_word"));
+      ("mean_cone_gates", Float (sample_mean "sim.cone_gates"));
+    ]
 
-let run_json_atpg ~only ~oracle ~widths seed file =
+let run_json_atpg ~only ~widths seed file =
   let selected = select_names ~mode:"--json-atpg" ~valid:json_benchmarks only in
   let entries =
     List.concat_map
@@ -560,7 +511,7 @@ let run_json_atpg ~only ~oracle ~widths seed file =
         List.map
           (fun bits ->
             Printf.printf "json-atpg: %s @ %d bit...%!" name bits;
-            let e = atpg_json_entry ~oracle seed name dfg bits in
+            let e = atpg_json_entry seed name dfg bits in
             Printf.printf " done\n%!";
             e)
           widths)
@@ -570,7 +521,7 @@ let run_json_atpg ~only ~oracle ~widths seed file =
     Hlts_obs.Json.(
       Obj
         [
-          ("schema", Str "hlts-bench-atpg/4");
+          ("schema", Str "hlts-bench-atpg/5");
           ("host", host_json ~jobs:[]);
           ("res", res_json ());
           ("benchmarks", List entries);
@@ -796,7 +747,6 @@ let () =
   let seed = ref 1 in
   let jobs = ref None in
   let json_only = ref [] in
-  let atpg_oracle = ref false in
   let atpg_widths = ref json_widths in
   let trace = ref None in
   let actions : (unit -> unit) list ref = ref [] in
@@ -847,14 +797,8 @@ let () =
         Arg.String
           (fun f ->
             add (fun () ->
-                run_json_atpg ~only:!json_only ~oracle:!atpg_oracle
-                  ~widths:!atpg_widths !seed f)),
+                run_json_atpg ~only:!json_only ~widths:!atpg_widths !seed f)),
         "FILE   write the fault-simulation perf trajectory (BENCH_atpg.json)" );
-      ( "--json-atpg-oracle",
-        Arg.Set atpg_oracle,
-        "       re-run each --json-atpg cell on both scalar replay engines \
-         (cone and full), assert bit-identical results, and report the \
-         speedups" );
       ( "--json-serve",
         Arg.String (fun f -> add (fun () -> run_json_serve !seed f)),
         "FILE   write the cold-vs-warm serve-cache benchmark \

@@ -277,18 +277,6 @@ let atpg_cmd =
     in
     Arg.(value & flag & info [ "collapse-gates" ] ~doc)
   in
-  let engine_arg =
-    let doc =
-      "Fault-grading engine: $(b,ppsfp) (word-parallel, 62 faults per \
-       sweep), $(b,cone) (per-fault cone-limited replay) or $(b,full) \
-       (per-fault full sweep, the oracle). Every reported number except \
-       the timings is identical across the three."
-    in
-    let engines =
-      [ ("ppsfp", `Ppsfp); ("cone", `Cone); ("full", `Full) ]
-    in
-    Arg.(value & opt (enum engines) `Ppsfp & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let jobs_arg =
     let doc =
       "Fan PPSFP fault-word batches out over $(docv) pooled workers; \
@@ -296,7 +284,7 @@ let atpg_cmd =
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let run bench approach bits seed collapse_gates engine jobs stats trace jsonl
+  let run bench approach bits seed collapse_gates jobs stats trace jsonl
       journal metrics heartbeat heartbeat_ms =
     with_errors (fun () ->
         let* d = find_bench bench in
@@ -308,22 +296,16 @@ let atpg_cmd =
               { (atpg_config seed) with
                 Hlts_atpg.Atpg.collapse_gate_inputs = collapse_gates }
             in
-            let row = Eval.evaluate ~atpg ~engine ~jobs a d ~bits in
-            let engine_name =
-              match engine with
-              | `Ppsfp -> "ppsfp"
-              | `Cone -> "cone"
-              | `Full -> "full"
-            in
+            let row = Eval.evaluate ~atpg ~jobs a d ~bits in
             Printf.printf
-              "%s / %s / %d bit (engine %s, %d job%s):\n\
+              "%s / %s / %d bit (%d job%s):\n\
               \  gates: %d   fault coverage: %.2f%%   tg effort: %d (%.2fs)\n\
               \  random phase: %.3fs   det phase: %.3fs\n\
               \  test cycles: %d   area: %.3f mm2   seq depth: %.1f\n\
               \  detect digest: %s\n"
               bench
               (Flows.approach_name a)
-              bits engine_name jobs
+              bits jobs
               (if jobs = 1 then "" else "s")
               row.Eval.gate_count row.Eval.fault_coverage_pct
               row.Eval.tg_effort row.Eval.tg_seconds
@@ -335,7 +317,7 @@ let atpg_cmd =
   Cmd.v
     (Cmd.info "atpg" ~doc:"Run the full synthesis + test-generation pipeline.")
     Term.(const run $ bench_arg $ approach_arg $ bits_arg $ seed_arg
-          $ collapse_gates_arg $ engine_arg $ jobs_arg $ stats_arg
+          $ collapse_gates_arg $ jobs_arg $ stats_arg
           $ trace_arg $ jsonl_arg $ journal_arg $ metrics_arg $ heartbeat_arg
           $ heartbeat_ms_arg)
 
@@ -884,11 +866,6 @@ let submit_cmd =
     let doc = "Benchmark name(s), comma-separated for sweep." in
     Arg.(value & opt string "diffeq" & info [ "b"; "bench" ] ~docv:"NAMES" ~doc)
   in
-  let engine_arg =
-    let doc = "Fault-grading engine: ppsfp, cone or full." in
-    Arg.(value & opt (enum [ ("ppsfp", `Ppsfp); ("cone", `Cone); ("full", `Full) ])
-           `Ppsfp & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let async_arg =
     let doc =
       "Do not wait: the daemon queues the work and replies immediately \
@@ -967,7 +944,7 @@ let submit_cmd =
       | None -> print_string (Json.to_string reply); print_newline ()));
     Ok ()
   in
-  let run op benches approach bits seed engine tcp socket cache_dir async wait
+  let run op benches approach bits seed tcp socket cache_dir async wait
       journal raw trace =
     with_errors (fun () ->
         ignore wait;
@@ -993,8 +970,7 @@ let submit_cmd =
                           (fun acc approach ->
                             let* acc = acc in
                             let* s =
-                              Engine.spec ~atpg ~engine ~bench ~approach
-                                ~bits ()
+                              Engine.spec ~atpg ~bench ~approach ~bits ()
                             in
                             Ok (s :: acc))
                           (Ok []) Experiments.approaches
@@ -1009,7 +985,7 @@ let submit_cmd =
                   | [ b ] -> Ok b
                   | _ -> Error "one benchmark per non-sweep request"
                 in
-                let* s = Engine.spec ~atpg ~engine ~bench ~approach:a ~bits () in
+                let* s = Engine.spec ~atpg ~bench ~approach:a ~bits () in
                 Ok
                   (match single with
                   | "synth" -> Engine.Synth s
@@ -1062,7 +1038,7 @@ let submit_cmd =
     (Cmd.info "submit"
        ~doc:"Submit a request to a running $(b,hlts serve) daemon.")
     Term.(const run $ op_arg $ benches_arg $ approach_arg $ bits_arg
-          $ seed_arg $ engine_arg $ tcp_arg $ socket_arg $ cache_dir_arg
+          $ seed_arg $ tcp_arg $ socket_arg $ cache_dir_arg
           $ async_arg $ wait_arg $ journal_arg $ raw_arg $ submit_trace_arg)
 
 let cache_cmd =

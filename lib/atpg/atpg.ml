@@ -6,14 +6,6 @@ module Pool = Hlts_pool.Pool
 module Rng = Hlts_util.Rng
 module Obs = Hlts_obs
 
-type engine = [ `Cone | `Full | `Ppsfp ]
-
-(* PODEM's post-justification checks are single-fault by nature, so the
-   word-parallel engine delegates them to the cone replayer. *)
-let podem_engine : engine -> Podem.engine = function
-  | `Ppsfp -> `Cone
-  | (`Cone | `Full) as e -> e
-
 type config = {
   seed : int;
   random_lanes : int;
@@ -45,97 +37,65 @@ type result = {
   detect_digest : string;
 }
 
-(* Reusable fault-replay buffers, allocated once per run: the cone
-   engine replays into a {!Sim.scratch}, the full oracle into one
-   machine that {!Sim.replay_full} re-zeroes per fault, and the
-   word-parallel engine into a {!Ppsfp.t} plane set. *)
+(* The grading state of one run: the word-plane scratch, the fault
+   collapse map faults share lanes through, and the worker budget. *)
 type replayer = {
-  rp_sim : Sim.t;
-  rp_engine : engine;
-  rp_scratch : Sim.scratch;
-  rp_machine : Sim.machine;
-  rp_ppsfp : Ppsfp.t option;
+  rp_ppsfp : Ppsfp.t;
   rp_collapse : Fault.t -> Fault.t;
   rp_jobs : int;
 }
 
-let make_replayer sim engine ~collapse ~jobs =
-  { rp_sim = sim; rp_engine = engine;
-    rp_scratch = Sim.scratch sim; rp_machine = Sim.machine sim;
-    rp_ppsfp =
-      (match engine with
-      | `Ppsfp -> Some (Ppsfp.create sim)
-      | `Cone | `Full -> None);
-    rp_collapse = collapse;
-    rp_jobs = jobs }
-
-(* First (cycle, lane-diff word) of [fault] against the recorded good
-   trajectory, or None; only lanes in [mask] count. All engines are
-   bit-identical (property-tested), so the choice never changes the
-   result — only the time it takes. *)
-let replay_fault ?mask rp fault trajectory ~evals =
-  match rp.rp_engine with
-  | `Cone | `Ppsfp ->
-    Sim.replay ?mask rp.rp_sim rp.rp_scratch fault trajectory ~evals
-  | `Full -> Sim.replay_full ?mask rp.rp_sim rp.rp_machine fault trajectory ~evals
-
 (* Grade every fault of [targets] against one recorded trajectory:
    result [i] is fault [i]'s first (cycle, lane-diff word) or None,
-   with [evals] advanced exactly as a per-fault replay would have.
-   The word-parallel path packs the faults into cone-batched words
-   ({!Ppsfp.plan}), fans the words over the pool when [jobs > 1], and
-   accounts evals analytically: a per-fault replay examines
-   (detection cycle + 1) cycles when it detects, all of them when it
-   does not — including quiet-skipped ones — so the formula matches
-   both replay engines cycle for cycle. *)
+   with [evals] advanced exactly as a per-fault replay would have. The
+   faults are packed into cone-batched words ({!Ppsfp.plan}), the words
+   fan out over the pool when [jobs > 1], and evals are accounted
+   analytically: a per-fault replay examines (detection cycle + 1)
+   cycles when it detects, all of them when it does not. *)
 let grade ?mask rp targets trajectory ~evals =
-  match rp.rp_ppsfp with
-  | None ->
-    Array.of_list
-      (List.map (fun f -> replay_fault ?mask rp f trajectory ~evals) targets)
-  | Some pp ->
-    Obs.span ~cat:"ppsfp" "atpg.ppsfp" @@ fun sp ->
-    let plan = Ppsfp.plan ~collapse:rp.rp_collapse pp targets in
-    let batch = Ppsfp.batch ?mask pp trajectory in
-    let n_words = Ppsfp.words plan in
-    Obs.set sp "faults" (Obs.Int (Ppsfp.fault_count plan));
-    Obs.set sp "words" (Obs.Int n_words);
-    let map =
-      if rp.rp_jobs > 1 && n_words > 1 && not (Pool.in_worker ()) then
-        Some
-          (fun _worker ids ->
-            let jobs = min rp.rp_jobs n_words in
-            (* One plane scratch per worker lane instead of the shared
-               [pp]: no two lanes may share mutable planes.
-               [plan] and [batch] were built parent-side against [pp]
-               and are read-only here; they work with any scratch over
-               the same compiled Sim.t. *)
-            let scratches = Array.make jobs None in
-            let grade_in_lane w =
-              let lane = Pool.worker_index () in
-              let t =
-                match scratches.(lane) with
-                | Some t -> t
-                | None ->
-                  let t = Ppsfp.create (Ppsfp.sim pp) in
-                  scratches.(lane) <- Some t;
-                  t
-              in
-              Ppsfp.grade_word t plan batch w
+  let pp = rp.rp_ppsfp in
+  Obs.span ~cat:"ppsfp" "atpg.ppsfp" @@ fun sp ->
+  let plan = Ppsfp.plan ~collapse:rp.rp_collapse pp targets in
+  let batch = Ppsfp.batch ?mask pp trajectory in
+  let n_words = Ppsfp.words plan in
+  Obs.set sp "faults" (Obs.Int (Ppsfp.fault_count plan));
+  Obs.set sp "words" (Obs.Int n_words);
+  let map =
+    if rp.rp_jobs > 1 && n_words > 1 && not (Pool.in_worker ()) then
+      Some
+        (fun _worker ids ->
+          let jobs = min rp.rp_jobs n_words in
+          (* One plane scratch per worker lane instead of the shared
+             [pp]: no two lanes may share mutable planes.
+             [plan] and [batch] were built parent-side against [pp]
+             and are read-only here; they work with any scratch over
+             the same compiled Sim.t. *)
+          let scratches = Array.make jobs None in
+          let grade_in_lane w =
+            let lane = Pool.worker_index () in
+            let t =
+              match scratches.(lane) with
+              | Some t -> t
+              | None ->
+                let t = Ppsfp.create (Ppsfp.sim pp) in
+                scratches.(lane) <- Some t;
+                t
             in
-            Pool.with_pool ~name:"atpg.ppsfp" ~jobs
-              grade_in_lane
-              (fun pool -> Pool.map pool ids))
-      else None
-    in
-    let res = Ppsfp.grade_words ?map pp plan batch in
-    let cycles = Sim.trajectory_cycles trajectory in
-    Array.iter
-      (function
-        | Some (c, _) -> evals := !evals + c + 1
-        | None -> evals := !evals + cycles)
-      res;
-    res
+            Ppsfp.grade_word t plan batch w
+          in
+          Pool.with_pool ~name:"atpg.ppsfp" ~jobs
+            grade_in_lane
+            (fun pool -> Pool.map pool ids))
+    else None
+  in
+  let res = Ppsfp.grade_words ?map pp plan batch in
+  let cycles = Sim.trajectory_cycles trajectory in
+  Array.iter
+    (function
+      | Some (c, _) -> evals := !evals + c + 1
+      | None -> evals := !evals + cycles)
+    res;
+  res
 
 (* One batch of [lanes] parallel random sequences, recorded as a good
    trajectory. Lanes beyond [lanes] carry constant zeroes, so they can
@@ -186,7 +146,7 @@ let pack_tests sim tests =
   in
   Sim.record sim stimuli
 
-let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) circuit =
+let run ?(config = default_config) ?(jobs = 1) circuit =
   Obs.span ~cat:"atpg" ~res:true "atpg.run" @@ fun run_sp ->
   let t0 = Obs.Clock.now_ns () in
   let sim = Obs.span ~cat:"atpg" "atpg.compile" (fun _ -> Sim.compile circuit) in
@@ -199,12 +159,14 @@ let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) circuit =
   let collapse =
     Fault.collapse_map ~gate_inputs:config.collapse_gate_inputs circuit
   in
-  let rp = make_replayer sim engine ~collapse ~jobs in
+  let rp =
+    { rp_ppsfp = Ppsfp.create sim; rp_collapse = collapse; rp_jobs = jobs }
+  in
   let evals = ref 0 in
   let detected_random = ref 0 in
   let test_cycles = ref 0 in
   (* Ordered log of every detection / give-up event; its MD5 is the
-     [detect_digest] the bench drift job and the engine oracle compare. *)
+     [detect_digest] the bench drift job compares. *)
   let events = Buffer.create 1024 in
   (* ---- random phase ---- *)
   let t_random = Obs.Clock.now_ns () in
@@ -282,7 +244,7 @@ let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) circuit =
       Obs.count "atpg.faults_tried";
       let verdict, stats =
         Obs.span ~cat:"atpg" "atpg.podem" (fun _ ->
-        Podem.generate ~engine:(podem_engine engine) sim
+        Podem.generate sim
           ~max_frames:config.max_frames
           ~max_backtracks:config.max_backtracks fault)
       in

@@ -1,16 +1,22 @@
 (** Test generation for the synthesized data path: random phase followed
     by deterministic PODEM, reporting the paper's three test metrics.
 
-    Random phase: 64 independent random input sequences advance in
-    parallel (one per bit lane) for [random_cycles] clocks; the batch is
-    recorded once as a good {!Hlts_sim.Sim.trajectory} and every
-    collapsed fault is replayed against it with early exit on first
+    Random phase: up to 64 independent random input sequences advance
+    in parallel (one per bit lane) for [random_cycles] clocks; the batch
+    is recorded once as a good {!Hlts_sim.Sim.trajectory} and every
+    collapsed fault is graded against it with early exit on first
     detection, for [random_batches] rounds.
 
     Deterministic phase: each remaining fault goes to
     {!Podem.generate}. Generated tests accumulate into 64-lane batches
-    that are replayed against the still-undetected faults (fault
+    that are graded against the still-undetected faults (fault
     dropping), including one final pass over aborted faults.
+
+    Fault grading has one engine, {!Hlts_sim.Ppsfp}: the good machine
+    plus up to 62 faulty machines share one word per net, so one sweep
+    retires a whole word of faults. Its verdicts equal a per-fault full
+    sweep of each fault alone (property-tested against the reference in
+    [test/oracle.ml]).
 
     Metrics:
     - fault coverage: detected / total collapsed faults;
@@ -20,17 +26,6 @@
     - effort: PODEM implications + backtracks + replay evaluations,
       a deterministic machine-independent cost; [seconds] is the
       measured CPU time. *)
-
-type engine = [ `Cone | `Full | `Ppsfp ]
-(** Selects the fault-simulation engine for the grading phases:
-    [`Ppsfp] (default) packs the good machine plus up to 62 faulty
-    machines into one word per net and retires a whole word of faults
-    per sweep ({!Hlts_sim.Ppsfp}); [`Cone] replays each fault
-    cone-limited and incremental; [`Full] full-sweeps from a zeroed
-    machine — the pre-optimization oracle. PODEM's single-fault
-    post-justification checks always use the cone replayer under
-    [`Ppsfp]. Every result field except the wall-clock timings is
-    bit-identical across the three (the CI engine-identity gate). *)
 
 type config = {
   seed : int;
@@ -68,17 +63,15 @@ type result = {
       (** MD5 hex over the ordered detection/abort event log (fault,
           phase, detecting cycle and lane word) — equal digests mean the
           runs detected the same faults the same way, the invariant the
-          engine oracle and the bench drift job check *)
+          bench drift job checks *)
 }
 
-val run :
-  ?config:config -> ?engine:engine -> ?jobs:int -> Hlts_netlist.Netlist.t ->
-  result
+val run : ?config:config -> ?jobs:int -> Hlts_netlist.Netlist.t -> result
 (** [jobs] (default 1) fans PPSFP word batches out over a worker pool
     ({!Hlts_pool.Pool}); every result field is byte-identical at any job
     count (word verdicts are merged in word order and observability
     tallies are replayed per ticket). Each pool lane grades into its own
-    plane scratch. Ignored by the single-fault engines.
+    plane scratch.
     @raise Invalid_argument as {!Hlts_pool.Pool.create}. *)
 
 val coverage_pct : result -> float

@@ -713,8 +713,6 @@ let extract_test ctx =
     ctx.assigned;
   { t_frames = Array.map (List.sort compare) frames }
 
-let debug = (try Sys.getenv "PODEM_DEBUG" = "1" with Not_found -> false)
-
 (* D-frontier scan fused with the backtrace: candidates are tried in
    exactly the order [first_reachable (objectives ctx)] would — latest
    frame first, deepest cone gate first — but generation stops at the
@@ -841,28 +839,17 @@ let search ctx ~max_backtracks ~max_implications =
         for f = 0 to ctx.frames - 1 do
           if site_d f then activated := true
         done;
-        if ctx.use_cone && !activated && not debug then fused_dfrontier ctx
-        else begin
-          let objs = objectives ctx in
-          if debug then
-            Printf.eprintf "objs=%d stack=%d bts=%d site_gv(f*)=%s\n%!"
-              (List.length objs) (List.length !stack) ctx.backtracks
-              (String.concat ","
-                 (List.init ctx.frames (fun f ->
-                      string_of_int ctx.gv.((f * ctx.n) + ctx.site))));
-          first_reachable objs
-        end
+        if ctx.use_cone && !activated then fused_dfrontier ctx
+        else first_reachable (objectives ctx)
       in
       match decision with
       | None -> begin
-        if debug then Printf.eprintf "  no reachable objective -> backtrack\n%!";
         match backtrack () with
         | `No_test -> `No_test
         | `Abort -> `Abort
         | `Continue -> loop ()
       end
       | Some (fa, pi, v) ->
-        if debug then Printf.eprintf "  assign f%d pi%d := %d\n%!" fa pi v;
         let bv = v = 1 in
         assign fa pi bv;
         stack := (fa, pi, bv, false) :: !stack;

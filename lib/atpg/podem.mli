@@ -50,7 +50,4 @@ val generate :
   Hlts_fault.Fault.t ->
   verdict * stats
 (** [max_implications] (default 1500) bounds the total three-valued
-    resimulations spent on one fault across all unrolling depths.
-
-    Setting the environment variable [PODEM_DEBUG=1] traces the search
-    (objectives, assignments, backtracks) to stderr. *)
+    resimulations spent on one fault across all unrolling depths. *)

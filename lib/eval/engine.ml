@@ -13,7 +13,7 @@ module Pool = Hlts_pool.Pool
 (* Bump whenever a pipeline change may alter any result byte for the
    same inputs: every digest is salted with it, so old disk-cache
    entries are orphaned instead of replayed wrongly. *)
-let schema = "hlts-engine/1"
+let schema = "hlts-engine/2"
 
 type spec = {
   bench : string;
@@ -22,16 +22,39 @@ type spec = {
   bits : int;
   params : Synth.params;
   atpg : Atpg.config;
-  engine : Atpg.engine;
 }
 
-let spec ?params ?atpg ?engine ?dfg ~bench ~approach ~bits () =
+(* The one range check every spec passes, built here or decoded from the
+   wire: an out-of-range budget would otherwise either escape as a raw
+   [Invalid_argument] from deep in the ATPG or alias an in-range spec
+   under a second digest. *)
+let check s =
+  let a = s.atpg in
+  let ranges =
+    [
+      ("bits", s.bits, 1, max_int);
+      ("random_lanes", a.Atpg.random_lanes, 1, 64);
+      ("random_cycles", a.Atpg.random_cycles, 0, max_int);
+      ("random_batches", a.Atpg.random_batches, 0, max_int);
+      ("max_frames", a.Atpg.max_frames, 0, max_int);
+      ("max_backtracks", a.Atpg.max_backtracks, 0, max_int);
+    ]
+  in
+  match List.find_opt (fun (_, v, lo, hi) -> v < lo || v > hi) ranges with
+  | None -> Ok s
+  | Some (name, v, lo, hi) ->
+    Error
+      (if hi = max_int then
+         Printf.sprintf "field %S is %d, must be >= %d" name v lo
+       else Printf.sprintf "field %S is %d, must be in %d..%d" name v lo hi)
+
+let spec ?params ?atpg ?dfg ~bench ~approach ~bits () =
   match
     match dfg with Some d -> Ok d | None -> B.find_result bench
   with
   | Error _ as e -> e
   | Ok dfg ->
-    Ok
+    check
       {
         bench;
         dfg;
@@ -39,7 +62,6 @@ let spec ?params ?atpg ?engine ?dfg ~bench ~approach ~bits () =
         bits;
         params = Option.value ~default:(Eval.params_for_bits bits) params;
         atpg = Option.value ~default:Atpg.default_config atpg;
-        engine = Option.value ~default:`Ppsfp engine;
       }
 
 type request =
@@ -90,17 +112,6 @@ let stop_name = function
   | Synth.Cost_improving -> "cost_improving"
   | Synth.Exhaustive -> "exhaustive"
 
-let engine_name = function
-  | `Ppsfp -> "ppsfp"
-  | `Cone -> "cone"
-  | `Full -> "full"
-
-let engine_of_name = function
-  | "ppsfp" -> Some `Ppsfp
-  | "cone" -> Some `Cone
-  | "full" -> Some `Full
-  | _ -> None
-
 (* Every float is rendered with %h (hex, bit-exact) — the digest must
    not depend on decimal rounding. *)
 let params_key (p : Synth.params) =
@@ -123,10 +134,7 @@ let spec_digest ~op ?(with_atpg = true) s =
        (Dfg.digest s.dfg)
        (Flows.approach_name s.approach)
        s.bits (params_key s.params)
-       (if with_atpg then
-          Printf.sprintf ";%s;engine=%s" (atpg_key s.atpg)
-            (engine_name s.engine)
-        else ""))
+       (if with_atpg then ";" ^ atpg_key s.atpg else ""))
 
 (* The (DFG, approach, params) digest the synthesized outcome is keyed
    by: shared by every evaluation width and independent of the ATPG
@@ -253,7 +261,6 @@ let spec_to_json s =
             ("max_backtracks", Json.Int a.Atpg.max_backtracks);
             ("collapse_gate_inputs", Json.Bool a.Atpg.collapse_gate_inputs);
           ] );
-      ("engine", Json.Str (engine_name s.engine));
     ]
 
 (* Tolerant field readers: the parser returns [Int] for integral floats
@@ -379,13 +386,7 @@ let spec_of_json j =
           collapse_gate_inputs;
         }
   in
-  let* engine =
-    let* e = field_default "engine" jstr ~default:"ppsfp" j in
-    match engine_of_name e with
-    | Some e -> Ok e
-    | None -> Error (Printf.sprintf "unknown engine %S" e)
-  in
-  Ok { bench; dfg; approach; bits; params; atpg; engine }
+  check { bench; dfg; approach; bits; params; atpg }
 
 let request_to_json = function
   | Synth s -> Json.Obj [ ("op", Json.Str "synth"); ("spec", spec_to_json s) ]
@@ -485,13 +486,13 @@ let netlist_digest circuit =
 let atpg_result t ?jobs s circuit =
   let key =
     md5
-      (Printf.sprintf "%s;op=atpgraw;netlist=%s;%s;engine=%s" schema
-         (netlist_digest circuit) (atpg_key s.atpg) (engine_name s.engine))
+      (Printf.sprintf "%s;op=atpgraw;netlist=%s;%s" schema
+         (netlist_digest circuit) (atpg_key s.atpg))
   in
   match Cache.find t.cache ~kind:"atpg" key with
   | Some r -> r
   | None ->
-    let r = Atpg.run ~config:s.atpg ~engine:s.engine ?jobs circuit in
+    let r = Atpg.run ~config:s.atpg ?jobs circuit in
     Cache.store t.cache ~kind:"atpg" key r;
     r
 
@@ -570,7 +571,7 @@ let run_sweep t ~find cells =
       missing
       (fan_out ?jobs:t.jobs
          (fun (s, o) ->
-           Eval.evaluate_outcome ~atpg:s.atpg ~engine:s.engine o ~bits:s.bits)
+           Eval.evaluate_outcome ~atpg:s.atpg o ~bits:s.bits)
          (List.map (fun (s, _, o, _) -> (s, o)) missing))
   in
   let rows_journals =

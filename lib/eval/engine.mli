@@ -4,9 +4,11 @@
 
     A {!request} names everything the answer depends on — the design
     (by content, not by name), the flow, the synthesis parameters, the
-    evaluation width, the ATPG budget and engine — and nothing it does
-    not (job counts change only wall-clock time, never a result byte,
-    so they live on the engine, not in the request).
+    evaluation width and the ATPG budget — and nothing it does not (job
+    counts change only wall-clock time, never a result byte, so they
+    live on the engine, not in the request). There is one fault-grading
+    engine ({!Hlts_sim.Ppsfp}), so no engine choice appears in a
+    request, a digest or the wire.
     {!request_digest} is an MD5 over that canonical content; two
     requests digest equal iff the pipeline is guaranteed to produce
     byte-identical results for them, which is what makes the digest a
@@ -15,7 +17,7 @@
     Execution consults a {!Cache} at three tiers before computing:
 
     - [result]: request digest -> complete response + decision journal;
-    - [atpg]: (netlist digest, ATPG config, engine) -> raw fault-sim /
+    - [atpg]: (netlist digest, ATPG config) -> raw fault-sim /
       test-generation result, shared by requests that reach the same
       gate-level circuit through different wrappers;
     - [outcome] (memory tier only — synthesized outcomes hold memoized
@@ -35,13 +37,11 @@ type spec = {
   bits : int;  (** evaluation width (expansion, ATPG, area) *)
   params : Hlts_synth.Synth.params;
   atpg : Hlts_atpg.Atpg.config;
-  engine : Hlts_atpg.Atpg.engine;
 }
 
 val spec :
   ?params:Hlts_synth.Synth.params ->
   ?atpg:Hlts_atpg.Atpg.config ->
-  ?engine:Hlts_atpg.Atpg.engine ->
   ?dfg:Hlts_dfg.Dfg.t ->
   bench:string ->
   approach:Flows.approach ->
@@ -49,10 +49,14 @@ val spec :
   unit ->
   (spec, string) result
 (** [params] defaults to {!Eval.params_for_bits}[ bits], [atpg] to
-    {!Hlts_atpg.Atpg.default_config}, [engine] to [`Ppsfp]. Without
-    [dfg] the benchmark is resolved through
-    {!Hlts_dfg.Benchmarks.find_result} (the [Error] case is its
-    message). *)
+    {!Hlts_atpg.Atpg.default_config}. Without [dfg] the benchmark is
+    resolved through {!Hlts_dfg.Benchmarks.find_result} (the [Error]
+    case is its message).
+
+    The spec is range-checked — the same check {!spec_of_json} applies:
+    [bits >= 1], [1 <= random_lanes <= 64], and [random_cycles],
+    [random_batches], [max_frames] and [max_backtracks] all [>= 0].
+    A violation is an [Error] naming the field. *)
 
 type request =
   | Synth of spec  (** synthesis only: schedule/allocation/area *)
@@ -107,8 +111,8 @@ type result = {
 
 val spec_digest : op:string -> ?with_atpg:bool -> spec -> string
 (** Canonical digest of a spec under operation namespace [op]. With
-    [with_atpg:false] (synthesis-only operations) the ATPG config and
-    engine are excluded, so an ATPG-budget change does not evict
+    [with_atpg:false] (synthesis-only operations) the ATPG config is
+    excluded, so an ATPG-budget change does not evict
     synthesis entries. Includes the engine schema version: a semantic
     change to the pipeline bumps it and orphans (never corrupts) old
     cache entries. *)
@@ -156,8 +160,10 @@ val fan_out : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
     Requests travel as JSON naming the benchmark; the daemon re-resolves
     it and digests the content, so a client cannot poison the cache with
-    a mismatched name. Responses travel as the same canonical JSON the
-    digests are computed over. *)
+    a mismatched name. Decoding applies the {!spec} range check and
+    ignores unknown fields (an [engine] field from an older client
+    included: every engine gave the same answer). Responses travel as
+    the same canonical JSON the digests are computed over. *)
 
 val spec_to_json : spec -> Hlts_obs.Json.t
 val spec_of_json : Hlts_obs.Json.t -> (spec, string) Stdlib.result

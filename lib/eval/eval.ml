@@ -83,11 +83,10 @@ let row_of_atpg (o : Flows.outcome) ~bits (r : Atpg.result) =
     detect_digest = r.Atpg.detect_digest;
   }
 
-let evaluate_outcome ?(atpg = Atpg.default_config) ?engine ?jobs
-    (o : Flows.outcome) ~bits =
+let evaluate_outcome ?(atpg = Atpg.default_config) ?jobs (o : Flows.outcome)
+    ~bits =
   let circuit = Hlts_netlist.Expand.circuit o.Flows.etpn ~bits in
-  row_of_atpg o ~bits (Atpg.run ~config:atpg ?engine ?jobs circuit)
+  row_of_atpg o ~bits (Atpg.run ~config:atpg ?jobs circuit)
 
-let evaluate ?params ?atpg ?engine ?jobs approach dfg ~bits =
-  evaluate_outcome ?atpg ?engine ?jobs (outcome ?params approach dfg ~bits)
-    ~bits
+let evaluate ?params ?atpg ?jobs approach dfg ~bits =
+  evaluate_outcome ?atpg ?jobs (outcome ?params approach dfg ~bits) ~bits

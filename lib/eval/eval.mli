@@ -35,17 +35,15 @@ val params_for_bits : int -> Hlts_synth.Synth.params
 val evaluate :
   ?params:Hlts_synth.Synth.params ->
   ?atpg:Hlts_atpg.Atpg.config ->
-  ?engine:Hlts_atpg.Atpg.engine ->
   ?jobs:int ->
   Hlts_synth.Flows.approach ->
   Hlts_dfg.Dfg.t ->
   bits:int ->
   row
 (** [params] defaults to {!params_for_bits}; [atpg] to
-    {!Hlts_atpg.Atpg.default_config}. [engine] and [jobs] go to
-    {!Hlts_atpg.Atpg.run} (fault-grading engine and worker count); the
-    row is bit-identical for every combination except the timing
-    fields. *)
+    {!Hlts_atpg.Atpg.default_config}. [jobs] goes to
+    {!Hlts_atpg.Atpg.run} (worker count); the row is bit-identical at
+    every job count except the timing fields. *)
 
 val row_of_atpg :
   Hlts_synth.Flows.outcome -> bits:int -> Hlts_atpg.Atpg.result -> row
@@ -57,7 +55,6 @@ val row_of_atpg :
 
 val evaluate_outcome :
   ?atpg:Hlts_atpg.Atpg.config ->
-  ?engine:Hlts_atpg.Atpg.engine ->
   ?jobs:int ->
   Hlts_synth.Flows.outcome ->
   bits:int ->

@@ -1,7 +1,7 @@
 (** Word-parallel (PPSFP-style) fault grading: the good machine plus up
     to 62 faulty machines packed into one native [int] word per net.
 
-    Where {!Sim.replay} simulates one fault over 64 test sequences at a
+    Where {!Sim.eval} simulates one machine over 64 test sequences at a
     time (pattern-parallel, single-fault), this engine transposes the
     packing: one plane word per net whose bit 0 is the good machine and
     whose bits [1 .. Sys.int_size - 2] each carry a complete
@@ -35,15 +35,16 @@
       lane has produced its first PO miscompare, and a whole cycle is
       skipped when the faulty state still equals the good state and
       every injection site's good bit already equals its stuck lanes
-      (the injection would be a no-op, exactly {!Sim.replay}'s quiet
-      rule word-wide).
+      (the injection would be a no-op, so the whole cycle provably
+      equals the good run).
 
     Determinism: the result for each fault is the same
-    [(first miscompare cycle, lane-diff word land mask)] option that
-    {!Sim.replay} / {!Sim.replay_full} return, re-serialized in input
-    fault order — word packing, lane assignment and batching order are
-    invisible. Property-tested against {!Sim.replay_full} in
-    [test/test_ppsfp.ml].
+    [(first miscompare cycle, lane-diff word land mask)] option that a
+    per-fault full sweep from a zeroed machine returns, re-serialized in
+    input fault order — word packing, lane assignment and batching order
+    are invisible. Property-tested in [test/test_ppsfp.ml] against that
+    reference ([test/oracle.ml]) on random netlists and on real data
+    paths.
 
     Observability: each simulated word counts on ["sim.words_simulated"]
     and records its lane occupancy on the ["sim.faults_per_word"]
@@ -90,9 +91,9 @@ val batch : ?mask:int64 -> t -> Sim.trajectory -> batch
 val grade_word :
   t -> plan -> batch -> int -> (int * int64) option array
 (** [grade_word t plan batch w] simulates word [w] and returns one
-    {!Sim.replay}-shaped verdict per fault lane (length = the word's
-    lane count). Mutates only [t]'s scratch, so words can be fanned out
-    over pool lanes that each own a [t]. *)
+    [(cycle, lane-diff word)] verdict per fault lane (length = the
+    word's lane count). Mutates only [t]'s scratch, so words can be
+    fanned out over pool lanes that each own a [t]. *)
 
 val grade_words :
   ?map:
@@ -102,7 +103,7 @@ val grade_words :
   t -> plan -> batch -> (int * int64) option array
 (** Grades every word of the plan and scatters the lane verdicts back
     to the original fault positions: result [i] is fault [i]'s verdict,
-    bit-identical to [Sim.replay_full] of that fault alone. [map]
+    bit-identical to a full sweep of that fault alone. [map]
     (default: serial [List.map] over word indexes) lets the caller run
     the word grading on a worker pool — results are merged in word
     order, so the output does not depend on the mapping strategy. *)

@@ -24,15 +24,12 @@ let k_not = 6
 let k_buf = 7
 let k_mux2 = 8
 
-(* Per-net output cone (sequential closure): the gates, flip-flops and
-   nets a faulty value originating at [cn_net] can ever reach, including
-   feedback through any number of clock cycles. *)
+(* Per-net output cone (sequential closure): the gates and nets a faulty
+   value originating at the site net can ever reach, including feedback
+   through flip-flops across any number of clock cycles. *)
 type cone = {
-  cn_net : int;
   cn_gates : int array;    (* indexes into the levelized order, ascending *)
-  cn_dffs : int array;     (* dff ids whose D input is in the cone, ascending *)
   cn_pos : int array;      (* the PO nets of the cone, in po_nets order *)
-  cn_support : int array;  (* nets read by cone gates that can never be faulty *)
   cn_bits : Bytes.t;       (* bitset over nets: can this net carry a fault effect? *)
 }
 
@@ -230,36 +227,9 @@ let build_cone t net =
   for gi = t.ops.n_gates - 1 downto 0 do
     if gate_mark.(gi) then gates := gi :: !gates
   done;
-  let dffs = ref [] in
-  for d = Array.length dff_mark - 1 downto 0 do
-    if dff_mark.(d) then dffs := d :: !dffs
-  done;
   let pos = Array.of_list (List.filter (bit_mem bits) (Array.to_list t.po_nets)) in
-  (* support: nets read inside the cone that can never carry the fault
-     effect — their good value stands in for the faulty one each cycle *)
-  let seen = Bytes.make ((n + 7) / 8) '\000' in
-  let support = ref [] in
-  let consider inp =
-    if inp >= 0 && (not (bit_mem bits inp)) && not (bit_mem seen inp) then begin
-      bit_set seen inp;
-      support := inp :: !support
-    end
-  in
-  List.iter
-    (fun gi ->
-      consider t.ops.in0.(gi);
-      consider t.ops.in1.(gi);
-      consider t.ops.in2.(gi))
-    !gates;
   let cone =
-    {
-      cn_net = net;
-      cn_gates = Array.of_list !gates;
-      cn_dffs = Array.of_list !dffs;
-      cn_pos = pos;
-      cn_support = Array.of_list (List.rev !support);
-      cn_bits = bits;
-    }
+    { cn_gates = Array.of_list !gates; cn_pos = pos; cn_bits = bits }
   in
   Obs.sample "sim.cone_gates" (float_of_int (Array.length cone.cn_gates));
   cone
@@ -272,13 +242,9 @@ let cone t net =
     Hashtbl.replace t.cones net c;
     c
 
-let cone_gate_count c = Array.length c.cn_gates
-let cone_dff_count c = Array.length c.cn_dffs
-let cone_dffs c = c.cn_dffs
 let cone_bits c = c.cn_bits
 let cone_gates c = c.cn_gates
 let cone_pos c = c.cn_pos
-let cone_member c net = bit_mem c.cn_bits net
 
 (* --- machines ---------------------------------------------------------- *)
 
@@ -292,8 +258,6 @@ let machine t =
     values = Array.make t.c.Netlist.n_nets 0L;
     state = Array.make (Array.length t.c.Netlist.dffs) 0L;
   }
-
-let copy_machine m = { values = Array.copy m.values; state = Array.copy m.state }
 
 let set_bus t m name words =
   let bus = List.assoc name t.c.Netlist.pis in
@@ -349,9 +313,6 @@ let read_bus t m name =
   let bus = List.assoc name t.c.Netlist.pos in
   List.map (fun net -> m.values.(net)) bus
 
-let po_word t m =
-  Array.fold_left (fun acc net -> Int64.logxor acc m.values.(net)) 0L t.po_nets
-
 let po_diff t m1 m2 =
   Array.fold_left
     (fun acc net -> Int64.logor acc (Int64.logxor m1.values.(net) m2.values.(net)))
@@ -361,158 +322,25 @@ let gate_count t = Array.length t.order
 
 let levelized t = t.order
 
-(* --- recorded good trajectory and fault replay ------------------------- *)
+(* --- recorded good trajectory ------------------------------------------ *)
 
 type trajectory = {
   tr_stimuli : (int * int64) list array;
   tr_values : int64 array array;  (* post-eval snapshot per cycle *)
-  tr_state : int64 array array;   (* post-latch snapshot per cycle *)
 }
 
 let record t stimuli =
   let m = machine t in
   let cycles = Array.length stimuli in
-  let values = Array.make cycles [||] and state = Array.make cycles [||] in
+  let values = Array.make cycles [||] in
   for i = 0 to cycles - 1 do
     List.iter (fun (net, w) -> m.values.(net) <- w) stimuli.(i);
     eval t m;
     values.(i) <- Array.copy m.values;
-    step t m;
-    state.(i) <- Array.copy m.state
+    step t m
   done;
-  { tr_stimuli = stimuli; tr_values = values; tr_state = state }
+  { tr_stimuli = stimuli; tr_values = values }
 
 let trajectory_cycles tr = Array.length tr.tr_values
 let trajectory_stimuli tr = tr.tr_stimuli
 let trajectory_values tr i = tr.tr_values.(i)
-
-type scratch = {
-  sc_values : int64 array;
-  sc_state : int64 array;
-}
-
-let scratch t =
-  {
-    sc_values = Array.make t.c.Netlist.n_nets 0L;
-    sc_state = Array.make (Array.length t.c.Netlist.dffs) 0L;
-  }
-
-(* Cone-limited incremental replay. Invariants making this bit-identical
-   to the full sweep:
-   - a net can differ from the good machine only if it is the fault site,
-     the Q of a cone flip-flop, or the output of a cone gate (cn_bits);
-   - hence every other net the cone reads (cn_support) holds its recorded
-     good value, loaded per cycle from the trajectory;
-   - a cycle is *quiet* when the faulty state equals the good state and
-     the site's good word already equals the stuck word on all 64 lanes:
-     forcing the site is then a no-op, the whole faulty evaluation equals
-     the good one, no PO can differ and the state stays equal — the
-     cycle's sweep is skipped entirely (it still counts one eval, so the
-     effort accounting matches the full sweep). *)
-let replay ?(mask = -1L) t sc (fault : Fault.t) tr ~evals =
-  let site = fault.Fault.f_net in
-  let fw =
-    match fault.Fault.f_stuck with
-    | Fault.Stuck_at_0 -> 0L
-    | Fault.Stuck_at_1 -> -1L
-  in
-  let cn = cone t site in
-  let fv = sc.sc_values and fstate = sc.sc_state in
-  let dffs = t.c.Netlist.dffs in
-  let { kind; in0; in1; in2; out; _ } = t.ops in
-  let cycles = Array.length tr.tr_values in
-  let state_equal = ref true in
-  let detection = ref None in
-  let i = ref 0 in
-  while !detection = None && !i < cycles do
-    incr evals;
-    let gv = tr.tr_values.(!i) in
-    if not (!state_equal && gv.(site) = fw) then begin
-      let support = cn.cn_support in
-      for s = 0 to Array.length support - 1 do
-        let net = support.(s) in
-        fv.(net) <- gv.(net)
-      done;
-      (if !state_equal then
-         if !i = 0 then
-           Array.iter (fun d -> fv.(dffs.(d).Netlist.q_output) <- 0L) cn.cn_dffs
-         else begin
-           let gs = tr.tr_state.(!i - 1) in
-           Array.iter (fun d -> fv.(dffs.(d).Netlist.q_output) <- gs.(d)) cn.cn_dffs
-         end
-       else
-         Array.iter (fun d -> fv.(dffs.(d).Netlist.q_output) <- fstate.(d))
-           cn.cn_dffs);
-      fv.(site) <- fw;
-      let cg = cn.cn_gates in
-      for k = 0 to Array.length cg - 1 do
-        let gi = cg.(k) in
-        let value =
-          match kind.(gi) with
-          | 0 -> Int64.logand fv.(in0.(gi)) fv.(in1.(gi))
-          | 1 -> Int64.logor fv.(in0.(gi)) fv.(in1.(gi))
-          | 2 -> Int64.lognot (Int64.logand fv.(in0.(gi)) fv.(in1.(gi)))
-          | 3 -> Int64.lognot (Int64.logor fv.(in0.(gi)) fv.(in1.(gi)))
-          | 4 -> Int64.logxor fv.(in0.(gi)) fv.(in1.(gi))
-          | 5 -> Int64.lognot (Int64.logxor fv.(in0.(gi)) fv.(in1.(gi)))
-          | 6 -> Int64.lognot fv.(in0.(gi))
-          | 7 -> fv.(in0.(gi))
-          | _ ->
-            let s = fv.(in0.(gi)) in
-            Int64.logor
-              (Int64.logand (Int64.lognot s) fv.(in1.(gi)))
-              (Int64.logand s fv.(in2.(gi)))
-        in
-        fv.(out.(gi)) <- (if out.(gi) = site then fw else value)
-      done;
-      let diff = ref 0L in
-      Array.iter
-        (fun po -> diff := Int64.logor !diff (Int64.logxor fv.(po) gv.(po)))
-        cn.cn_pos;
-      let d = Int64.logand mask !diff in
-      if d <> 0L then detection := Some (!i, d)
-      else begin
-        let gs = tr.tr_state.(!i) in
-        let eq = ref true in
-        Array.iter
-          (fun di ->
-            let nv = fv.(dffs.(di).Netlist.d_input) in
-            fstate.(di) <- nv;
-            if nv <> gs.(di) then eq := false)
-          cn.cn_dffs;
-        state_equal := !eq
-      end
-    end;
-    incr i
-  done;
-  !detection
-
-(* The pre-cone path, kept verbatim in structure: a fresh-state machine is
-   swept over the whole gate array every cycle and all POs are compared.
-   This is the oracle the property tests hold [replay] against. *)
-let replay_full ?(mask = -1L) t m (fault : Fault.t) tr ~evals =
-  Array.fill m.values 0 (Array.length m.values) 0L;
-  Array.fill m.state 0 (Array.length m.state) 0L;
-  let cycles = Array.length tr.tr_values in
-  let pos = t.po_nets in
-  let rec cycle i =
-    if i >= cycles then None
-    else begin
-      List.iter (fun (net, w) -> m.values.(net) <- w) tr.tr_stimuli.(i);
-      eval ~fault t m;
-      incr evals;
-      let gv = tr.tr_values.(i) in
-      let diff = ref 0L in
-      for p = 0 to Array.length pos - 1 do
-        let po = pos.(p) in
-        diff := Int64.logor !diff (Int64.logxor m.values.(po) gv.(po))
-      done;
-      let d = Int64.logand mask !diff in
-      if d <> 0L then Some (i, d)
-      else begin
-        step t m;
-        cycle (i + 1)
-      end
-    end
-  in
-  cycle 0

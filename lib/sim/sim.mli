@@ -8,14 +8,15 @@
     {!step}s. Faults are injected by forcing a net's word after its
     driver writes it (or before evaluation for PI/Q/constant nets).
 
-    Fault replay is *cone-limited* and *incremental*: {!compile} builds
-    the indexes from which each net's output cone — the levelized gate
-    sub-array, flip-flops and primary outputs a fault effect can reach,
-    closed under sequential feedback — is derived (lazily, memoized) by
-    {!cone}. {!replay} then re-evaluates only the faulty cone on top of a
-    recorded good {!trajectory}, skipping every quiet cycle outright; the
-    pre-cone full-sweep path survives as {!replay_full}, the oracle the
-    property tests hold {!replay} against. *)
+    {!compile} also builds the indexes from which each net's output
+    cone — the levelized gate sub-array and primary outputs a fault
+    effect can reach, closed under sequential feedback — is derived
+    (lazily, memoized) by {!cone}; PODEM restricts its faulty plane to
+    it. {!record} runs the good machine over a stimuli batch once, and
+    {!Ppsfp} grades whole fault lists against that {!trajectory}. The
+    per-fault full-sweep reference the property tests hold {!Ppsfp}
+    against lives in the test suite ([test/oracle.ml]), built from this
+    public API alone. *)
 
 type t
 
@@ -29,7 +30,7 @@ val circuit : t -> Hlts_netlist.Netlist.t
 (** {2 Compact compiled form}
 
     Struct-of-arrays view of the levelized gate order, shared by every
-    sweeping engine (good simulation, cone replay, PODEM) so they all
+    sweeping engine (good simulation, PPSFP, PODEM) so they all
     evaluate gates identically. [kind] holds the codes below; [in1] and
     [in2] are [-1] where the arity does not use them ([in0] = select for
     mux2). *)
@@ -85,27 +86,18 @@ type cone
 
 val cone : t -> int -> cone
 
-val cone_gate_count : cone -> int
-val cone_dff_count : cone -> int
-
 val cone_gates : cone -> int array
 (** Cone gates as indexes into the levelized order, ascending — a
     subsequence of the full sweep. *)
-
-val cone_dffs : cone -> int array
-(** Flip-flop ids whose D input lies in the cone, ascending. *)
-
-val cone_member : cone -> int -> bool
-(** Can this net carry the fault effect? (the site itself, a cone DFF's
-    Q, or a cone gate's output) *)
 
 val cone_pos : cone -> int array
 (** The primary-output nets inside the cone — the only POs a fault on
     this net can ever flip. *)
 
 val cone_bits : cone -> Bytes.t
-(** The {!cone_member} bitset (bit [net land 7] of byte [net lsr 3]) for
-    callers that need the test inlined in a hot loop. Do not mutate. *)
+(** Bitset over nets (bit [net land 7] of byte [net lsr 3]): can this
+    net carry the fault effect? (the site itself, a cone DFF's Q, or a
+    cone gate's output). Do not mutate. *)
 
 type machine = {
   values : int64 array;       (** current net words, indexed by net id *)
@@ -114,8 +106,6 @@ type machine = {
 
 val machine : t -> machine
 (** Fresh machine with all-zero state. *)
-
-val copy_machine : machine -> machine
 
 val set_bus : t -> machine -> string -> int64 list -> unit
 (** Drives a PI bus with one word per net (LSB first).
@@ -133,10 +123,6 @@ val step : t -> machine -> unit
 val read_bus : t -> machine -> string -> int64 list
 (** PO bus words. *)
 
-val po_word : t -> machine -> int64
-(** XOR-fold of all PO nets — equal words imply equal PO values per lane
-    only probabilistically; use {!po_diff} for detection. *)
-
 val po_diff : t -> machine -> machine -> int64
 (** Lanes (bits) where any PO net differs between two machines. *)
 
@@ -146,16 +132,16 @@ val levelized : t -> Hlts_netlist.Netlist.gate array
 (** The gates in evaluation (topological) order — shared by the PODEM
     engine so both simulators sweep identically. *)
 
-(** {2 Recorded good trajectory and fault replay} *)
+(** {2 Recorded good trajectory} *)
 
 type trajectory
 (** One good-machine run over a stimuli batch, with the full net-value
-    word array snapshotted after every evaluation and the DFF state
-    after every clock edge — the baseline {!replay} diffs against. *)
+    word array snapshotted after every evaluation — the baseline fault
+    grading diffs against. *)
 
 val record : t -> (int * int64) list array -> trajectory
 (** [record t stimuli] runs a fresh good machine over the per-cycle
-    (net, word) assignments and snapshots values and state each cycle.
+    (net, word) assignments and snapshots the net values each cycle.
     Every primary input should be assigned each cycle (unassigned nets
     read as the previous cycle's word, 0 initially). *)
 
@@ -163,35 +149,3 @@ val trajectory_cycles : trajectory -> int
 val trajectory_stimuli : trajectory -> (int * int64) list array
 val trajectory_values : trajectory -> int -> int64 array
 (** Post-evaluation net words of one cycle. Do not mutate. *)
-
-type scratch
-(** Reusable per-simulator replay buffers (faulty values and state), so
-    replaying a fault allocates nothing. *)
-
-val scratch : t -> scratch
-
-val replay :
-  ?mask:int64 ->
-  t -> scratch -> Hlts_fault.Fault.t -> trajectory ->
-  evals:int ref ->
-  (int * int64) option
-(** Cone-limited incremental replay of one fault against a recorded
-    trajectory: only the fault's cone is re-evaluated each cycle,
-    starting from the good machine's words, and a cycle is skipped
-    outright when the faulty state equals the good state and the site's
-    good word already equals the stuck word (the injection would be a
-    no-op, so the whole cycle is provably identical to the good run).
-    Returns the first (cycle, lane-diff word) with the diff restricted
-    to [mask], or [None]; increments [evals] once per examined cycle —
-    including skipped quiet cycles — exactly like {!replay_full}, so
-    effort accounting is engine-independent. Detection, cycle, diff
-    word and [evals] are bit-identical to {!replay_full} (property-
-    tested). *)
-
-val replay_full :
-  ?mask:int64 ->
-  t -> machine -> Hlts_fault.Fault.t -> trajectory ->
-  evals:int ref ->
-  (int * int64) option
-(** The pre-cone oracle: zeroes [machine] and sweeps the whole gate
-    array every cycle, comparing every PO against the trajectory. *)

@@ -80,14 +80,14 @@ let test_collapse_gate_inputs_equivalence () =
         List.map (fun net -> (net, Hlts_util.Rng.word rng)) pis)
   in
   let trajectory = Sim.record sim stimuli in
-  let scratch = Sim.scratch sim in
+  let m = Sim.machine sim in
   List.iter
     (fun fault ->
       let rep = representative fault in
       if rep <> fault then begin
         let e = ref 0 in
-        let r1 = Sim.replay sim scratch fault trajectory ~evals:e in
-        let r2 = Sim.replay sim scratch rep trajectory ~evals:e in
+        let r1 = Oracle.replay_full sim m fault trajectory ~evals:e in
+        let r2 = Oracle.replay_full sim m rep trajectory ~evals:e in
         if r1 <> r2 then
           Alcotest.failf "%s and its representative %s disagree"
             (F.to_string fault) (F.to_string rep)

@@ -217,8 +217,8 @@ let test_dfg_digest_reorder_qcheck () =
 
 (* --- request digest sensitivity ------------------------------------- *)
 
-let spec_exn ?params ?atpg ?engine ?dfg ~bench ~approach ~bits () =
-  match Engine.spec ?params ?atpg ?engine ?dfg ~bench ~approach ~bits () with
+let spec_exn ?params ?atpg ?dfg ~bench ~approach ~bits () =
+  match Engine.spec ?params ?atpg ?dfg ~bench ~approach ~bits () with
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
@@ -237,7 +237,6 @@ let test_request_digest_sensitivity () =
   differs "k" { s with Engine.params = { s.Engine.params with Synth.k = 4 } };
   differs "seed" { s with Engine.atpg = { cheap_atpg with Atpg.seed = 99 } };
   differs "frames" { s with Engine.atpg = { cheap_atpg with Atpg.max_frames = 4 } };
-  differs "engine" { s with Engine.engine = `Cone };
   differs "width" (spec_exn ~atpg:cheap_atpg ~bench:"toy" ~approach:Flows.Ours ~bits:8 ());
   differs "approach" (spec_exn ~atpg:cheap_atpg ~bench:"toy" ~approach:Flows.Camad ~bits:4 ());
   (* the display name is not content: same DFG under a different label *)
@@ -278,8 +277,8 @@ let test_engine_cold_warm_identical () =
 
 let test_request_json_roundtrip () =
   let s =
-    spec_exn ~atpg:cheap_atpg ~engine:`Cone ~bench:"tseng"
-      ~approach:Flows.Approach2 ~bits:16 ()
+    spec_exn ~atpg:cheap_atpg ~bench:"tseng" ~approach:Flows.Approach2
+      ~bits:16 ()
   in
   let check req =
     match Engine.request_of_json (Engine.request_to_json req) with
@@ -291,7 +290,81 @@ let test_request_json_roundtrip () =
   check (Engine.Atpg s);
   check (Engine.Synth s);
   check (Engine.Testability s);
-  check (Engine.Sweep [ s; spec_exn ~bench:"toy" ~approach:Flows.Ours ~bits:4 () ])
+  check
+    (Engine.Sweep [ s; spec_exn ~bench:"toy" ~approach:Flows.Ours ~bits:4 () ]);
+  (* an older client may still name a fault-grading engine: every
+     engine gave the same answer, so the field is ignored *)
+  let with_engine =
+    match Engine.spec_to_json s with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("engine", Json.Str "full") ])
+    | j -> j
+  in
+  match Engine.spec_of_json with_engine with
+  | Error e -> Alcotest.fail e
+  | Ok s' ->
+    Alcotest.(check string) "engine field ignored"
+      (Engine.request_digest (Engine.Atpg s))
+      (Engine.request_digest (Engine.Atpg s'))
+
+(* --- spec range check ------------------------------------------------ *)
+
+(* (field, value, in range?) — every out-of-range value the check must
+   refuse, and the boundary values it must keep. *)
+let range_cases =
+  [
+    ("random_lanes", 65, false);
+    ("random_lanes", 1000, false);
+    ("random_lanes", -3, false);
+    ("random_lanes", 0, false);
+    ("max_frames", -2, false);
+    ("random_cycles", -1, false);
+    ("random_batches", -1, false);
+    ("max_backtracks", -1, false);
+    ("bits", -4, false);
+    ("bits", 0, false);
+    ("random_lanes", 1, true);
+    ("random_lanes", 64, true);
+    ("random_cycles", 0, true);
+    ("max_frames", 0, true);
+    ("max_backtracks", 0, true);
+  ]
+
+let test_spec_range_check () =
+  let base = spec_exn ~bench:"tseng" ~approach:Flows.Ours ~bits:4 () in
+  (* the same spec record, built without the check *)
+  let raw name v =
+    let a = base.Engine.atpg in
+    let atpg =
+      match name with
+      | "bits" -> a
+      | "random_lanes" -> { a with Atpg.random_lanes = v }
+      | "random_cycles" -> { a with Atpg.random_cycles = v }
+      | "random_batches" -> { a with Atpg.random_batches = v }
+      | "max_frames" -> { a with Atpg.max_frames = v }
+      | "max_backtracks" -> { a with Atpg.max_backtracks = v }
+      | other -> Alcotest.failf "no such field %s" other
+    in
+    let bits = if name = "bits" then v else base.Engine.bits in
+    { base with Engine.atpg; bits }
+  in
+  List.iter
+    (fun (name, v, ok) ->
+      let s = raw name v in
+      let expect how = function
+        | Ok _ when ok -> ()
+        | Error e when not ok ->
+          if not (String.starts_with ~prefix:(Printf.sprintf "field %S" name) e)
+          then
+            Alcotest.failf "%s = %d via %s: error %S does not name the field"
+              name v how e
+        | Ok _ -> Alcotest.failf "%s = %d via %s: accepted" name v how
+        | Error e -> Alcotest.failf "%s = %d via %s: refused (%s)" name v how e
+      in
+      expect "spec"
+        (Engine.spec ~atpg:s.Engine.atpg ~bench:"tseng" ~approach:Flows.Ours
+           ~bits:s.Engine.bits ());
+      expect "json" (Engine.spec_of_json (Engine.spec_to_json s)))
+    range_cases
 
 let () =
   Alcotest.run "hlts_cache"
@@ -317,6 +390,7 @@ let () =
           Alcotest.test_case "request sensitivity" `Quick
             test_request_digest_sensitivity;
           Alcotest.test_case "json roundtrip" `Quick test_request_json_roundtrip;
+          Alcotest.test_case "spec range check" `Quick test_spec_range_check;
         ] );
       ( "engine",
         [

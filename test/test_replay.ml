@@ -1,7 +1,7 @@
-(* Property tests for the cone-limited incremental fault-simulation
-   engines against their full-sweep oracles: random sequential netlists
-   x random faults x random 64-lane stimuli must agree bit-for-bit on
-   detection, detecting cycle, lane-diff word and effort counters. *)
+(* PODEM's cone-limited search against its full-sweep reference
+   ([`Full]): random sequential netlists x random faults, and every
+   collapsed fault of a real data path, must agree bit-for-bit on the
+   verdict, the generated test and the effort counters. *)
 
 module N = Hlts_netlist.Netlist
 module B = N.Builder
@@ -9,7 +9,6 @@ module F = Hlts_fault.Fault
 module Sim = Hlts_sim.Sim
 module Podem = Hlts_atpg.Podem
 module Atpg = Hlts_atpg.Atpg
-module Rng = Hlts_util.Rng
 
 (* A random sequential netlist: a few PI buses, a soup of random gates
    over everything reachable, and DFF feedback loops closed through
@@ -51,53 +50,9 @@ let random_netlist st =
   B.output b "po" (List.init n_pos (fun _ -> pick ()));
   B.finish b
 
-let random_stimuli st rng pi_nets =
-  let cycles = 1 + Random.State.int st 6 in
-  Array.init cycles (fun _ ->
-      List.map (fun net -> (net, Rng.word rng)) pi_nets)
-
 let random_fault st c =
   let faults = F.universe c in
   List.nth faults (Random.State.int st (List.length faults))
-
-(* --- Sim.replay vs Sim.replay_full -------------------------------------- *)
-
-let prop_replay_matches_oracle =
-  QCheck.Test.make ~name:"Sim.replay = Sim.replay_full" ~count:500
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let c = random_netlist st in
-      let sim = Sim.compile c in
-      let rng = Rng.create (seed + 1) in
-      let pi_nets = List.concat_map (fun (_, bus) -> bus) c.N.pis in
-      let stimuli = random_stimuli st rng pi_nets in
-      let trajectory = Sim.record sim stimuli in
-      let scratch = Sim.scratch sim in
-      let oracle = Sim.machine sim in
-      let mask = if Random.State.bool st then -1L else Rng.word rng in
-      (* several faults per netlist, reusing the scratch across replays *)
-      List.for_all
-        (fun fault ->
-          let e1 = ref 0 and e2 = ref 0 in
-          let r1 = Sim.replay ~mask sim scratch fault trajectory ~evals:e1 in
-          let r2 =
-            Sim.replay_full ~mask sim oracle fault trajectory ~evals:e2
-          in
-          if r1 <> r2 then
-            QCheck.Test.fail_reportf "seed %d %s: cone %s, full %s" seed
-              (F.to_string fault)
-              (match r1 with
-               | None -> "undetected"
-               | Some (c, d) -> Printf.sprintf "(%d, %Lx)" c d)
-              (match r2 with
-               | None -> "undetected"
-               | Some (c, d) -> Printf.sprintf "(%d, %Lx)" c d);
-          if !e1 <> !e2 then
-            QCheck.Test.fail_reportf "seed %d %s: evals %d vs %d" seed
-              (F.to_string fault) !e1 !e2;
-          true)
-        (List.init 4 (fun _ -> random_fault st c)))
 
 (* --- Podem `Cone vs `Full ------------------------------------------------ *)
 
@@ -124,7 +79,7 @@ let prop_podem_matches_oracle =
           true)
         (List.init 3 (fun _ -> random_fault st c)))
 
-(* --- end-to-end Atpg.run engine identity --------------------------------- *)
+(* --- real data path ------------------------------------------------------- *)
 
 let datapath bits =
   let d = Hlts_dfg.Benchmarks.toy in
@@ -133,21 +88,17 @@ let datapath bits =
   let etpn = Hlts_etpn.Etpn.build_exn d s binding in
   Hlts_netlist.Expand.circuit etpn ~bits
 
-let strip_times r =
-  { r with Atpg.seconds = 0.0; random_seconds = 0.0; det_seconds = 0.0 }
-
-let test_atpg_engines_identical () =
+let test_podem_datapath () =
   let c = datapath 4 in
-  let rc = Atpg.run ~engine:`Cone c in
-  let rf = Atpg.run ~engine:`Full c in
-  let rp = Atpg.run ~engine:`Ppsfp c in
-  (* everything except wall time must be bit-identical *)
-  Alcotest.(check bool) "cone = full" true (strip_times rc = strip_times rf);
-  Alcotest.(check bool) "ppsfp = cone" true (strip_times rp = strip_times rc);
-  Alcotest.(check string) "digests equal" rc.Atpg.detect_digest
-    rf.Atpg.detect_digest;
-  Alcotest.(check string) "ppsfp digest equal" rc.Atpg.detect_digest
-    rp.Atpg.detect_digest
+  let sim = Sim.compile c in
+  List.iter
+    (fun fault ->
+      let generate engine =
+        Podem.generate ~engine sim ~max_frames:5 ~max_backtracks:20 fault
+      in
+      if generate `Cone <> generate `Full then
+        Alcotest.failf "%s: engines disagree" (F.to_string fault))
+    (F.collapsed_universe c)
 
 let test_atpg_digest_stable () =
   let c = datapath 4 in
@@ -159,14 +110,11 @@ let test_atpg_digest_stable () =
 let () =
   Alcotest.run "hlts_replay"
     [
-      ( "replay",
-        [ QCheck_alcotest.to_alcotest prop_replay_matches_oracle ] );
       ( "podem",
-        [ QCheck_alcotest.to_alcotest prop_podem_matches_oracle ] );
-      ( "atpg",
         [
-          Alcotest.test_case "engine identity" `Quick
-            test_atpg_engines_identical;
-          Alcotest.test_case "digest stable" `Quick test_atpg_digest_stable;
+          QCheck_alcotest.to_alcotest prop_podem_matches_oracle;
+          Alcotest.test_case "toy datapath@4" `Quick test_podem_datapath;
         ] );
+      ( "atpg",
+        [ Alcotest.test_case "digest stable" `Quick test_atpg_digest_stable ] );
     ]
