@@ -150,6 +150,7 @@ let run ?(config = default_config) ?(jobs = 1) circuit =
   Obs.span ~cat:"atpg" ~res:true "atpg.run" @@ fun run_sp ->
   let t0 = Obs.Clock.now_ns () in
   let sim = Obs.span ~cat:"atpg" "atpg.compile" (fun _ -> Sim.compile circuit) in
+  let podem = Podem.workspace sim in
   let faults =
     Fault.collapsed_universe ~gate_inputs:config.collapse_gate_inputs circuit
   in
@@ -243,10 +244,23 @@ let run ?(config = default_config) ?(jobs = 1) circuit =
       queue := rest;
       Obs.count "atpg.faults_tried";
       let verdict, stats =
-        Obs.span ~cat:"atpg" "atpg.podem" (fun _ ->
-        Podem.generate sim
-          ~max_frames:config.max_frames
-          ~max_backtracks:config.max_backtracks fault)
+        Obs.span ~cat:"atpg" "atpg.podem" (fun sp ->
+            let (verdict, stats) as r =
+              Podem.generate podem ~max_frames:config.max_frames
+                ~max_backtracks:config.max_backtracks fault
+            in
+            Obs.set sp "net" (Obs.Int fault.Fault.f_net);
+            Obs.set sp "stuck" (Obs.Int (Fault.stuck_code fault));
+            Obs.set sp "frames" (Obs.Int stats.Podem.depth);
+            Obs.set sp "implications" (Obs.Int stats.Podem.implications);
+            Obs.set sp "backtracks" (Obs.Int stats.Podem.backtracks);
+            Obs.set sp "verdict"
+              (Obs.Str
+                 (match verdict with
+                 | Podem.Detected _ -> "d"
+                 | Podem.Aborted -> "a"
+                 | Podem.No_test_in_frames -> "u"));
+            r)
       in
       implications := !implications + stats.Podem.implications;
       backtracks := !backtracks + stats.Podem.backtracks;

@@ -8,7 +8,11 @@
     detection, for [random_batches] rounds.
 
     Deterministic phase: each remaining fault goes to
-    {!Podem.generate}. Generated tests accumulate into 64-lane batches
+    {!Podem.generate}, all of them through one {!Podem.workspace} per
+    run; each call's fault, deepest unrolling depth, implications,
+    backtracks and verdict ([d]etected, [a]borted, [u]ntested within the
+    frame budget) are attached to its [atpg.podem] span. Generated tests
+    accumulate into 64-lane batches
     that are graded against the still-undetected faults (fault
     dropping), including one final pass over aborted faults.
 

@@ -12,6 +12,7 @@ type verdict =
 type stats = {
   implications : int;
   backtracks : int;
+  depth : int;
 }
 
 type engine = [ `Cone | `Full ]
@@ -29,59 +30,20 @@ let t_mux s a b =
   else if a = b && a <> x then a
   else x
 
-(* Fault-independent lookup tables, built once per [generate] call and
-   shared across its unrolling depths. *)
-type tables = {
-  pi_nets : (int, unit) Hashtbl.t;
-  driver : (int, Netlist.gate) Hashtbl.t;   (* net -> driving gate *)
-  q_dff : (int, Netlist.dff) Hashtbl.t;     (* q net -> dff *)
-}
-
-let make_tables (c : Netlist.t) =
-  let pi_nets = Hashtbl.create 64 in
-  List.iter
-    (fun (_, bus) -> List.iter (fun net -> Hashtbl.replace pi_nets net ()) bus)
-    c.Netlist.pis;
-  let driver = Hashtbl.create 256 in
-  Array.iter (fun g -> Hashtbl.replace driver g.Netlist.output g) c.Netlist.gates;
-  let q_dff = Hashtbl.create 64 in
-  Array.iter (fun f -> Hashtbl.replace q_dff f.Netlist.q_output f) c.Netlist.dffs;
-  { pi_nets; driver; q_dff }
-
-type ctx = {
-  c : Netlist.t;
-  order : Netlist.gate array;
-  n : int;                       (* nets per frame *)
-  pi_nets : (int, unit) Hashtbl.t;
-  driver : (int, Netlist.gate) Hashtbl.t;   (* net -> driving gate *)
-  q_dff : (int, Netlist.dff) Hashtbl.t;     (* q net -> dff *)
-  po_nets : int list;
-  site : int;
-  sv : int;                      (* stuck value, 0 or 1 *)
-  frames : int;
-  gv : int array;                (* frames * n *)
-  fv : int array;
-  assigned : (int * int, bool) Hashtbl.t;   (* (frame, pi net) -> value *)
-  mutable implications : int;
-  mutable backtracks : int;
-  (* cone engine (bit-identical to the full engine, property-tested):
-     the faulty value can differ from the good one only inside the
-     site's sequential output cone, so [fv] is swept over the cone's
-     gates only (reads outside fall back to [gv]), and the D-frontier
-     and detection scans are restricted to cone gates / cone POs. *)
-  use_cone : bool;
+(* Everything one ATPG run's searches share: the compiled circuit's
+   tables (read-only, from [Sim.compile]) and the mutable scratch every
+   fault reuses. *)
+type workspace = {
   sim : Sim.t;
+  c : Netlist.t;
+  n : int;                       (* nets per frame *)
   ops : Sim.ops;
+  order : Netlist.gate array;    (* levelized, for the full engine *)
   pi_arr : int array;
-  cone_gates : int array;
-  cone_pos : int array;
-  cone_bits : Bytes.t;
-  cone_gate_mask : Bytes.t;
-  (* gate-index bitset of [cone_gates], so the event-driven sweep can
-     test site-cone membership per gate *)
-  mutable pending : (int * int) list;
-  (* (frame, PI net) assignments touched since the last sweep; the
-     event-driven resweep seeds exactly these *)
+  po_arr : int array;
+  is_pi : Bytes.t;               (* net -> '\001' iff a primary input *)
+  driver : int array;            (* net -> levelized driver gate, or -1 *)
+  dff_of_q : int array;          (* net -> dff id whose Q it is, or -1 *)
   fan_idx : int array;
   fan_gates : int array;
   dfan_idx : int array;
@@ -92,92 +54,184 @@ type ctx = {
   dffp_a : int array;
   dffp_b : int array;
   (* per-dff double-buffered bitmasks: flip-flops whose D net changed in
-     the frame being processed, seeding the next frame's Q loads *)
-  mutable swept : bool;
-  asg : int array;
-  (* mirror of [assigned] as frames*n words of 0/1/x, so the cone
-     engine's source loading is an array read instead of a hashtable
-     probe per PI per frame *)
-  mutable dirty : int;
-  (* lowest frame whose sources may have changed since the last cone
-     sweep; frames below it still hold exactly what a full recompute
-     would produce (values are a pure function of [assigned], and a
-     frame depends only on its own assignments and the previous
-     frame), so the sweep restarts there *)
+     the frame being processed, seeding the next frame's Q loads; empty
+     between sweeps *)
+  mutable cap : int;             (* frames the planes below can hold *)
+  mutable gv : int array;        (* cap * n: good values *)
+  mutable fv : int array;        (* cap * n: faulty values *)
+  mutable asg : int array;
+  (* cap * n: the PI assignment as 0/1/x — the one record of which
+     (frame, PI) pairs are decided *)
+  mutable gx : int array;
+  (* cap * n: the good plane with no input assigned, the same for every
+     fault and depth; each context's first sweep starts from it *)
 }
 
-let make_ctx ~engine (tables : tables) sim fault frames =
+let workspace sim =
   let c = Sim.circuit sim in
-  let use_cone = engine = `Cone in
-  let cone = Sim.cone sim fault.Fault.f_net in
-  let cone_gate_mask =
-    let n_gates = Array.length c.Netlist.gates in
-    let b = Bytes.make ((n_gates / 8) + 1) '\000' in
-    Array.iter
-      (fun gi ->
-        Bytes.set b (gi lsr 3)
-          (Char.chr (Char.code (Bytes.get b (gi lsr 3)) lor (1 lsl (gi land 7)))))
-      (Sim.cone_gates cone);
-    b
-  in
+  let n = c.Netlist.n_nets in
+  let pi_arr = Sim.pi_nets sim in
+  let is_pi = Bytes.make n '\000' in
+  Array.iter (fun net -> Bytes.set is_pi net '\001') pi_arr;
+  let fan_idx, fan_gates = Sim.fanout_gates sim in
+  let dfan_idx, dfan_dffs = Sim.fanout_dffs sim in
+  let n_gates = Array.length c.Netlist.gates in
+  let n_dffs = Array.length c.Netlist.dffs in
   {
+    sim;
     c;
+    n;
+    ops = Sim.ops sim;
     order = Sim.levelized sim;
-    n = c.Netlist.n_nets;
-    pi_nets = tables.pi_nets;
-    driver = tables.driver;
-    q_dff = tables.q_dff;
-    po_nets = List.concat_map (fun (_, bus) -> bus) c.Netlist.pos;
+    pi_arr;
+    po_arr = Sim.po_nets sim;
+    is_pi;
+    driver = Sim.driver_index sim;
+    dff_of_q = Sim.dff_of_q sim;
+    fan_idx;
+    fan_gates;
+    dfan_idx;
+    dfan_dffs;
+    pend = Array.make ((n_gates + 31) / 32) 0;
+    dffp_a = Array.make ((n_dffs + 31) / 32) 0;
+    dffp_b = Array.make ((n_dffs + 31) / 32) 0;
+    cap = 0;
+    gv = [||];
+    fv = [||];
+    asg = [||];
+    gx = [||];
+  }
+
+(* Frame [f] of the unrolling with no input assigned, written into [gv]
+   (X throughout frame [f], frame [f - 1] already done): constants, X
+   primary inputs, flip-flop Qs from the previous frame's D nets (X in
+   frame 0), then one sweep of the whole circuit. *)
+let unassigned_frame (ws : workspace) gv f =
+  let { Sim.n_gates; kind; in0; in1; in2; out } = ws.ops in
+  let base = f * ws.n in
+  gv.(base + ws.c.Netlist.const0) <- 0;
+  gv.(base + ws.c.Netlist.const1) <- 1;
+  Array.iter
+    (fun (d : Netlist.dff) ->
+      gv.(base + d.Netlist.q_output) <-
+        (if f = 0 then x else gv.((f - 1) * ws.n + d.Netlist.d_input)))
+    ws.c.Netlist.dffs;
+  for gi = 0 to n_gates - 1 do
+    let k0 = Array.unsafe_get kind gi in
+    let a = Array.unsafe_get gv (base + Array.unsafe_get in0 gi) in
+    let value =
+      match k0 with
+      | 0 -> t_and a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
+      | 1 -> t_or a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
+      | 2 -> t_not (t_and a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
+      | 3 -> t_not (t_or a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
+      | 4 -> t_xor a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
+      | 5 -> t_not (t_xor a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
+      | 6 -> t_not a
+      | 7 -> a
+      | _ ->
+        t_mux a
+          (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
+          (Array.unsafe_get gv (base + Array.unsafe_get in2 gi))
+    in
+    Array.unsafe_set gv (base + Array.unsafe_get out gi) value
+  done
+
+(* Grows the planes to [frames] frames, extending [gx] by the new
+   frames. *)
+let grow (ws : workspace) frames =
+  let len = frames * ws.n in
+  let gx = Array.make len x in
+  Array.blit ws.gx 0 gx 0 (ws.cap * ws.n);
+  for f = ws.cap to frames - 1 do
+    unassigned_frame ws gx f
+  done;
+  ws.gx <- gx;
+  ws.gv <- Array.make len x;
+  ws.fv <- Array.make len x;
+  ws.asg <- Array.make len x;
+  ws.cap <- frames
+
+(* The search state of one fault at one unrolling depth. The planes are
+   the workspace's, of which only the first [frames * n] entries are
+   this context's. *)
+type ctx = {
+  ws : workspace;
+  n : int;
+  frames : int;
+  gv : int array;
+  fv : int array;
+  asg : int array;
+  site : int;
+  sv : int;                      (* stuck value, 0 or 1 *)
+  guard : int;                   (* backtrace step bound *)
+  mutable implications : int;
+  mutable backtracks : int;
+  (* cone engine (bit-identical to the full engine, property-tested):
+     the faulty value can differ from the good one only inside the
+     site's sequential output cone, so [fv] is swept over the cone's
+     gates only (outside it holds the good values), and the D-frontier
+     and detection scans are restricted to cone gates / cone POs. *)
+  use_cone : bool;
+  cone_gates : int array;
+  cone_pos : int array;
+  cone_bits : Bytes.t;
+  cone_qs : int array;           (* Q nets of the cone's flip-flops *)
+  mutable pending : int list;
+  (* plane indexes ([frame * n + net]) of the PI assignments touched
+     since the last sweep; the event-driven resweep seeds exactly
+     these *)
+  mutable swept : bool;          (* the first sweep has run *)
+}
+
+(* A context at depth [frames]: grows the planes when this is the
+   deepest depth the workspace has seen, and resets the [frames * n]
+   prefix of [asg] to X (nothing reads past the prefix). [gv] and [fv]
+   need no reset: the context's first sweep writes every net of the
+   prefix that anything reads (every read net has a driver). *)
+let make_ctx ~use_cone (ws : workspace) fault cone cone_qs frames =
+  let n = ws.n in
+  let len = frames * n in
+  if ws.cap < frames then grow ws frames
+  else Array.fill ws.asg 0 len x;
+  {
+    ws;
+    n;
+    frames;
+    gv = ws.gv;
+    fv = ws.fv;
+    asg = ws.asg;
     site = fault.Fault.f_net;
     sv = (match fault.Fault.f_stuck with Fault.Stuck_at_0 -> 0 | Fault.Stuck_at_1 -> 1);
-    frames;
-    gv = Array.make (frames * c.Netlist.n_nets) x;
-    fv = Array.make (frames * c.Netlist.n_nets) x;
-    assigned = Hashtbl.create 64;
+    guard = frames * (ws.ops.Sim.n_gates + n) + 16;
     implications = 0;
     backtracks = 0;
     use_cone;
-    sim;
-    ops = Sim.ops sim;
-    pi_arr = Sim.pi_nets sim;
     cone_gates = Sim.cone_gates cone;
     cone_pos = Sim.cone_pos cone;
     cone_bits = Sim.cone_bits cone;
-    cone_gate_mask;
+    cone_qs;
     pending = [];
-    fan_idx = fst (Sim.fanout_gates sim);
-    fan_gates = snd (Sim.fanout_gates sim);
-    dfan_idx = fst (Sim.fanout_dffs sim);
-    dfan_dffs = snd (Sim.fanout_dffs sim);
-    pend = Array.make ((Array.length c.Netlist.gates + 31) / 32) 0;
-    dffp_a = Array.make ((Array.length c.Netlist.dffs + 31) / 32) 0;
-    dffp_b = Array.make ((Array.length c.Netlist.dffs + 31) / 32) 0;
     swept = false;
-    asg = Array.make (frames * c.Netlist.n_nets) x;
-    dirty = 0;
   }
 
-(* --- full engine: the pre-cone oracle, kept verbatim ------------------- *)
+(* --- full engine: the pre-cone reference ------------------------------- *)
 
 let simulate_full ctx =
+  let ws = ctx.ws in
   for f = 0 to ctx.frames - 1 do
     let base = f * ctx.n in
     (* sources *)
-    ctx.gv.(base + ctx.c.Netlist.const0) <- 0;
-    ctx.fv.(base + ctx.c.Netlist.const0) <- 0;
-    ctx.gv.(base + ctx.c.Netlist.const1) <- 1;
-    ctx.fv.(base + ctx.c.Netlist.const1) <- 1;
-    Hashtbl.iter
-      (fun net () ->
-        let v =
-          match Hashtbl.find_opt ctx.assigned (f, net) with
-          | Some true -> 1
-          | Some false -> 0
-          | None -> x
-        in
+    ctx.gv.(base + ws.c.Netlist.const0) <- 0;
+    ctx.fv.(base + ws.c.Netlist.const0) <- 0;
+    ctx.gv.(base + ws.c.Netlist.const1) <- 1;
+    ctx.fv.(base + ws.c.Netlist.const1) <- 1;
+    Array.iter
+      (fun net ->
+        let v = ctx.asg.(base + net) in
         ctx.gv.(base + net) <- v;
         ctx.fv.(base + net) <- v)
-      ctx.pi_nets;
+      ws.pi_arr;
     Array.iter
       (fun (d : Netlist.dff) ->
         if f = 0 then begin
@@ -189,9 +243,9 @@ let simulate_full ctx =
           ctx.gv.(base + d.Netlist.q_output) <- ctx.gv.(prev);
           ctx.fv.(base + d.Netlist.q_output) <- ctx.fv.(prev)
         end)
-      ctx.c.Netlist.dffs;
+      ws.c.Netlist.dffs;
     (* fault forcing on source nets *)
-    if not (Hashtbl.mem ctx.driver ctx.site) then
+    if ws.driver.(ctx.site) < 0 then
       ctx.fv.(base + ctx.site) <- ctx.sv;
     (* sweep *)
     let gv = ctx.gv and fv = ctx.fv in
@@ -231,7 +285,7 @@ let simulate_full ctx =
           | Netlist.G_mux2 ), _ ->
           invalid_arg "Podem.simulate: corrupt gate");
         if g.Netlist.output = ctx.site then fv.(out) <- ctx.sv)
-      ctx.order
+      ws.order
   done
 
 let detected_full ctx =
@@ -239,11 +293,11 @@ let detected_full ctx =
     if f >= ctx.frames then false
     else
       let base = f * ctx.n in
-      List.exists
+      Array.exists
         (fun po ->
           let g = ctx.gv.(base + po) and fl = ctx.fv.(base + po) in
           g <> x && fl <> x && g <> fl)
-        ctx.po_nets
+        ctx.ws.po_arr
       || frame (f + 1)
   in
   frame 0
@@ -253,59 +307,35 @@ let detected_full ctx =
 let bit_set b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let sweep_cone_all ctx =
-  let { Sim.n_gates; kind; in0; in1; in2; out } = ctx.ops in
-  let gv = ctx.gv and fv = ctx.fv and asg = ctx.asg in
-  (* frames below [dirty] already hold exactly what this recompute would
-     produce; restart the sweep there (see the [dirty] field) *)
-  for f = ctx.dirty to ctx.frames - 1 do
+(* The first sweep of a context: no input is assigned yet, so the good
+   plane is the workspace's unassigned unrolling, copied wholesale. The
+   faulty plane starts as the same copy, so every net outside the cone
+   holds its provably-equal good value, then the cone is overwritten
+   frame by frame: cone DFF Qs read the previous frame's faulty plane,
+   the site is forced and the cone gates are swept, non-cone inputs
+   reading the copied good values. *)
+let first_sweep ctx =
+  let ws = ctx.ws in
+  let { Sim.kind; in0; in1; in2; out; _ } = ws.ops in
+  let gv = ctx.gv and fv = ctx.fv in
+  let len = ctx.frames * ctx.n in
+  (* a typed loop, not [Array.blit]: the planes live in the major heap,
+     where a blit pays a write barrier per element *)
+  let gx = ws.gx in
+  for i = 0 to len - 1 do
+    let v = Array.unsafe_get gx i in
+    Array.unsafe_set gv i v;
+    Array.unsafe_set fv i v
+  done;
+  for f = 0 to ctx.frames - 1 do
     let base = f * ctx.n in
-    (* good sources *)
-    gv.(base + ctx.c.Netlist.const0) <- 0;
-    gv.(base + ctx.c.Netlist.const1) <- 1;
-    Array.iter
-      (fun net -> Array.unsafe_set gv (base + net) (Array.unsafe_get asg (base + net)))
-      ctx.pi_arr;
-    Array.iter
-      (fun (d : Netlist.dff) ->
-        gv.(base + d.Netlist.q_output) <-
-          (if f = 0 then x else gv.((f - 1) * ctx.n + d.Netlist.d_input)))
-      ctx.c.Netlist.dffs;
-    (* good sweep over the whole circuit *)
-    for gi = 0 to n_gates - 1 do
-      let k0 = Array.unsafe_get kind gi in
-      let a = Array.unsafe_get gv (base + Array.unsafe_get in0 gi) in
-      let value =
-        match k0 with
-        | 0 -> t_and a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
-        | 1 -> t_or a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
-        | 2 -> t_not (t_and a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
-        | 3 -> t_not (t_or a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
-        | 4 -> t_xor a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
-        | 5 -> t_not (t_xor a (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
-        | 6 -> t_not a
-        | 7 -> a
-        | _ ->
-          t_mux a
-            (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
-            (Array.unsafe_get gv (base + Array.unsafe_get in2 gi))
-      in
-      Array.unsafe_set gv (base + Array.unsafe_get out gi) value
-    done;
-    (* faulty plane: seed it with the good values wholesale (a blit, so
-       every net outside the cone holds its provably-equal good value),
-       then overwrite the cone. Cone DFF Qs read the previous frame's
-       faulty plane, which is fully materialized by the same scheme. *)
-    Array.blit gv base fv base ctx.n;
     Array.iter
       (fun (d : Netlist.dff) ->
         let q = d.Netlist.q_output in
         fv.(base + q) <-
           (if f = 0 then x else fv.((f - 1) * ctx.n + d.Netlist.d_input)))
-      ctx.c.Netlist.dffs;
+      ws.c.Netlist.dffs;
     fv.(base + ctx.site) <- ctx.sv;
-    (* faulty sweep over the cone only; non-cone inputs read the blitted
-       good values *)
     let cg = ctx.cone_gates in
     for k = 0 to Array.length cg - 1 do
       let gi = Array.unsafe_get cg k in
@@ -328,8 +358,7 @@ let sweep_cone_all ctx =
       in
       Array.unsafe_set fv (base + o) (if o = ctx.site then ctx.sv else value)
     done
-  done;
-  ctx.dirty <- ctx.frames
+  done
 
 (* de Bruijn index of the lowest set bit of a non-zero 32-bit word *)
 let db32 =
@@ -337,6 +366,41 @@ let db32 =
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
 let ctz32 m = db32.((((m land (-m)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* A net of the frame being swept changed: schedule its reader gates
+   (always later in the levelized order) and mark the flip-flops it
+   feeds in [nxt], the next frame's Q loads. *)
+let touch ws nxt net =
+  let { fan_idx; fan_gates; dfan_idx; dfan_dffs; pend; _ } = ws in
+  for i = fan_idx.(net) to fan_idx.(net + 1) - 1 do
+    let gi = Array.unsafe_get fan_gates i in
+    let w = gi lsr 5 in
+    Array.unsafe_set pend w (Array.unsafe_get pend w lor (1 lsl (gi land 31)))
+  done;
+  for i = dfan_idx.(net) to dfan_idx.(net + 1) - 1 do
+    let di = Array.unsafe_get dfan_dffs i in
+    let w = di lsr 5 in
+    Array.unsafe_set nxt w (Array.unsafe_get nxt w lor (1 lsl (di land 31)))
+  done
+
+let rec first_pending_frame n acc = function
+  | [] -> acc
+  | i :: rest -> first_pending_frame n (min acc (i / n)) rest
+
+(* Loads the pending PI changes that fall in the frame at [base]. *)
+let rec seed_pending ctx nxt base = function
+  | [] -> ()
+  | i :: rest ->
+    if i >= base && i < base + ctx.n then begin
+      let v = ctx.asg.(i) in
+      if ctx.gv.(i) <> v then begin
+        ctx.gv.(i) <- v;
+        let pn = i - base in
+        if pn <> ctx.site then ctx.fv.(i) <- v;
+        touch ctx.ws nxt pn
+      end
+    end;
+    seed_pending ctx nxt base rest
 
 (* Event-driven resweep: the pending source changes are seeded into
    their frames and propagated gate-by-gate through the fanout index —
@@ -346,48 +410,19 @@ let ctz32 m = db32.((((m land (-m)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
    of the assignment, so the touched entries end up exactly as a full
    resweep would leave them and the untouched ones are already right. *)
 let sweep_events ctx =
-  let { Sim.kind; in0; in1; in2; out; _ } = ctx.ops in
+  let ws = ctx.ws in
+  let { Sim.kind; in0; in1; in2; out; _ } = ws.ops in
   let gv = ctx.gv and fv = ctx.fv in
   let n = ctx.n in
-  let dffs = ctx.c.Netlist.dffs in
+  let dffs = ws.c.Netlist.dffs in
   let site = ctx.site and sv = ctx.sv in
-  let gmask = ctx.cone_gate_mask and sbits = ctx.cone_bits in
-  let fan_idx = ctx.fan_idx and fan_gates = ctx.fan_gates in
-  let dfan_idx = ctx.dfan_idx and dfan_dffs = ctx.dfan_dffs in
-  let pend = ctx.pend in
-  let cur = ref ctx.dffp_a and nxt = ref ctx.dffp_b in
-  (* a net changed: schedule its reader gates (always later in the
-     levelized order) and remember the flip-flops it feeds *)
-  let touch net =
-    for i = fan_idx.(net) to fan_idx.(net + 1) - 1 do
-      let gi = Array.unsafe_get fan_gates i in
-      let w = gi lsr 5 in
-      Array.unsafe_set pend w (Array.unsafe_get pend w lor (1 lsl (gi land 31)))
-    done;
-    for i = dfan_idx.(net) to dfan_idx.(net + 1) - 1 do
-      let di = Array.unsafe_get dfan_dffs i in
-      let w = di lsr 5 in
-      let nx = !nxt in
-      Array.unsafe_set nx w (Array.unsafe_get nx w lor (1 lsl (di land 31)))
-    done
-  in
-  let fa =
-    List.fold_left (fun acc (f, _) -> min acc f) ctx.frames ctx.pending
-  in
+  let sbits = ctx.cone_bits in
+  let pend = ws.pend in
+  let cur = ref ws.dffp_a and nxt = ref ws.dffp_b in
+  let fa = first_pending_frame n ctx.frames ctx.pending in
   for f = fa to ctx.frames - 1 do
     let base = f * n in
-    (* seed this frame's changed PIs *)
-    List.iter
-      (fun (fc, pn) ->
-        if fc = f then begin
-          let v = ctx.asg.(base + pn) in
-          if gv.(base + pn) <> v then begin
-            gv.(base + pn) <- v;
-            if pn <> site then fv.(base + pn) <- v;
-            touch pn
-          end
-        end)
-      ctx.pending;
+    seed_pending ctx !nxt base ctx.pending;
     (* seed flip-flops whose D net changed in the previous frame *)
     if f > fa then begin
       let cw = !cur in
@@ -407,7 +442,7 @@ let sweep_events ctx =
           let changed = gv.(base + q) <> gq || fv.(base + q) <> fq in
           gv.(base + q) <- gq;
           fv.(base + q) <- fq;
-          if changed then touch q
+          if changed then touch ws !nxt q
         done
       done
     end;
@@ -437,7 +472,7 @@ let sweep_events ctx =
         in
         let fvalue =
           if o = site then sv
-          else if bit_set gmask gi then begin
+          else if bit_set sbits o then begin
             let fa' = Array.unsafe_get fv (base + Array.unsafe_get in0 gi) in
             match Array.unsafe_get kind gi with
             | 0 -> t_and fa' (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
@@ -460,7 +495,7 @@ let sweep_events ctx =
         if og <> gvalue || off <> fvalue then begin
           Array.unsafe_set gv (base + o) gvalue;
           Array.unsafe_set fv (base + o) fvalue;
-          touch o
+          touch ws !nxt o
         end
       done
     done;
@@ -471,50 +506,43 @@ let sweep_events ctx =
   done;
   (* discard propagation beyond the last frame *)
   Array.fill !cur 0 (Array.length !cur) 0;
-  Array.fill !nxt 0 (Array.length !nxt) 0;
-  ctx.dirty <- ctx.frames
+  Array.fill !nxt 0 (Array.length !nxt) 0
 
 let simulate_cone ctx =
   (if not ctx.swept then begin
      ctx.swept <- true;
-     sweep_cone_all ctx
+     first_sweep ctx
    end
    else sweep_events ctx);
   ctx.pending <- []
 
-let detected_cone ctx =
-  let pos = ctx.cone_pos in
-  let rec frame f =
-    if f >= ctx.frames then false
-    else begin
-      let base = f * ctx.n in
-      let rec po i =
-        if i >= Array.length pos then false
-        else
-          let g = ctx.gv.(base + pos.(i)) and fl = ctx.fv.(base + pos.(i)) in
-          (g <> x && fl <> x && g <> fl) || po (i + 1)
-      in
-      po 0 || frame (f + 1)
-    end
-  in
-  frame 0
+let rec detected_cone ctx f i =
+  if f >= ctx.frames then false
+  else if i >= Array.length ctx.cone_pos then detected_cone ctx (f + 1) 0
+  else begin
+    let j = (f * ctx.n) + Array.unsafe_get ctx.cone_pos i in
+    let g = ctx.gv.(j) and fl = ctx.fv.(j) in
+    (g <> x && fl <> x && g <> fl) || detected_cone ctx f (i + 1)
+  end
 
 let simulate ctx =
   ctx.implications <- ctx.implications + 1;
   if ctx.use_cone then simulate_cone ctx else simulate_full ctx
 
-let detected ctx = if ctx.use_cone then detected_cone ctx else detected_full ctx
+let detected ctx =
+  if ctx.use_cone then detected_cone ctx 0 0 else detected_full ctx
 
-(* Candidate objectives, best first; the caller takes the first one whose
-   backtrace reaches an unassigned primary input. *)
+(* Candidate D-frontier objectives of the full engine, best first: gates
+   with a D on an input and X on their output, late frames and late
+   levels first (closest to the outputs). The caller takes the first one
+   whose backtrace reaches an unassigned primary input. *)
 let objectives_full ctx =
-  (* D-frontier: gates with a D on an input and X on their output.
-     Late frames and late levels first (closest to the outputs). *)
   let acc = ref [] in
   for f = 0 to ctx.frames - 1 do
     let base = f * ctx.n in
-    for gi = 0 to Array.length ctx.order - 1 do
-      let g = ctx.order.(gi) in
+    let order = ctx.ws.order in
+    for gi = 0 to Array.length order - 1 do
+      let g = order.(gi) in
       let out = base + g.Netlist.output in
       let out_x = ctx.gv.(out) = x || ctx.fv.(out) = x in
       if out_x then begin
@@ -559,252 +587,215 @@ let objectives_full ctx =
   (* reversed scan order: latest frame / deepest gate first *)
   !acc
 
-(* The cone restriction is exact: a non-cone gate can never see a D on an
-   input (its inputs all lie outside the cone), so scanning the cone's
-   gates in the same frame-major ascending-level order yields the same
-   objective list as the full scan. *)
-let objectives_cone ctx =
-  let { Sim.kind; in0; in1; in2; out; _ } = ctx.ops in
-  let acc = ref [] in
-  for f = 0 to ctx.frames - 1 do
+(* A decision — primary input [net] of frame [f] set to [v] — is encoded
+   as [((f * n + net) lsl 1) lor v], -1 meaning none; an objective inside
+   one frame as [(net lsl 1) lor v]. *)
+
+(* Walks an objective back to an unassigned primary input, the decision
+   it returns; -1 when it dead-ends (frame-0 state or fully determined
+   cone). *)
+let rec backtrace ctx f net v guard =
+  if guard <= 0 then -1
+  else begin
+    let ws = ctx.ws in
     let base = f * ctx.n in
-    let carries_d net =
-      let g = ctx.gv.(base + net) and fl = ctx.fv.(base + net) in
-      g <> x && fl <> x && g <> fl
-    in
-    let cg = ctx.cone_gates in
-    for k = 0 to Array.length cg - 1 do
-      let gi = cg.(k) in
-      let o = base + out.(gi) in
-      let out_x = ctx.gv.(o) = x || ctx.fv.(o) = x in
-      if out_x then begin
-        let a = in0.(gi) and b = in1.(gi) and c2 = in2.(gi) in
-        let any_d =
-          carries_d a || (b >= 0 && carries_d b) || (c2 >= 0 && carries_d c2)
-        in
-        if any_d then begin
-          let first_x_of2 v =
-            if ctx.gv.(base + a) = x then Some (a, v)
-            else if ctx.gv.(base + b) = x then Some (b, v)
-            else None
-          in
-          let pick =
-            match kind.(gi) with
-            | 0 | 2 (* and/nand *) -> first_x_of2 1
-            | 1 | 3 (* or/nor *) -> first_x_of2 0
-            | 4 | 5 (* xor/xnor *) -> first_x_of2 0
-            | 6 | 7 (* not/buf *) -> None
-            | _ (* mux2: a=select, b/c2=data *) ->
-              if ctx.gv.(base + a) = x then begin
-                if carries_d b then Some (a, 0)
-                else if carries_d c2 then Some (a, 1)
-                else Some (a, 0)
-              end
-              else if ctx.gv.(base + a) = 0 && ctx.gv.(base + b) = x then
-                Some (b, 0)
-              else if ctx.gv.(base + a) = 1 && ctx.gv.(base + c2) = x then
-                Some (c2, 0)
-              else None
-          in
-          match pick with
-          | Some (net, v) -> acc := (f, net, v) :: !acc
-          | None -> ()
+    if Bytes.unsafe_get ws.is_pi net <> '\000' then
+      if Array.unsafe_get ctx.asg (base + net) <> x then -1
+      else ((base + net) lsl 1) lor v
+    else begin
+      let d = Array.unsafe_get ws.dff_of_q net in
+      if d >= 0 then
+        if f = 0 then -1
+        else
+          backtrace ctx (f - 1) ws.c.Netlist.dffs.(d).Netlist.d_input v
+            (guard - 1)
+      else begin
+        let gi = Array.unsafe_get ws.driver net in
+        if gi < 0 then -1 (* constant *)
+        else begin
+          let { Sim.kind; in0; in1; in2; _ } = ws.ops in
+          let gv = ctx.gv in
+          let a = in0.(gi) and b = in1.(gi) in
+          match kind.(gi) with
+          | 6 (* not *) -> backtrace ctx f a (t_not v) (guard - 1)
+          | 7 (* buf *) -> backtrace ctx f a v (guard - 1)
+          | (0 | 1 | 2 | 3) as k (* and/or/nand/nor *) ->
+            let v' = if k >= 2 then t_not v else v in
+            if gv.(base + a) = x then backtrace ctx f a v' (guard - 1)
+            else if gv.(base + b) = x then backtrace ctx f b v' (guard - 1)
+            else -1
+          | (4 | 5) as k (* xor/xnor *) ->
+            let v' = if k = 5 then t_not v else v in
+            let ga = gv.(base + a) and gb = gv.(base + b) in
+            if ga = x && gb <> x then backtrace ctx f a (t_xor v' gb) (guard - 1)
+            else if gb = x && ga <> x then
+              backtrace ctx f b (t_xor v' ga) (guard - 1)
+            else if ga = x then backtrace ctx f a 0 (guard - 1)
+            else -1
+          | _ (* mux2: a=select, b/c=data *) -> begin
+            let c = in2.(gi) in
+            match gv.(base + a) with
+            | 0 -> backtrace ctx f b v (guard - 1)
+            | 1 -> backtrace ctx f c v (guard - 1)
+            | _ ->
+              (* select the branch that can still justify [v]: a branch
+                 already carrying [v] only needs the select set; among
+                 undefined branches prefer the second data input — in
+                 register hold-muxes that is the load path, while the
+                 first (hold) path dead-ends in the unknown initial
+                 state *)
+              let gb = gv.(base + b) and gc = gv.(base + c) in
+              if gb = v then backtrace ctx f a 0 (guard - 1)
+              else if gc = v then backtrace ctx f a 1 (guard - 1)
+              else if gc = x then backtrace ctx f a 1 (guard - 1)
+              else if gb = x then backtrace ctx f a 0 (guard - 1)
+              else -1
+          end
         end
       end
-    done
-  done;
-  !acc
-
-let objectives ctx =
-  (* activation: some frame carries D at the fault site *)
-  let site_d f =
-    let i = f * ctx.n + ctx.site in
-    ctx.gv.(i) <> x && ctx.gv.(i) <> ctx.sv && ctx.fv.(i) = ctx.sv
-  in
-  let activated = ref false in
-  for f = 0 to ctx.frames - 1 do
-    if site_d f then activated := true
-  done;
-  if not !activated then
-    (* every frame where the good value at the site is still X *)
-    List.filter_map
-      (fun f ->
-        if ctx.gv.((f * ctx.n) + ctx.site) = x then
-          Some (f, ctx.site, 1 - ctx.sv)
-        else None)
-      (List.init ctx.frames Fun.id)
-  else if ctx.use_cone then objectives_cone ctx
-  else objectives_full ctx
-
-(* Walks an objective back to an unassigned primary input; [None] when it
-   dead-ends (frame-0 state or fully determined cone). *)
-let backtrace ctx f0 net0 v0 =
-  let rec walk f net v guard =
-    if guard <= 0 then None
-    else begin
-      let base = f * ctx.n in
-      if Hashtbl.mem ctx.pi_nets net then
-        if Hashtbl.mem ctx.assigned (f, net) then None else Some (f, net, v)
-      else
-        match Hashtbl.find_opt ctx.q_dff net with
-        | Some dff ->
-          if f = 0 then None else walk (f - 1) dff.Netlist.d_input v (guard - 1)
-        | None -> begin
-          match Hashtbl.find_opt ctx.driver net with
-          | None -> None (* constant *)
-          | Some g -> begin
-            let xin inputs =
-              List.find_opt (fun n -> ctx.gv.(base + n) = x) inputs
-            in
-            match g.Netlist.kind, g.Netlist.inputs with
-            | Netlist.G_not, [ a ] -> walk f a (t_not v) (guard - 1)
-            | Netlist.G_buf, [ a ] -> walk f a v (guard - 1)
-            | (Netlist.G_and | Netlist.G_nand), inputs -> begin
-              let v' = if g.Netlist.kind = Netlist.G_nand then t_not v else v in
-              match xin inputs with
-              | Some a -> walk f a v' (guard - 1)
-              | None -> None
-            end
-            | (Netlist.G_or | Netlist.G_nor), inputs -> begin
-              let v' = if g.Netlist.kind = Netlist.G_nor then t_not v else v in
-              match xin inputs with
-              | Some a -> walk f a v' (guard - 1)
-              | None -> None
-            end
-            | (Netlist.G_xor | Netlist.G_xnor), [ a; b ] -> begin
-              let v' = if g.Netlist.kind = Netlist.G_xnor then t_not v else v in
-              let ga = ctx.gv.(base + a) and gb = ctx.gv.(base + b) in
-              if ga = x && gb <> x then walk f a (t_xor v' gb) (guard - 1)
-              else if gb = x && ga <> x then walk f b (t_xor v' ga) (guard - 1)
-              else if ga = x then walk f a 0 (guard - 1)
-              else None
-            end
-            | Netlist.G_mux2, [ s_; a; b ] -> begin
-              match ctx.gv.(base + s_) with
-              | 0 -> walk f a v (guard - 1)
-              | 1 -> walk f b v (guard - 1)
-              | _ ->
-                (* select the branch that can still justify [v]: a branch
-                   already carrying [v] only needs the select set; among
-                   undefined branches prefer [b] — in register hold-muxes
-                   that is the load path, while the [a] (hold) path dead-
-                   ends in the unknown initial state *)
-                let ga = ctx.gv.(base + a) and gb = ctx.gv.(base + b) in
-                if ga = v then walk f s_ 0 (guard - 1)
-                else if gb = v then walk f s_ 1 (guard - 1)
-                else if gb = x then walk f s_ 1 (guard - 1)
-                else if ga = x then walk f s_ 0 (guard - 1)
-                else None
-            end
-            (* malformed arities cannot occur in validated netlists *)
-            | (Netlist.G_not | Netlist.G_buf), _ -> None
-            | (Netlist.G_xor | Netlist.G_xnor), _ -> None
-            | Netlist.G_mux2, _ -> None
-          end
-        end
     end
-  in
-  walk f0 net0 v0 (ctx.frames * (Array.length ctx.order + ctx.n) + 16)
+  end
 
-let extract_test ctx =
+let backtrace ctx f net v = backtrace ctx f net v ctx.guard
+
+let extract_test ctx stack =
   let frames = Array.make ctx.frames [] in
-  Hashtbl.iter
-    (fun (f, net) v -> frames.(f) <- (net, v) :: frames.(f))
-    ctx.assigned;
+  List.iter (fun (f, net, v, _) -> frames.(f) <- (net, v) :: frames.(f)) stack;
   { t_frames = Array.map (List.sort compare) frames }
 
-(* D-frontier scan fused with the backtrace: candidates are tried in
-   exactly the order [first_reachable (objectives ctx)] would — latest
-   frame first, deepest cone gate first — but generation stops at the
-   first candidate whose backtrace reaches an unassigned PI instead of
-   materializing the whole list. *)
-let fused_dfrontier ctx =
-  let { Sim.kind; in0; in1; in2; _ } = ctx.ops in
-  let out = ctx.ops.Sim.out in
-  let cg = ctx.cone_gates in
-  let rec frame f =
-    if f < 0 then None
-    else begin
-      let base = f * ctx.n in
-      let carries_d net =
-        let g = ctx.gv.(base + net) and fl = ctx.fv.(base + net) in
-        g <> x && fl <> x && g <> fl
-      in
-      let rec gate k =
-        if k < 0 then frame (f - 1)
-        else begin
-          let gi = cg.(k) in
-          let o = base + out.(gi) in
-          let pick =
-            if ctx.gv.(o) = x || ctx.fv.(o) = x then begin
-              let a = in0.(gi) and b = in1.(gi) and c2 = in2.(gi) in
-              let any_d =
-                carries_d a || (b >= 0 && carries_d b)
-                || (c2 >= 0 && carries_d c2)
-              in
-              if any_d then begin
-                let first_x_of2 v =
-                  if ctx.gv.(base + a) = x then Some (a, v)
-                  else if ctx.gv.(base + b) = x then Some (b, v)
-                  else None
-                in
-                match kind.(gi) with
-                | 0 | 2 (* and/nand *) -> first_x_of2 1
-                | 1 | 3 (* or/nor *) -> first_x_of2 0
-                | 4 | 5 (* xor/xnor *) -> first_x_of2 0
-                | 6 | 7 (* not/buf *) -> None
-                | _ (* mux2: a=select, b/c2=data *) ->
-                  if ctx.gv.(base + a) = x then begin
-                    if carries_d b then Some (a, 0)
-                    else if carries_d c2 then Some (a, 1)
-                    else Some (a, 0)
-                  end
-                  else if ctx.gv.(base + a) = 0 && ctx.gv.(base + b) = x then
-                    Some (b, 0)
-                  else if ctx.gv.(base + a) = 1 && ctx.gv.(base + c2) = x then
-                    Some (c2, 0)
-                  else None
-              end
-              else None
-            end
-            else None
-          in
-          match pick with
-          | Some (net, v) -> begin
-            match backtrace ctx f net v with
-            | Some pi -> Some pi
-            | None -> gate (k - 1)
-          end
-          | None -> gate (k - 1)
-        end
-      in
-      gate (Array.length cg - 1)
+(* D or D-bar: both planes defined and different; on 0/1/x=2 values
+   that is exactly a sum of 1 *)
+let carries_d gv fv i = Array.unsafe_get gv i + Array.unsafe_get fv i = 1
+
+let first_x_of2 gv a b =
+  if Array.unsafe_get gv a = x then a
+  else if Array.unsafe_get gv b = x then b
+  else -1
+
+(* The objective "plane entry [i] of the frame at [base] to [v]", or -1
+   when [i] is -1. *)
+let objective base i v = if i < 0 then -1 else ((i - base) lsl 1) lor v
+
+(* The objective of D-frontier gate [gi] of the frame at [base] (a D on
+   an input, X on its output): its non-controlling value on its first
+   X input (mux: the select routing the D), or -1. [a], [b], [c] are its
+   input entries in the planes, [-1] when the arity leaves them
+   unused. *)
+let dfrontier_objective kind gi gv fv base a b c =
+  match Array.unsafe_get kind gi with
+  | 0 | 2 (* and/nand *) -> objective base (first_x_of2 gv a b) 1
+  | 1 | 3 (* or/nor *) -> objective base (first_x_of2 gv a b) 0
+  | 4 | 5 (* xor/xnor *) -> objective base (first_x_of2 gv a b) 0
+  | 6 | 7 (* not/buf *) -> -1
+  | _ (* mux2: a=select, b/c=data *) ->
+    let s = Array.unsafe_get gv a in
+    if s = x then begin
+      if carries_d gv fv b then objective base a 0
+      else if carries_d gv fv c then objective base a 1
+      else objective base a 0
     end
+    else if s = 0 && Array.unsafe_get gv b = x then objective base b 0
+    else if s = 1 && Array.unsafe_get gv c = x then objective base c 0
+    else -1
+
+let rec any_d gv fv base nets i =
+  i >= 0
+  && (carries_d gv fv (base + Array.unsafe_get nets i)
+     || any_d gv fv base nets (i - 1))
+
+(* Does the frame at [base] carry a D anywhere in the cone? Every D of a
+   frame descends from the site or from a cone flip-flop's Q. *)
+let frame_has_d ctx base =
+  carries_d ctx.gv ctx.fv (base + ctx.site)
+  || any_d ctx.gv ctx.fv base ctx.cone_qs (Array.length ctx.cone_qs - 1)
+
+(* D-frontier scan fused with the backtrace: candidates are tried in the
+   order the full engine's objective list is consumed — latest frame
+   first, deepest cone gate first (the restriction to the cone is exact:
+   a non-cone gate reads no cone net, so never sees a D; so is skipping
+   a frame with no D) — and the scan stops at the first candidate whose
+   backtrace reaches an unassigned PI. *)
+let dfrontier ctx =
+  let { Sim.kind; in0; in1; in2; out; _ } = ctx.ws.ops in
+  let gv = ctx.gv and fv = ctx.fv and cg = ctx.cone_gates in
+  let found = ref (-1) in
+  let f = ref (ctx.frames - 1) in
+  while !found < 0 && !f >= 0 do
+    let base = !f * ctx.n in
+    if frame_has_d ctx base then begin
+      let k = ref (Array.length cg - 1) in
+      while !found < 0 && !k >= 0 do
+        let gi = Array.unsafe_get cg !k in
+        let o = base + Array.unsafe_get out gi in
+        if (Array.unsafe_get gv o lor Array.unsafe_get fv o) land 2 <> 0 then begin
+          let a = base + Array.unsafe_get in0 gi in
+          let b = Array.unsafe_get in1 gi and c = Array.unsafe_get in2 gi in
+          let b = if b < 0 then -1 else base + b
+          and c = if c < 0 then -1 else base + c in
+          if
+            carries_d gv fv a
+            || (b >= 0 && carries_d gv fv b)
+            || (c >= 0 && carries_d gv fv c)
+          then begin
+            let obj = dfrontier_objective kind gi gv fv base a b c in
+            if obj >= 0 then found := backtrace ctx !f (obj lsr 1) (obj land 1)
+          end
+        end;
+        decr k
+      done
+    end;
+    decr f
+  done;
+  !found
+
+(* activation: does some frame carry D at the fault site? *)
+let activated ctx =
+  let rec scan f =
+    f < ctx.frames
+    && (let i = (f * ctx.n) + ctx.site in
+        (ctx.gv.(i) <> x && ctx.gv.(i) <> ctx.sv && ctx.fv.(i) = ctx.sv)
+        || scan (f + 1))
   in
-  frame (ctx.frames - 1)
+  scan 0
+
+(* Not yet activated: drive the site to the opposite of its stuck value,
+   earliest frame first among those where its good value is still X. *)
+let rec activate ctx f =
+  if f >= ctx.frames then -1
+  else if ctx.gv.((f * ctx.n) + ctx.site) = x then begin
+    let d = backtrace ctx f ctx.site (1 - ctx.sv) in
+    if d >= 0 then d else activate ctx (f + 1)
+  end
+  else activate ctx (f + 1)
+
+let rec first_reachable ctx = function
+  | [] -> -1
+  | (f, net, v) :: rest ->
+    let d = backtrace ctx f net v in
+    if d >= 0 then d else first_reachable ctx rest
+
+let decide ctx =
+  if not (activated ctx) then activate ctx 0
+  else if ctx.use_cone then dfrontier ctx
+  else first_reachable ctx (objectives_full ctx)
+
+let set_input ctx f net v =
+  let i = (f * ctx.n) + net in
+  ctx.asg.(i) <- v;
+  ctx.pending <- i :: ctx.pending
 
 let search ctx ~max_backtracks ~max_implications =
-  (* decision stack: (frame, net, value, already flipped) *)
+  (* decision stack: (frame, net, value, already flipped); its entries
+     are exactly the current assignments *)
   let stack = ref [] in
   simulate ctx;
-  let assign f net v =
-    Hashtbl.replace ctx.assigned (f, net) v;
-    ctx.asg.((f * ctx.n) + net) <- (if v then 1 else 0);
-    ctx.pending <- (f, net) :: ctx.pending;
-    if f < ctx.dirty then ctx.dirty <- f
-  in
-  let unassign f net =
-    Hashtbl.remove ctx.assigned (f, net);
-    ctx.asg.((f * ctx.n) + net) <- x;
-    ctx.pending <- (f, net) :: ctx.pending;
-    if f < ctx.dirty then ctx.dirty <- f
-  in
+  let assign f net v = set_input ctx f net (if v then 1 else 0) in
   let rec backtrack () =
     match !stack with
     | [] -> `No_test
     | (f, net, v, flipped) :: rest ->
       stack := rest;
-      unassign f net;
+      set_input ctx f net x;
       if flipped then backtrack ()
       else begin
         ctx.backtracks <- ctx.backtracks + 1;
@@ -819,74 +810,73 @@ let search ctx ~max_backtracks ~max_implications =
       end
   in
   let rec loop () =
-    if detected ctx then `Detected (extract_test ctx)
+    if detected ctx then `Detected (extract_test ctx !stack)
     else if ctx.implications > max_implications then `Abort
     else begin
-      let rec first_reachable = function
-        | [] -> None
-        | (f, net, v) :: rest -> begin
-          match backtrace ctx f net v with
-          | Some pi -> Some pi
-          | None -> first_reachable rest
-        end
-      in
-      let decision =
-        let site_d f =
-          let i = f * ctx.n + ctx.site in
-          ctx.gv.(i) <> x && ctx.gv.(i) <> ctx.sv && ctx.fv.(i) = ctx.sv
-        in
-        let activated = ref false in
-        for f = 0 to ctx.frames - 1 do
-          if site_d f then activated := true
-        done;
-        if ctx.use_cone && !activated then fused_dfrontier ctx
-        else first_reachable (objectives ctx)
-      in
-      match decision with
-      | None -> begin
+      let d = decide ctx in
+      if d < 0 then begin
         match backtrack () with
         | `No_test -> `No_test
         | `Abort -> `Abort
         | `Continue -> loop ()
       end
-      | Some (fa, pi, v) ->
-        let bv = v = 1 in
+      else begin
+        let i = d lsr 1 in
+        let fa = i / ctx.n and pi = i mod ctx.n and bv = d land 1 = 1 in
         assign fa pi bv;
         stack := (fa, pi, bv, false) :: !stack;
         simulate ctx;
         loop ()
+      end
     end
   in
   loop ()
 
-let generate ?(max_implications = 1500) ?(engine = `Cone) sim ~max_frames
+(* The Q nets of the cone's flip-flops: with the site, the only sources
+   a D can start from in any frame. *)
+let cone_qs (ws : workspace) cone =
+  let bits = Sim.cone_bits cone in
+  Array.to_list ws.c.Netlist.dffs
+  |> List.filter_map (fun (d : Netlist.dff) ->
+         if bit_set bits d.Netlist.q_output then Some d.Netlist.q_output
+         else None)
+  |> Array.of_list
+
+let generate ?(max_implications = 1500) ?(engine = `Cone) ws ~max_frames
     ~max_backtracks fault =
-  let tables = make_tables (Sim.circuit sim) in
   let implications = ref 0 and backtracks = ref 0 in
   let any_abort = ref false in
-  (* Each unrolling depth gets its own backtrack budget (an exhausted
-     search at a shallow depth says nothing about deeper ones, where the
-     extra frames make state controllable); the implication budget is
-     shared across depths so one hard fault cannot dominate the run. *)
-  let rec try_frames k =
-    if k > max_frames then
-      ( (if !any_abort then Aborted else No_test_in_frames),
-        { implications = !implications; backtracks = !backtracks } )
-    else begin
-      let ctx = make_ctx ~engine tables sim fault k in
-      let outcome =
-        search ctx ~max_backtracks
-          ~max_implications:(max 1 (max_implications - !implications))
-      in
-      implications := !implications + ctx.implications;
-      backtracks := !backtracks + ctx.backtracks;
-      match outcome with
-      | `Detected test ->
-        (Detected test, { implications = !implications; backtracks = !backtracks })
-      | `Abort ->
-        any_abort := true;
-        try_frames (k + 1)
-      | `No_test -> try_frames (k + 1)
-    end
+  let stats depth =
+    { implications = !implications; backtracks = !backtracks; depth }
   in
-  try_frames 1
+  if max_frames < 1 then (No_test_in_frames, stats 0)
+  else begin
+    let use_cone = engine = `Cone in
+    let cone = Sim.cone ws.sim fault.Fault.f_net in
+    let cone_qs = cone_qs ws cone in
+    (* Each unrolling depth gets its own backtrack budget (an exhausted
+       search at a shallow depth says nothing about deeper ones, where
+       the extra frames make state controllable); the implication budget
+       is shared across depths so one hard fault cannot dominate the
+       run. *)
+    let rec try_frames k =
+      if k > max_frames then
+        ((if !any_abort then Aborted else No_test_in_frames), stats max_frames)
+      else begin
+        let ctx = make_ctx ~use_cone ws fault cone cone_qs k in
+        let outcome =
+          search ctx ~max_backtracks
+            ~max_implications:(max 1 (max_implications - !implications))
+        in
+        implications := !implications + ctx.implications;
+        backtracks := !backtracks + ctx.backtracks;
+        match outcome with
+        | `Detected test -> (Detected test, stats k)
+        | `Abort ->
+          any_abort := true;
+          try_frames (k + 1)
+        | `No_test -> try_frames (k + 1)
+      end
+    in
+    try_frames 1
+  end

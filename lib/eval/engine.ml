@@ -24,6 +24,13 @@ type spec = {
   atpg : Atpg.config;
 }
 
+(* Every ATPG-aborted fault walks every unrolling depth up to
+   [max_frames], re-sweeping all frames at each, so its cost grows with
+   the square of the bound; one request for thousands of frames would
+   stall the single-threaded daemon for every caller. The paper tables
+   use 5. *)
+let max_frames_limit = 64
+
 (* The one range check every spec passes, built here or decoded from the
    wire: an out-of-range budget would otherwise either escape as a raw
    [Invalid_argument] from deep in the ATPG or alias an in-range spec
@@ -36,7 +43,7 @@ let check s =
       ("random_lanes", a.Atpg.random_lanes, 1, 64);
       ("random_cycles", a.Atpg.random_cycles, 0, max_int);
       ("random_batches", a.Atpg.random_batches, 0, max_int);
-      ("max_frames", a.Atpg.max_frames, 0, max_int);
+      ("max_frames", a.Atpg.max_frames, 0, max_frames_limit);
       ("max_backtracks", a.Atpg.max_backtracks, 0, max_int);
     ]
   in

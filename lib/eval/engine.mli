@@ -54,9 +54,9 @@ val spec :
     case is its message).
 
     The spec is range-checked — the same check {!spec_of_json} applies:
-    [bits >= 1], [1 <= random_lanes <= 64], and [random_cycles],
-    [random_batches], [max_frames] and [max_backtracks] all [>= 0].
-    A violation is an [Error] naming the field. *)
+    [bits >= 1], [1 <= random_lanes <= 64], [0 <= max_frames <= 64],
+    and [random_cycles], [random_batches] and [max_backtracks] all
+    [>= 0]. A violation is an [Error] naming the field. *)
 
 type request =
   | Synth of spec  (** synthesis only: schedule/allocation/area *)

@@ -146,10 +146,10 @@ let test_sim_deterministic () =
 
 let test_podem_detects_all_and_dff () =
   let c = and_dff () in
-  let sim = Sim.compile c in
+  let ws = Podem.workspace (Sim.compile c) in
   List.iter
     (fun f ->
-      match Podem.generate sim ~max_frames:3 ~max_backtracks:20 f with
+      match Podem.generate ws ~max_frames:3 ~max_backtracks:20 f with
       | Podem.Detected _, _ -> ()
       | (Podem.Aborted | Podem.No_test_in_frames), _ ->
         Alcotest.failf "missed %s" (F.to_string f))
@@ -162,9 +162,10 @@ let test_podem_tests_replay () =
   let sim = Sim.compile c in
   let pis = List.concat_map (fun (_, bus) -> bus) c.N.pis in
   let pos = List.concat_map (fun (_, bus) -> bus) c.N.pos in
+  let ws = Podem.workspace sim in
   List.iter
     (fun f ->
-      match Podem.generate sim ~max_frames:3 ~max_backtracks:20 f with
+      match Podem.generate ws ~max_frames:3 ~max_backtracks:20 f with
       | Podem.Detected test, _ ->
         let good = Sim.machine sim and bad = Sim.machine sim in
         let detected = ref false in
@@ -205,12 +206,12 @@ let test_podem_needs_frames_for_depth () =
   let q2 = B.dff b q1b in
   B.output b "o" [ q2 ];
   let c = B.finish b in
-  let sim = Sim.compile c in
+  let ws = Podem.workspace (Sim.compile c) in
   let fault = { F.f_net = List.hd a; f_stuck = F.Stuck_at_0 } in
-  (match Podem.generate sim ~max_frames:2 ~max_backtracks:50 fault with
+  (match Podem.generate ws ~max_frames:2 ~max_backtracks:50 fault with
   | Podem.Detected _, _ -> Alcotest.fail "2 frames cannot observe depth-2"
   | (Podem.No_test_in_frames | Podem.Aborted), _ -> ());
-  match Podem.generate sim ~max_frames:3 ~max_backtracks:50 fault with
+  match Podem.generate ws ~max_frames:3 ~max_backtracks:50 fault with
   | Podem.Detected test, _ ->
     Alcotest.(check int) "3-frame test" 3 (Array.length test.Podem.t_frames)
   | (Podem.No_test_in_frames | Podem.Aborted), _ ->

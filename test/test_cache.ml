@@ -317,6 +317,7 @@ let range_cases =
     ("random_lanes", -3, false);
     ("random_lanes", 0, false);
     ("max_frames", -2, false);
+    ("max_frames", 65, false);
     ("random_cycles", -1, false);
     ("random_batches", -1, false);
     ("max_backtracks", -1, false);
@@ -326,6 +327,7 @@ let range_cases =
     ("random_lanes", 64, true);
     ("random_cycles", 0, true);
     ("max_frames", 0, true);
+    ("max_frames", 64, true);
     ("max_backtracks", 0, true);
   ]
 

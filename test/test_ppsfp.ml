@@ -146,11 +146,12 @@ let random_trajectory sim =
    universe packed one per lane, shorter tests and unassigned inputs
    reading 0. *)
 let podem_trajectory sim faults =
+  let ws = Podem.workspace sim in
   let rec gen acc n = function
     | [] -> List.rev acc
     | _ when n = 64 -> List.rev acc
     | f :: rest -> (
-      match Podem.generate sim ~max_frames:5 ~max_backtracks:20 f with
+      match Podem.generate ws ~max_frames:5 ~max_backtracks:20 f with
       | Podem.Detected t, _ -> gen (t :: acc) (n + 1) rest
       | (Podem.Aborted | Podem.No_test_in_frames), _ -> gen acc n rest)
   in

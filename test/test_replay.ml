@@ -1,7 +1,9 @@
 (* PODEM's cone-limited search against its full-sweep reference
    ([`Full]): random sequential netlists x random faults, and every
    collapsed fault of a real data path, must agree bit-for-bit on the
-   verdict, the generated test and the effort counters. *)
+   verdict, the generated test and the effort counters. One workspace
+   serves a whole fault list, as in an ATPG run, and reusing it must
+   give what a fresh workspace per fault gives. *)
 
 module N = Hlts_netlist.Netlist
 module B = N.Builder
@@ -62,15 +64,15 @@ let prop_podem_matches_oracle =
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let c = random_netlist st in
-      let sim = Sim.compile c in
+      let ws = Podem.workspace (Sim.compile c) in
       List.for_all
         (fun fault ->
           let v1, s1 =
-            Podem.generate ~engine:`Cone sim ~max_frames:3 ~max_backtracks:10
+            Podem.generate ~engine:`Cone ws ~max_frames:3 ~max_backtracks:10
               fault
           in
           let v2, s2 =
-            Podem.generate ~engine:`Full sim ~max_frames:3 ~max_backtracks:10
+            Podem.generate ~engine:`Full ws ~max_frames:3 ~max_backtracks:10
               fault
           in
           if not (v1 = v2 && s1 = s2) then
@@ -88,17 +90,67 @@ let datapath bits =
   let etpn = Hlts_etpn.Etpn.build_exn d s binding in
   Hlts_netlist.Expand.circuit etpn ~bits
 
+let ex_datapath bits =
+  let o =
+    Hlts_eval.Eval.outcome Hlts_synth.Flows.Ours Hlts_dfg.Benchmarks.ex ~bits
+  in
+  Hlts_netlist.Expand.circuit o.Hlts_synth.Flows.etpn ~bits
+
 let test_podem_datapath () =
   let c = datapath 4 in
-  let sim = Sim.compile c in
+  let ws = Podem.workspace (Sim.compile c) in
   List.iter
     (fun fault ->
       let generate engine =
-        Podem.generate ~engine sim ~max_frames:5 ~max_backtracks:20 fault
+        Podem.generate ~engine ws ~max_frames:5 ~max_backtracks:20 fault
       in
       if generate `Cone <> generate `Full then
         Alcotest.failf "%s: engines disagree" (F.to_string fault))
     (F.collapsed_universe c)
+
+(* --- workspace reuse ------------------------------------------------------ *)
+
+let shuffle st l =
+  List.map (fun f -> (Random.State.bits st, f)) l
+  |> List.sort compare |> List.map snd
+
+(* One workspace carried through [faults] in order, [max_frames] rising
+   1 -> 5 along the list so its planes grow mid-list, against a fresh
+   workspace per fault: the first fault they disagree on, if any. *)
+let reuse_disagreement sim ~max_backtracks faults =
+  let ws = Podem.workspace sim in
+  let len = List.length faults in
+  List.mapi (fun i f -> (i, f)) faults
+  |> List.find_opt (fun (i, fault) ->
+         let max_frames = 1 + (i * 5 / len) in
+         let run ws = Podem.generate ws ~max_frames ~max_backtracks fault in
+         let reused = run ws in
+         reused <> run (Podem.workspace sim))
+  |> Option.map (fun (_, fault) -> F.to_string fault)
+
+let prop_workspace_reuse =
+  QCheck.Test.make ~name:"reused workspace = fresh workspace" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let c = random_netlist st in
+      match
+        reuse_disagreement (Sim.compile c) ~max_backtracks:10
+          (shuffle st (F.universe c))
+      with
+      | None -> true
+      | Some fault ->
+        QCheck.Test.fail_reportf "seed %d %s: reuse changes the result" seed
+          fault)
+
+let test_workspace_reuse circuit () =
+  let c = circuit () in
+  match
+    reuse_disagreement (Sim.compile c) ~max_backtracks:20
+      (shuffle (Random.State.make [| 7 |]) (F.collapsed_universe c))
+  with
+  | None -> ()
+  | Some fault -> Alcotest.failf "%s: reuse changes the result" fault
 
 let test_atpg_digest_stable () =
   let c = datapath 4 in
@@ -114,6 +166,14 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_podem_matches_oracle;
           Alcotest.test_case "toy datapath@4" `Quick test_podem_datapath;
+        ] );
+      ( "workspace",
+        [
+          QCheck_alcotest.to_alcotest prop_workspace_reuse;
+          Alcotest.test_case "reuse toy datapath@4" `Quick
+            (test_workspace_reuse (fun () -> datapath 4));
+          Alcotest.test_case "reuse ex@4" `Quick
+            (test_workspace_reuse (fun () -> ex_datapath 4));
         ] );
       ( "atpg",
         [ Alcotest.test_case "digest stable" `Quick test_atpg_digest_stable ] );
