@@ -6,11 +6,12 @@ type interval = {
   death : int;
 }
 
-(* Core interval computation, parameterized over the uses lookup so the
-   whole-design passes ([of_schedule], [occupancy]) can share one
-   precomputed value->readers index instead of scanning the op list per
-   value (which made each pass quadratic in the design size). *)
-let interval_core dfg sched ~uses_of v =
+(* Core interval computation. [length] is the schedule's length, taken
+   once per pass by the whole-design callers ([of_schedule],
+   [occupancy]): it is a fold over the schedule, and inputs and outputs
+   each need it. *)
+let interval_core dfg sched ~length v =
+  let uses = Dfg.uses_of_value dfg v in
   let def_step =
     match v with
     | Dfg.V_input _ ->
@@ -19,58 +20,30 @@ let interval_core dfg sched ~uses_of v =
       let first_use =
         List.fold_left
           (fun acc use -> min acc (Schedule.step sched use))
-          (Schedule.length sched + 1)
-          (uses_of v)
+          (length + 1) uses
       in
       first_use - 1
     | Dfg.V_op id -> Schedule.step sched id
   in
   let birth = def_step + 1 in
-  let uses = List.map (Schedule.step sched) (uses_of v) in
-  let uses =
-    if Dfg.is_output dfg v then (Schedule.length sched + 1) :: uses else uses
-  in
+  let uses = List.map (Schedule.step sched) uses in
+  let uses = if Dfg.is_output dfg v then (length + 1) :: uses else uses in
   let last_use = List.fold_left max def_step uses in
   (* A value with no reader still occupies its register for one step. *)
   { birth; death = max (last_use + 1) (birth + 1) }
 
 let interval_of dfg sched v =
-  interval_core dfg sched ~uses_of:(Dfg.uses_of_value dfg) v
-
-(* value -> reading op ids, one pass over the op list. Each reader
-   appears once per value even when both of its operands name the same
-   value (matching [Dfg.uses_of_value]); order is irrelevant to the
-   min/max folds above. *)
-let uses_index dfg =
-  let tbl = Hashtbl.create 64 in
-  let note v id =
-    Hashtbl.replace tbl v (id :: (try Hashtbl.find tbl v with Not_found -> []))
-  in
-  let value_of = function
-    | Dfg.Input name -> Some (Dfg.V_input name)
-    | Dfg.Op id -> Some (Dfg.V_op id)
-    | Dfg.Const _ -> None
-  in
-  List.iter
-    (fun o ->
-      let a, b = o.Dfg.args in
-      match value_of a, value_of b with
-      | Some va, Some vb when va = vb -> note va o.Dfg.id
-      | va, vb ->
-        Option.iter (fun v -> note v o.Dfg.id) va;
-        Option.iter (fun v -> note v o.Dfg.id) vb)
-    dfg.Dfg.ops;
-  fun v -> try Hashtbl.find tbl v with Not_found -> []
+  interval_core dfg sched ~length:(Schedule.length sched) v
 
 let of_schedule dfg sched =
-  let uses_of = uses_index dfg in
-  List.map (fun v -> (v, interval_core dfg sched ~uses_of v)) (Dfg.values dfg)
+  let length = Schedule.length sched in
+  List.map (fun v -> (v, interval_core dfg sched ~length v)) (Dfg.values dfg)
 
 let occupancy dfg sched =
-  let uses_of = uses_index dfg in
+  let length = Schedule.length sched in
   List.fold_left
     (fun acc v ->
-      let iv = interval_core dfg sched ~uses_of v in
+      let iv = interval_core dfg sched ~length v in
       acc + (iv.death - iv.birth))
     0 (Dfg.values dfg)
 

@@ -21,23 +21,59 @@ type value =
   | V_input of string
   | V_op of int
 
-(* [op_by_id] is on the hot path of every merger and scheduler query.
-   DFG values are immutable, so a hashtbl index keyed on the *physical*
-   record (a DFG is built once and threaded through a whole synthesis
-   run) replaces the O(ops) list scan. A short MRU list rather than a
-   single entry: evaluation pipelines interleave a handful of designs. *)
-let op_index =
+(* Lookups by op id, by value and by output name are on the hot path
+   of every merger, scheduler and lifetime query. DFG values are
+   immutable, so one index keyed on the *physical* record (a DFG is
+   built once and threaded through a whole synthesis run) replaces the
+   O(ops) list scans. A short MRU list rather than a single entry:
+   evaluation pipelines interleave a handful of designs. *)
+type index = {
+  by_id : (int, operation) Hashtbl.t;
+  readers : (value, int list) Hashtbl.t;
+      (* ids of the ops reading a value, in op order, each op once even
+         when both operands name the value *)
+  output_names : (string, unit) Hashtbl.t;
+}
+
+let make_index t =
+  let n = List.length t.ops in
+  let by_id = Hashtbl.create (2 * n) in
+  List.iter (fun o -> Hashtbl.replace by_id o.id o) t.ops;
+  let readers = Hashtbl.create (2 * n) in
+  let note v id =
+    Hashtbl.replace readers v
+      (id :: Option.value ~default:[] (Hashtbl.find_opt readers v))
+  in
+  let value_of = function
+    | Input name -> Some (V_input name)
+    | Op id -> Some (V_op id)
+    | Const _ -> None
+  in
+  (* reversed, so consing leaves each list in op order *)
+  List.iter
+    (fun o ->
+      let a, b = o.args in
+      match value_of a, value_of b with
+      | Some va, Some vb when va = vb -> note va o.id
+      | va, vb ->
+        Option.iter (fun v -> note v o.id) va;
+        Option.iter (fun v -> note v o.id) vb)
+    (List.rev t.ops);
+  let output_names = Hashtbl.create (List.length t.outputs) in
+  List.iter (fun name -> Hashtbl.replace output_names name ()) t.outputs;
+  { by_id; readers; output_names }
+
+let index =
   (* Atomic, not a plain ref: domain workers index shared DFGs
      concurrently, and an unsynchronized read of a half-published
      Hashtbl has no happens-before edge. CAS publishes a fully built
      index; a lost race merely rebuilds a duplicate (both are valid). *)
-  let cache : (t * (int, operation) Hashtbl.t) list Atomic.t = Atomic.make [] in
+  let cache : (t * index) list Atomic.t = Atomic.make [] in
   fun t ->
     match List.find_opt (fun (key, _) -> key == t) (Atomic.get cache) with
     | Some (_, index) -> index
     | None ->
-      let index = Hashtbl.create (2 * List.length t.ops) in
-      List.iter (fun o -> Hashtbl.replace index o.id o) t.ops;
+      let index = make_index t in
       let keep = function a :: b :: c :: _ -> [ a; b; c ] | l -> l in
       let rec publish () =
         let cur = Atomic.get cache in
@@ -47,7 +83,7 @@ let op_index =
       publish ();
       index
 
-let op_by_id t id = Hashtbl.find (op_index t) id
+let op_by_id t id = Hashtbl.find (index t).by_id id
 
 let op_by_result t name = List.find_opt (fun o -> o.result = name) t.ops
 
@@ -191,18 +227,9 @@ let values t =
   List.map (fun name -> V_input name) t.inputs @ op_values
 
 let uses_of_value t v =
-  let matches = function
-    | Input name, V_input name' -> String.equal name name'
-    | Op id, V_op id' -> id = id'
-    | (Input _ | Const _ | Op _), (V_input _ | V_op _) -> false
-  in
-  let reads o =
-    let a, b = o.args in
-    matches (a, v) || matches (b, v)
-  in
-  List.filter_map (fun o -> if reads o then Some o.id else None) t.ops
+  Option.value ~default:[] (Hashtbl.find_opt (index t).readers v)
 
-let is_output t v = List.mem (value_name t v) t.outputs
+let is_output t v = Hashtbl.mem (index t).output_names (value_name t v)
 
 let data_op_count t =
   List.length (List.filter (fun o -> not (Op.is_comparison o.kind)) t.ops)

@@ -72,7 +72,10 @@ val values : t -> value list
     Comparison results are excluded. *)
 
 val uses_of_value : t -> value -> int list
-(** Ids of operations reading the value. *)
+(** Ids of operations reading the value, in [ops] order, each once even
+    when both of its operands name the value. Like {!op_by_id} and
+    {!is_output}, a table lookup in an index built on the first query
+    against the (physical) DFG. *)
 
 val is_output : t -> value -> bool
 

@@ -23,6 +23,20 @@ type arc = {
   a_guards : int list;
 }
 
+(* Per-node lookup tables over [nodes] and [arcs], built once per
+   record: every estimator of a merge attempt (testability, candidate
+   scoring, the floorplanner) queries nodes and arcs by id, and a list
+   scan per query made each of them quadratic in the design size. Node
+   ids are dense ([build] numbers them 0..n-1 and a test point takes
+   the next one), so plain arrays index them. *)
+type index = {
+  kinds : node array;
+  ins : arc list array;  (* by destination, in arc-list order *)
+  outs : arc list array;  (* by source, in arc-list order *)
+  reg_nodes : int array;  (* reg id -> node id, -1 where absent *)
+  fu_nodes : int array;  (* fu id -> node id, -1 where absent *)
+}
+
 type t = {
   dfg : Dfg.t;
   schedule : Schedule.t;
@@ -30,7 +44,35 @@ type t = {
   nodes : (int * node) list;
   arcs : arc list;
   control : Petri.t;
+  index : index;
 }
+
+let make_index nodes arcs =
+  let kinds = Array.of_list (List.map snd nodes) in
+  let n = Array.length kinds in
+  let ins = Array.make n [] and outs = Array.make n [] in
+  List.iter
+    (fun a ->
+      ins.(a.a_dst) <- a :: ins.(a.a_dst);
+      outs.(a.a_src) <- a :: outs.(a.a_src))
+    (List.rev arcs);
+  (* reg/fu id -> node id of the first node carrying it, so a malformed
+     binding with a repeated id resolves as the former list search did *)
+  let first_node key =
+    let ids = Array.map key kinds in
+    let tbl = Array.make (1 + Array.fold_left max (-1) ids) (-1) in
+    for node = n - 1 downto 0 do
+      if ids.(node) >= 0 then tbl.(ids.(node)) <- node
+    done;
+    tbl
+  in
+  {
+    kinds;
+    ins;
+    outs;
+    reg_nodes = first_node (function Reg r -> r.Binding.reg_id | _ -> -1);
+    fu_nodes = first_node (function Fu fu -> fu.Binding.fu_id | _ -> -1);
+  }
 
 let build dfg schedule binding =
   Hlts_obs.span ~cat:"etpn" "etpn.build" @@ fun _ ->
@@ -125,14 +167,16 @@ let build dfg schedule binding =
             { a_src; a_dst; a_port; a_guards })
           grouped
       in
+      let nodes = List.sort compare !nodes in
       Ok
         {
           dfg;
           schedule;
           binding;
-          nodes = List.sort compare !nodes;
+          nodes;
           arcs;
           control = Petri.chain (Schedule.length schedule);
+          index = make_index nodes arcs;
         }
 
 let build_exn dfg schedule binding =
@@ -140,22 +184,21 @@ let build_exn dfg schedule binding =
   | Ok t -> t
   | Error msg -> invalid_arg ("Etpn.build: " ^ msg)
 
-let node t id = List.assoc id t.nodes
+let by_id tbl id =
+  if id < 0 || id >= Array.length tbl then raise Not_found else tbl.(id)
 
-let node_id_of_reg t reg_id =
-  let matches (_, n) =
-    match n with Reg r -> r.Binding.reg_id = reg_id | _ -> false
-  in
-  fst (List.find matches t.nodes)
+let node t id = by_id t.index.kinds id
 
-let node_id_of_fu t fu_id =
-  let matches (_, n) =
-    match n with Fu fu -> fu.Binding.fu_id = fu_id | _ -> false
-  in
-  fst (List.find matches t.nodes)
+let node_of tbl id =
+  let node = by_id tbl id in
+  if node < 0 then raise Not_found else node
 
-let in_arcs t id = List.filter (fun a -> a.a_dst = id) t.arcs
-let out_arcs t id = List.filter (fun a -> a.a_src = id) t.arcs
+let node_id_of_reg t reg_id = node_of t.index.reg_nodes reg_id
+let node_id_of_fu t fu_id = node_of t.index.fu_nodes fu_id
+
+let arcs_at tbl id = try by_id tbl id with Not_found -> []
+let in_arcs t id = arcs_at t.index.ins id
+let out_arcs t id = arcs_at t.index.outs id
 
 let execution_time t = Petri.execution_time t.control
 
@@ -268,7 +311,8 @@ let add_observation_point t ~reg_id =
         List.init (Hlts_sched.Schedule.length t.schedule + 2) Fun.id;
     }
   in
-  { t with nodes = t.nodes @ [ (fresh, port) ]; arcs = t.arcs @ [ arc ] }
+  let nodes = t.nodes @ [ (fresh, port) ] and arcs = t.arcs @ [ arc ] in
+  { t with nodes; arcs; index = make_index nodes arcs }
 
 let node_label t id =
   match node t id with

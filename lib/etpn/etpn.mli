@@ -32,14 +32,21 @@ type arc = {
                                step 0 = input loading, length+1 = output *)
 }
 
-type t = {
+type index
+(** Per-node lookup tables behind {!node}, {!in_arcs}, {!out_arcs} and
+    {!node_id_of_reg}/{!node_id_of_fu}, built with the record. *)
+
+type t = private {
   dfg : Hlts_dfg.Dfg.t;
   schedule : Hlts_sched.Schedule.t;
   binding : Hlts_alloc.Binding.t;
-  nodes : (int * node) list;   (** ascending node id *)
+  nodes : (int * node) list;   (** ascending node id, dense from 0 *)
   arcs : arc list;
   control : Hlts_petri.Petri.t;
+  index : index;
 }
+(** Private: only {!build} and {!add_observation_point} construct one,
+    so the index always describes [nodes] and [arcs]. *)
 
 val build :
   Hlts_dfg.Dfg.t ->
@@ -53,14 +60,22 @@ val build :
 val build_exn :
   Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> Hlts_alloc.Binding.t -> t
 
+(** The lookups below are O(1) reads of the record's index. *)
+
 val node : t -> int -> node
+(** @raise Not_found if no node has the id. *)
+
 val node_id_of_reg : t -> int -> int
-(** Node id of register [reg_id]. *)
+(** Node id of register [reg_id] (the first, should a binding repeat
+    it). @raise Not_found if no register node has the id. *)
 
 val node_id_of_fu : t -> int -> int
 
 val in_arcs : t -> int -> arc list
+(** Arcs into the node, in [arcs] order. *)
+
 val out_arcs : t -> int -> arc list
+(** Arcs out of the node, in [arcs] order. *)
 
 val execution_time : t -> int
 (** Critical path of the control net (the paper's E). *)

@@ -9,7 +9,9 @@ type result = {
 }
 
 (* Area of one data-path block given its incoming arcs, multiplexers
-   folded into the destination node that owns them. *)
+   folded into the destination node that owns them: one slice per
+   source beyond the first on each port, summed over the ports in the
+   order their first arc appears. *)
 let block_area etpn ~bits id in_arcs =
   let own =
     match Etpn.node etpn id with
@@ -18,94 +20,91 @@ let block_area etpn ~bits id in_arcs =
     | Etpn.Port_in _ | Etpn.Port_out _ | Etpn.Cond_out _ | Etpn.Const _ ->
       Module_library.port_area
   in
-  let mux =
-    let by_port = Hlts_util.Listx.group_by (fun a -> a.Etpn.a_port) in_arcs in
-    List.fold_left
-      (fun acc (_, arcs) ->
-        acc
-        +. float_of_int (max 0 (List.length arcs - 1))
-           *. Module_library.mux_slice_area ~bits)
-      0.0 by_port
+  let rec mux acc = function
+    | [] -> acc
+    | a :: _ as arcs ->
+      let same, rest =
+        List.partition (fun b -> b.Etpn.a_port = a.Etpn.a_port) arcs
+      in
+      let slices = float_of_int (List.length same - 1) in
+      mux (acc +. (slices *. Module_library.mux_slice_area ~bits)) rest
   in
-  own +. mux
+  own +. mux 0.0 in_arcs
+
+module Cells = Set.Make (struct
+  type t = int * int
+
+  let compare (i1, j1) (i2, j2) =
+    let c = Int.compare i1 i2 in
+    if c <> 0 then c else Int.compare j1 j2
+end)
+
+let around (i, j) = [ (i + 1, j); (i - 1, j); (i, j + 1); (i, j - 1) ]
 
 let plan etpn ~bits =
   let ids = List.map fst etpn.Etpn.nodes in
-  let connections = Etpn.interconnect etpn in
-  (* The planner is called once per merge attempt, so the per-node views
-     (degree, neighbour list, incoming arcs) are each built in one pass
-     instead of rescanning the arc/connection lists per query. *)
-  let degree_tbl = Hashtbl.create 64 in
-  let adj = Hashtbl.create 64 in
-  let note id n =
-    Hashtbl.replace degree_tbl id
-      (1 + Option.value ~default:0 (Hashtbl.find_opt degree_tbl id));
-    Hashtbl.replace adj id (n :: Option.value ~default:[] (Hashtbl.find_opt adj id))
+  let n = List.length ids in
+  let degree = Array.make n 0 and adj = Array.make n [] in
+  let note a b =
+    degree.(a) <- degree.(a) + 1;
+    adj.(a) <- b :: adj.(a)
   in
   List.iter
     (fun (a, b) -> if a = b then note a b else (note a b; note b a))
-    connections;
-  let degree id = Option.value ~default:0 (Hashtbl.find_opt degree_tbl id) in
-  let neighbours id = Option.value ~default:[] (Hashtbl.find_opt adj id) in
-  let in_arcs_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun a ->
-      Hashtbl.replace in_arcs_tbl a.Etpn.a_dst
-        (a :: Option.value ~default:[] (Hashtbl.find_opt in_arcs_tbl a.Etpn.a_dst)))
-    etpn.Etpn.arcs;
-  let in_arcs id =
-    (* reversed at read time so the per-node list keeps the arc-list
-       order, making the float summation in [block_area] bit-identical
-       to the former per-node [Etpn.in_arcs] filter *)
-    List.rev (Option.value ~default:[] (Hashtbl.find_opt in_arcs_tbl id))
-  in
+    (Etpn.interconnect etpn);
   let order =
-    List.sort (fun a b -> compare (degree b, a) (degree a, b)) ids
+    List.sort
+      (fun a b ->
+        let c = Int.compare degree.(b) degree.(a) in
+        if c <> 0 then c else Int.compare a b)
+      ids
   in
   (* Slot grid: pitch derived from the average block size so distances are
      in mm. *)
-  let areas = List.map (fun id -> (id, block_area etpn ~bits id (in_arcs id))) ids in
-  let cell_area = Hlts_util.Listx.sum_by snd areas in
-  let pitch = sqrt (cell_area /. float_of_int (max 1 (List.length ids))) in
-  let occupied = Hashtbl.create 64 in
-  let slot_of = Hashtbl.create 64 in
-  let place id (i, j) =
-    Hashtbl.replace occupied (i, j) id;
-    Hashtbl.replace slot_of id (i, j)
-  in
-  let frontier () =
-    let cells = Hashtbl.fold (fun cell _ acc -> cell :: acc) occupied [] in
-    let around (i, j) =
-      [ (i + 1, j); (i - 1, j); (i, j + 1); (i, j - 1) ]
-    in
-    List.sort_uniq compare
-      (List.filter
-         (fun c -> not (Hashtbl.mem occupied c))
-         (List.concat_map around cells))
-  in
-  let wire_to id (i, j) =
+  let cell_area =
     Hlts_util.Listx.sum_by
-      (fun n ->
-        match Hashtbl.find_opt slot_of n with
-        | None -> 0.0
-        | Some (ni, nj) -> float_of_int (abs (i - ni) + abs (j - nj)))
-      (neighbours id)
+      (fun id -> block_area etpn ~bits id (Etpn.in_arcs etpn id))
+      ids
   in
+  let pitch = sqrt (cell_area /. float_of_int (max 1 n)) in
+  (* [frontier] holds exactly the free cells next to an occupied one, so
+     a placement takes O(log n) to keep it and never rescans the grid. *)
+  let slot = Array.make n None in
+  let occupied = ref Cells.empty and frontier = ref Cells.empty in
+  let place id cell =
+    slot.(id) <- Some cell;
+    occupied := Cells.add cell !occupied;
+    frontier :=
+      List.fold_left
+        (fun acc c -> if Cells.mem c !occupied then acc else Cells.add c acc)
+        (Cells.remove cell !frontier) (around cell)
+  in
+  (* Each block goes to the frontier cell with the least Manhattan wire
+     length to its placed neighbours, summed exactly in int. The fold
+     runs in ascending cell order and keeps the first minimum (strict
+     [<]), so ties go to the least cell. *)
   let place_next id =
-    if Hashtbl.length occupied = 0 then place id (0, 0)
+    if Cells.is_empty !occupied then place id (0, 0)
     else begin
-      let candidates = frontier () in
-      let best =
-        Hlts_util.Listx.min_by (fun c -> wire_to id c) candidates
+      let placed = List.filter_map (fun nb -> slot.(nb)) adj.(id) in
+      let wire (i, j) =
+        List.fold_left
+          (fun acc (ni, nj) -> acc + abs (i - ni) + abs (j - nj))
+          0 placed
       in
-      match best with
-      | Some c -> place id c
-      | None -> place id (Hashtbl.length occupied, 0)
+      let best =
+        Cells.fold
+          (fun c ((_, best_len) as best) ->
+            let len = wire c in
+            if len < best_len then (c, len) else best)
+          !frontier ((0, 0), max_int)
+      in
+      place id (fst best)
     end
   in
   List.iter place_next order;
   let center id =
-    let i, j = Hashtbl.find slot_of id in
+    let i, j = Option.get slot.(id) in
     (float_of_int i *. pitch, float_of_int j *. pitch)
   in
   let wire_cost =

@@ -1,7 +1,8 @@
-(* The per-fault fault-simulation reference the property tests hold the
-   product grader ({!Hlts_sim.Ppsfp}) against. Built from the public
-   [Sim] API alone, so it shares no code path with what it checks
-   beyond gate evaluation itself. *)
+(* Reference implementations the property tests hold product code
+   against: the per-fault fault simulation behind the product grader
+   ({!Hlts_sim.Ppsfp}), and the list-scan definitions behind the indexed
+   DFG, ETPN and floorplan views. Each is built from public APIs alone,
+   so it shares no code path with what it checks. *)
 
 module Sim = Hlts_sim.Sim
 module Fault = Hlts_fault.Fault
@@ -38,3 +39,151 @@ let replay_full ?(mask = -1L) t (m : Sim.machine) (fault : Fault.t) tr ~evals =
     end
   in
   cycle 0
+
+(* --- list-scan definitions of the indexed design views ---------------- *)
+
+module Dfg = Hlts_dfg.Dfg
+module Etpn = Hlts_etpn.Etpn
+module Binding = Hlts_alloc.Binding
+module Floorplan = Hlts_floorplan.Floorplan
+module Module_library = Hlts_floorplan.Module_library
+
+(* [Dfg.uses_of_value]: a filter over the op list. *)
+let uses_of_value dfg v =
+  let matches = function
+    | Dfg.Input name, Dfg.V_input name' -> String.equal name name'
+    | Dfg.Op id, Dfg.V_op id' -> id = id'
+    | (Dfg.Input _ | Dfg.Const _ | Dfg.Op _), (Dfg.V_input _ | Dfg.V_op _) ->
+      false
+  in
+  let reads o =
+    let a, b = o.Dfg.args in
+    matches (a, v) || matches (b, v)
+  in
+  List.filter_map
+    (fun o -> if reads o then Some o.Dfg.id else None)
+    dfg.Dfg.ops
+
+let is_output dfg v = List.mem (Dfg.value_name dfg v) dfg.Dfg.outputs
+
+(* The [Etpn] accessors as scans of [nodes] and [arcs]. *)
+let etpn_node etpn id = List.assoc id etpn.Etpn.nodes
+let etpn_in_arcs etpn id = List.filter (fun a -> a.Etpn.a_dst = id) etpn.Etpn.arcs
+let etpn_out_arcs etpn id = List.filter (fun a -> a.Etpn.a_src = id) etpn.Etpn.arcs
+
+let etpn_node_id_of_reg etpn reg_id =
+  let matches (_, n) =
+    match n with Etpn.Reg r -> r.Binding.reg_id = reg_id | _ -> false
+  in
+  fst (List.find matches etpn.Etpn.nodes)
+
+let etpn_node_id_of_fu etpn fu_id =
+  let matches (_, n) =
+    match n with Etpn.Fu fu -> fu.Binding.fu_id = fu_id | _ -> false
+  in
+  fst (List.find matches etpn.Etpn.nodes)
+
+(* The O(n^2) floorplanner: hashtables per plan, and a frontier rebuilt
+   from every occupied cell on every placement, sorted, then searched
+   with [min_by] (first minimum wins). [Floorplan.plan] must reproduce
+   it bit for bit. *)
+let floorplan_block_area etpn ~bits id in_arcs =
+  let own =
+    match etpn_node etpn id with
+    | Etpn.Reg _ -> Module_library.reg_area ~bits
+    | Etpn.Fu fu -> Module_library.fu_area fu.Binding.fu_class ~bits
+    | Etpn.Port_in _ | Etpn.Port_out _ | Etpn.Cond_out _ | Etpn.Const _ ->
+      Module_library.port_area
+  in
+  let mux =
+    let by_port = Hlts_util.Listx.group_by (fun a -> a.Etpn.a_port) in_arcs in
+    List.fold_left
+      (fun acc (_, arcs) ->
+        acc
+        +. float_of_int (max 0 (List.length arcs - 1))
+           *. Module_library.mux_slice_area ~bits)
+      0.0 by_port
+  in
+  own +. mux
+
+let floorplan_plan etpn ~bits =
+  let ids = List.map fst etpn.Etpn.nodes in
+  let connections = Etpn.interconnect etpn in
+  let degree_tbl = Hashtbl.create 64 in
+  let adj = Hashtbl.create 64 in
+  let note id n =
+    Hashtbl.replace degree_tbl id
+      (1 + Option.value ~default:0 (Hashtbl.find_opt degree_tbl id));
+    Hashtbl.replace adj id (n :: Option.value ~default:[] (Hashtbl.find_opt adj id))
+  in
+  List.iter
+    (fun (a, b) -> if a = b then note a b else (note a b; note b a))
+    connections;
+  let degree id = Option.value ~default:0 (Hashtbl.find_opt degree_tbl id) in
+  let neighbours id = Option.value ~default:[] (Hashtbl.find_opt adj id) in
+  let order =
+    List.sort (fun a b -> compare (degree b, a) (degree a, b)) ids
+  in
+  let areas =
+    List.map
+      (fun id -> (id, floorplan_block_area etpn ~bits id (etpn_in_arcs etpn id)))
+      ids
+  in
+  let cell_area = Hlts_util.Listx.sum_by snd areas in
+  let pitch = sqrt (cell_area /. float_of_int (max 1 (List.length ids))) in
+  let occupied = Hashtbl.create 64 in
+  let slot_of = Hashtbl.create 64 in
+  let place id (i, j) =
+    Hashtbl.replace occupied (i, j) id;
+    Hashtbl.replace slot_of id (i, j)
+  in
+  let frontier () =
+    let cells = Hashtbl.fold (fun cell _ acc -> cell :: acc) occupied [] in
+    let around (i, j) =
+      [ (i + 1, j); (i - 1, j); (i, j + 1); (i, j - 1) ]
+    in
+    List.sort_uniq compare
+      (List.filter
+         (fun c -> not (Hashtbl.mem occupied c))
+         (List.concat_map around cells))
+  in
+  let wire_to id (i, j) =
+    Hlts_util.Listx.sum_by
+      (fun n ->
+        match Hashtbl.find_opt slot_of n with
+        | None -> 0.0
+        | Some (ni, nj) -> float_of_int (abs (i - ni) + abs (j - nj)))
+      (neighbours id)
+  in
+  let place_next id =
+    if Hashtbl.length occupied = 0 then place id (0, 0)
+    else
+      match Hlts_util.Listx.min_by (fun c -> wire_to id c) (frontier ()) with
+      | Some c -> place id c
+      | None -> assert false (* the frontier of a non-empty grid *)
+  in
+  List.iter place_next order;
+  let center id =
+    let i, j = Hashtbl.find slot_of id in
+    (float_of_int i *. pitch, float_of_int j *. pitch)
+  in
+  let wire_cost =
+    Hlts_util.Listx.sum_by
+      (fun a ->
+        let x1, y1 = center a.Etpn.a_src and x2, y2 = center a.Etpn.a_dst in
+        let len = abs_float (x1 -. x2) +. abs_float (y1 -. y2) in
+        let wid =
+          match etpn_node etpn a.Etpn.a_dst with
+          | Etpn.Cond_out _ -> Module_library.wire_width ~bits:1
+          | Etpn.Reg _ | Etpn.Fu _ | Etpn.Port_in _ | Etpn.Port_out _
+          | Etpn.Const _ -> Module_library.wire_width ~bits
+        in
+        len *. wid)
+      etpn.Etpn.arcs
+  in
+  {
+    Floorplan.cell_area;
+    wire_cost;
+    total = cell_area +. wire_cost;
+    placement = List.map (fun id -> (id, center id)) ids;
+  }

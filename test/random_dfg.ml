@@ -1,0 +1,39 @@
+(* Small random DFGs for the index-coherence properties. Unlike
+   [Benchmarks.random], these exercise the corners an index must get
+   right: ops reading one value through both operands, constants,
+   comparisons, sparse op ids, and outputs that are primary inputs. *)
+
+module Dfg = Hlts_dfg.Dfg
+module Op = Hlts_dfg.Op
+module Rng = Hlts_util.Rng
+
+let make seed =
+  let rng = Rng.create seed in
+  let inputs = List.init (1 + Rng.int rng 4) (Printf.sprintf "i%d") in
+  let n_ops = 1 + Rng.int rng 20 in
+  (* data values readable so far, as operands *)
+  let data = ref (List.map (fun i -> Dfg.Input i) inputs) in
+  let operand () =
+    if Rng.int rng 6 = 0 then Dfg.Const (Rng.int rng 16)
+    else Rng.pick rng (Array.of_list !data)
+  in
+  let ops =
+    List.init n_ops (fun k ->
+        let id = (3 * k) + 1 in
+        let kind =
+          Rng.pick rng [| Op.Add; Op.Sub; Op.Mul; Op.Add; Op.Lt; Op.Xor |]
+        in
+        let a = operand () in
+        let b = if Rng.int rng 4 = 0 then a else operand () in
+        if not (Op.is_comparison kind) then data := Dfg.Op id :: !data;
+        { Dfg.id; kind; args = (a, b); result = Printf.sprintf "v%d" id })
+  in
+  let names =
+    List.filter_map
+      (function Dfg.Input i -> Some i | Dfg.Op id -> Some (Printf.sprintf "v%d" id) | Dfg.Const _ -> None)
+      !data
+  in
+  let outputs = List.filter (fun _ -> Rng.int rng 3 = 0) names in
+  let outputs = if outputs = [] then [ List.hd names ] else outputs in
+  Dfg.validate_exn
+    { Dfg.name = Printf.sprintf "rand%d" seed; inputs; ops; outputs }

@@ -46,6 +46,29 @@ let prop_death_after_birth =
         (fun (_, iv) -> iv.Lifetime.death > iv.Lifetime.birth)
         (Lifetime.of_schedule d s))
 
+let prop_occupancy_sums_intervals =
+  (* the one-pass SR2 metric and the per-value lifetimes agree, under
+     ASAP and under a stretched ALAP schedule *)
+  QCheck.Test.make ~name:"occupancy = summed of_schedule intervals" ~count:200
+    QCheck.(pair (int_bound 1_000_000) (int_bound 3))
+    (fun (seed, slack) ->
+      let d = Random_dfg.make seed in
+      let cons = Constraints.of_dfg d in
+      let a = Basic.asap_exn cons in
+      let latency = Schedule.length a + slack in
+      let schedules =
+        match Basic.alap cons ~latency with Ok l -> [ a; l ] | Error _ -> [ a ]
+      in
+      List.for_all
+        (fun s ->
+          let ivs = Lifetime.of_schedule d s in
+          Lifetime.occupancy d s
+          = List.fold_left
+              (fun acc (_, iv) -> acc + (iv.Lifetime.death - iv.Lifetime.birth))
+              0 ivs
+          && List.for_all (fun (v, iv) -> Lifetime.interval_of d s v = iv) ivs)
+        schedules)
+
 (* --- left edge --------------------------------------------------------- *)
 
 let test_left_edge_valid_everywhere () =
@@ -242,6 +265,7 @@ let () =
           Alcotest.test_case "toy lifetimes" `Quick test_toy_lifetimes;
           Alcotest.test_case "overlap" `Quick test_overlap;
           QCheck_alcotest.to_alcotest prop_death_after_birth;
+          QCheck_alcotest.to_alcotest prop_occupancy_sums_intervals;
         ] );
       ( "left_edge",
         [

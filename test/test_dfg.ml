@@ -264,6 +264,52 @@ let prop_value_of_name_roundtrip =
           | None -> false)
         (Dfg.values d))
 
+(* Every value a query can name: data values, comparison results (never
+   read), and an input the design does not have. *)
+let probe_values d =
+  Dfg.values d
+  @ List.map (fun o -> Dfg.V_op o.Dfg.id) d.Dfg.ops
+  @ [ Dfg.V_input "nonesuch" ]
+
+let prop_value_index_coherent =
+  QCheck.Test.make ~name:"uses_of_value/is_output = list scans" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let d = Random_dfg.make seed in
+      List.for_all
+        (fun v ->
+          Dfg.uses_of_value d v = Oracle.uses_of_value d v
+          && Dfg.is_output d v = Oracle.is_output d v)
+        (probe_values d))
+
+let test_value_index_shared_operands () =
+  (* one op reading an input through both operands lists it once *)
+  let d =
+    Dfg.validate_exn
+      {
+        Dfg.name = "twice";
+        inputs = [ "a"; "b" ];
+        ops =
+          [
+            { Dfg.id = 1; kind = Op.Mul; args = (Dfg.Input "a", Dfg.Input "a"); result = "sq" };
+            { Dfg.id = 2; kind = Op.Add; args = (Dfg.Op 1, Dfg.Input "a"); result = "s" };
+            { Dfg.id = 3; kind = Op.Add; args = (Dfg.Op 2, Dfg.Op 2); result = "t" };
+          ];
+        outputs = [ "t"; "b" ];
+      }
+  in
+  Alcotest.(check (list int)) "a" [ 1; 2 ] (Dfg.uses_of_value d (Dfg.V_input "a"));
+  Alcotest.(check (list int)) "b unread" [] (Dfg.uses_of_value d (Dfg.V_input "b"));
+  Alcotest.(check (list int)) "s" [ 3 ] (Dfg.uses_of_value d (Dfg.V_op 2));
+  Alcotest.(check bool) "input output" true (Dfg.is_output d (Dfg.V_input "b"));
+  Alcotest.(check bool) "op output" true (Dfg.is_output d (Dfg.V_op 3));
+  Alcotest.(check bool) "internal" false (Dfg.is_output d (Dfg.V_op 1));
+  List.iter
+    (fun v ->
+      Alcotest.(check (list int)) "= scan" (Oracle.uses_of_value d v)
+        (Dfg.uses_of_value d v))
+    (probe_values d)
+
 let () =
   Alcotest.run "hlts_dfg"
     [
@@ -292,6 +338,9 @@ let () =
             test_values_exclude_conditions;
           Alcotest.test_case "longest chain" `Quick test_longest_chain;
           QCheck_alcotest.to_alcotest prop_value_of_name_roundtrip;
+          Alcotest.test_case "value index: shared operands" `Quick
+            test_value_index_shared_operands;
+          QCheck_alcotest.to_alcotest prop_value_index_coherent;
         ] );
       ( "benchmarks",
         [

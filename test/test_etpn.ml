@@ -220,6 +220,49 @@ let prop_arc_endpoints_exist =
         (fun a -> List.mem a.Etpn.a_src ids && List.mem a.Etpn.a_dst ids)
         etpn.Etpn.arcs)
 
+(* [f] and its list-scan definition agree, [Not_found] included *)
+let same f g x =
+  let result h = match h x with y -> Some y | exception Not_found -> None in
+  result f = result g
+
+let accessors_coherent etpn =
+  let n = List.length etpn.Etpn.nodes in
+  let ids = List.init (n + 2) (fun i -> i - 1) in
+  let regs = List.map (fun r -> r.Binding.reg_id) etpn.Etpn.binding.Binding.registers in
+  let fus = List.map (fun f -> f.Binding.fu_id) etpn.Etpn.binding.Binding.fus in
+  List.for_all (same (Etpn.node etpn) (Oracle.etpn_node etpn)) ids
+  && List.for_all (same (Etpn.in_arcs etpn) (Oracle.etpn_in_arcs etpn)) ids
+  && List.for_all (same (Etpn.out_arcs etpn) (Oracle.etpn_out_arcs etpn)) ids
+  && List.for_all
+       (same (Etpn.node_id_of_reg etpn) (Oracle.etpn_node_id_of_reg etpn))
+       (-1 :: List.length regs :: regs)
+  && List.for_all
+       (same (Etpn.node_id_of_fu etpn) (Oracle.etpn_node_id_of_fu etpn))
+       (-1 :: List.length fus :: fus)
+
+let prop_accessors_coherent =
+  QCheck.Test.make ~name:"indexed accessors = list scans" ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let d = Random_dfg.make seed in
+      let s = asap d in
+      List.for_all
+        (fun binding ->
+          let etpn = Etpn.build_exn d s binding in
+          (* test points one at a time, then all stacked *)
+          let tapped =
+            List.map
+              (fun r -> Etpn.add_observation_point etpn ~reg_id:r.Binding.reg_id)
+              binding.Binding.registers
+          in
+          let stacked =
+            List.fold_left
+              (fun e r -> Etpn.add_observation_point e ~reg_id:r.Binding.reg_id)
+              etpn binding.Binding.registers
+          in
+          List.for_all accessors_coherent (etpn :: stacked :: tapped))
+        [ Binding.default d; Binding.allocate d s ])
+
 let () =
   Alcotest.run "hlts_etpn"
     [
@@ -245,5 +288,6 @@ let () =
           Alcotest.test_case "unrolled loop control" `Quick test_control_unrolled;
           Alcotest.test_case "observation point" `Quick test_observation_point;
           QCheck_alcotest.to_alcotest prop_arc_endpoints_exist;
+          QCheck_alcotest.to_alcotest prop_accessors_coherent;
         ] );
     ]

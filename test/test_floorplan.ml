@@ -7,6 +7,9 @@ module B = Hlts_dfg.Benchmarks
 module Binding = Hlts_alloc.Binding
 module Constraints = Hlts_sched.Constraints
 module Basic = Hlts_sched.Basic
+module State = Hlts_synth.State
+module Merge = Hlts_synth.Merge
+module Rng = Hlts_util.Rng
 open Hlts_floorplan
 
 let asap d = Basic.asap_exn (Constraints.of_dfg d)
@@ -99,6 +102,66 @@ let prop_wire_cost_nonnegative =
       let r = Floorplan.plan (build d) ~bits in
       r.Floorplan.wire_cost >= 0.0)
 
+(* --- the planner against its O(n^2) reference ------------------------ *)
+
+(* Bit-for-bit: every float compared through its hex rendering. *)
+let plan_matches_oracle etpn ~bits =
+  let render r =
+    ( Printf.sprintf "%h %h %h" r.Floorplan.cell_area r.Floorplan.wire_cost
+        r.Floorplan.total,
+      List.map
+        (fun (id, (x, y)) -> Printf.sprintf "%d:%h,%h" id x y)
+        r.Floorplan.placement )
+  in
+  render (Floorplan.plan etpn ~bits) = render (Oracle.floorplan_plan etpn ~bits)
+
+(* The state after [steps] random merger attempts from the default
+   allocation: each attempt that succeeds is committed, so the ETPNs
+   cover shared units, shared registers and their multiplexers. *)
+let random_trajectory rng d steps =
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let rec go s k =
+    if k = 0 then s
+    else
+      let fus = s.State.binding.Binding.fus
+      and regs = s.State.binding.Binding.registers in
+      let outcome =
+        if Rng.bool rng && List.length fus >= 2 then
+          Merge.modules s ~bits:8 (pick fus).Binding.fu_id (pick fus).Binding.fu_id
+        else if List.length regs >= 2 then
+          Merge.registers s ~bits:8 (pick regs).Binding.reg_id
+            (pick regs).Binding.reg_id
+        else None
+      in
+      go (match outcome with Some o -> o.Merge.state | None -> s) (k - 1)
+  in
+  go (State.init d) steps
+
+let prop_plan_matches_oracle =
+  QCheck.Test.make ~name:"plan = O(n^2) reference planner" ~count:60
+    QCheck.(triple (int_bound 1_000_000) (int_range 2 40) (int_bound 12))
+    (fun (seed, ops, steps) ->
+      let rng = Rng.create seed in
+      let d = B.random ~seed ~ops in
+      let etpn = State.etpn (random_trajectory rng d steps) in
+      List.for_all (fun bits -> plan_matches_oracle etpn ~bits) [ 4; 8; 16 ])
+
+let test_plan_matches_oracle_benchmarks () =
+  List.iter
+    (fun (name, d) ->
+      let rng = Rng.create 7 in
+      List.iter
+        (fun etpn ->
+          List.iter
+            (fun bits ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s@%d = reference" name bits)
+                true
+                (plan_matches_oracle etpn ~bits))
+            [ 4; 8; 16 ])
+        [ build d; State.etpn (State.init d); State.etpn (random_trajectory rng d 8) ])
+    B.all
+
 let () =
   Alcotest.run "hlts_floorplan"
     [
@@ -113,5 +176,8 @@ let () =
           Alcotest.test_case "sharing reduces cells" `Quick test_sharing_reduces_cells;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           QCheck_alcotest.to_alcotest prop_wire_cost_nonnegative;
+          Alcotest.test_case "benchmarks = reference" `Quick
+            test_plan_matches_oracle_benchmarks;
+          QCheck_alcotest.to_alcotest prop_plan_matches_oracle;
         ] );
     ]
