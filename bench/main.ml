@@ -10,11 +10,10 @@ module Flows = Hlts_synth.Flows
 module Eval = Hlts_eval.Eval
 module Render = Hlts_eval.Render
 module Experiments = Hlts_eval.Experiments
-module Pool = Hlts_pool.Pool
 
 let usage =
   "bench/main.exe [--table 1|2|3|extra] [-j N] [--figure 1|2|3] \
-   [--ablation params|balance] [--bechamel] [--trace FILE] [--seed N] [--json FILE] [--json-bench NAMES] [--json-pool FILE] \
+   [--ablation params|balance] [--bechamel] [--trace FILE] [--seed N] [--json FILE] [--json-bench NAMES] \
    [--json-atpg FILE] [--json-serve FILE] [--all]"
 
 let atpg_config seed = { Hlts_atpg.Atpg.default_config with Hlts_atpg.Atpg.seed }
@@ -355,86 +354,6 @@ let run_json ~only file =
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s (%d entries)\n%!" file (List.length entries)
-
-(* --- JSON pool microbenchmark (BENCH_pool.json) --------------------- *)
-
-(* Costs of the worker pool on this host: dispatch throughput on no-op
-   tasks, single-task round-trip latency, payload-carrying replies, and
-   an instrumented (tally-capturing) task versus the same task on a
-   passive pool.
-
-   Everything here is wall-clock and host-dependent; nothing is
-   asserted or drift-gated. The passive tally scenario assumes no
-   ambient sink, so run --json-pool without --trace. *)
-
-let pool_tally_task n =
-  Hlts_obs.span ~cat:"bench" "pool.task" (fun _ ->
-      Hlts_obs.count "bench.pool.tasks";
-      Hlts_obs.count ~by:n "bench.pool.sum";
-      Hlts_obs.sample "bench.pool.item" (float_of_int n);
-      Hlts_obs.gauge "bench.pool.depth" (float_of_int (n mod 7));
-      n)
-
-let run_json_pool file =
-  let jobs = 4 in
-  (* [n] tasks through a fresh pool of [f], timed by [drive] *)
-  let entry scenario n f drive =
-    let wall_s =
-      Pool.with_pool ~name:"bench.pool" ~jobs f @@ fun pool ->
-      let t0 = Hlts_obs.Clock.now_ns () in
-      drive pool n;
-      Hlts_obs.Clock.seconds_since t0
-    in
-    Printf.printf "json-pool: %s: %d tasks in %.3fs\n%!" scenario n wall_s;
-    let open Hlts_obs.Json in
-    Obj
-      [
-        ("scenario", Str scenario);
-        ("jobs", Int jobs);
-        ("tasks", Int n);
-        ("wall_s", Float wall_s);
-        ( "tasks_per_s",
-          Float (if wall_s > 0.0 then float_of_int n /. wall_s else 0.0) );
-        ("task_us", Float (wall_s *. 1e6 /. float_of_int n));
-      ]
-  in
-  (* pipelined dispatch *)
-  let mapped pool n = ignore (Pool.map pool (List.init n Fun.id)) in
-  (* one task in flight at a time: submit-to-await round-trip *)
-  let one_by_one pool n =
-    for i = 1 to n do
-      ignore (Pool.await pool (Pool.submit pool i))
-    done
-  in
-  let noop = entry "noop" 2000 (fun (i : int) -> i) mapped in
-  let roundtrip = entry "roundtrip" 400 (fun (i : int) -> i) one_by_one in
-  let payload =
-    entry "payload64k" 128
-      (fun i -> String.make 65536 (Char.chr (i land 0xff)))
-      mapped
-  in
-  let tally_passive = entry "tally_passive" 512 pool_tally_task mapped in
-  let tally_instrumented =
-    Hlts_obs.with_sink
-      (Hlts_obs.Summary.sink (Hlts_obs.Summary.create ()))
-      (fun () -> entry "tally_instrumented" 512 pool_tally_task mapped)
-  in
-  let entries = [ noop; roundtrip; payload; tally_passive; tally_instrumented ] in
-  let doc =
-    Hlts_obs.Json.(
-      Obj
-        [
-          ("schema", Str "hlts-bench-pool/2");
-          ("host", host_json ~jobs:[ jobs ]);
-          ("res", res_json ());
-          ("scenarios", List entries);
-        ])
-  in
-  let oc = open_out file in
-  output_string oc (Hlts_obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d scenarios)\n%!" file (List.length entries)
 
 (* --- JSON ATPG perf trajectory (BENCH_atpg.json) -------------------- *)
 
@@ -790,9 +709,6 @@ let () =
         Arg.String
           (fun s -> json_only := String.split_on_char ',' s),
         "NAMES  restrict --json to a comma-separated benchmark subset" );
-      ( "--json-pool",
-        Arg.String (fun f -> add (fun () -> run_json_pool f)),
-        "FILE   write the pool transport microbenchmark (BENCH_pool.json)" );
       ( "--json-atpg",
         Arg.String
           (fun f ->

@@ -15,7 +15,9 @@ type stats = {
   depth : int;
 }
 
-type engine = [ `Cone | `Full ]
+(* The total three-valued resimulations spent on one fault across all
+   unrolling depths. *)
+let implication_budget = 1500
 
 (* three-valued logic on 0 / 1 / 2=X *)
 let x = 2
@@ -38,9 +40,6 @@ type workspace = {
   c : Netlist.t;
   n : int;                       (* nets per frame *)
   ops : Sim.ops;
-  order : Netlist.gate array;    (* levelized, for the full engine *)
-  pi_arr : int array;
-  po_arr : int array;
   is_pi : Bytes.t;               (* net -> '\001' iff a primary input *)
   driver : int array;            (* net -> levelized driver gate, or -1 *)
   dff_of_q : int array;          (* net -> dff id whose Q it is, or -1 *)
@@ -70,9 +69,8 @@ type workspace = {
 let workspace sim =
   let c = Sim.circuit sim in
   let n = c.Netlist.n_nets in
-  let pi_arr = Sim.pi_nets sim in
   let is_pi = Bytes.make n '\000' in
-  Array.iter (fun net -> Bytes.set is_pi net '\001') pi_arr;
+  Array.iter (fun net -> Bytes.set is_pi net '\001') (Sim.pi_nets sim);
   let fan_idx, fan_gates = Sim.fanout_gates sim in
   let dfan_idx, dfan_dffs = Sim.fanout_dffs sim in
   let n_gates = Array.length c.Netlist.gates in
@@ -82,9 +80,6 @@ let workspace sim =
     c;
     n;
     ops = Sim.ops sim;
-    order = Sim.levelized sim;
-    pi_arr;
-    po_arr = Sim.po_nets sim;
     is_pi;
     driver = Sim.driver_index sim;
     dff_of_q = Sim.dff_of_q sim;
@@ -167,12 +162,10 @@ type ctx = {
   guard : int;                   (* backtrace step bound *)
   mutable implications : int;
   mutable backtracks : int;
-  (* cone engine (bit-identical to the full engine, property-tested):
-     the faulty value can differ from the good one only inside the
+  (* the faulty value can differ from the good one only inside the
      site's sequential output cone, so [fv] is swept over the cone's
      gates only (outside it holds the good values), and the D-frontier
-     and detection scans are restricted to cone gates / cone POs. *)
-  use_cone : bool;
+     and detection scans are restricted to cone gates / cone POs *)
   cone_gates : int array;
   cone_pos : int array;
   cone_bits : Bytes.t;
@@ -189,7 +182,7 @@ type ctx = {
    prefix of [asg] to X (nothing reads past the prefix). [gv] and [fv]
    need no reset: the context's first sweep writes every net of the
    prefix that anything reads (every read net has a driver). *)
-let make_ctx ~use_cone (ws : workspace) fault cone cone_qs frames =
+let make_ctx (ws : workspace) fault cone cone_qs frames =
   let n = ws.n in
   let len = frames * n in
   if ws.cap < frames then grow ws frames
@@ -206,7 +199,6 @@ let make_ctx ~use_cone (ws : workspace) fault cone cone_qs frames =
     guard = frames * (ws.ops.Sim.n_gates + n) + 16;
     implications = 0;
     backtracks = 0;
-    use_cone;
     cone_gates = Sim.cone_gates cone;
     cone_pos = Sim.cone_pos cone;
     cone_bits = Sim.cone_bits cone;
@@ -214,95 +206,6 @@ let make_ctx ~use_cone (ws : workspace) fault cone cone_qs frames =
     pending = [];
     swept = false;
   }
-
-(* --- full engine: the pre-cone reference ------------------------------- *)
-
-let simulate_full ctx =
-  let ws = ctx.ws in
-  for f = 0 to ctx.frames - 1 do
-    let base = f * ctx.n in
-    (* sources *)
-    ctx.gv.(base + ws.c.Netlist.const0) <- 0;
-    ctx.fv.(base + ws.c.Netlist.const0) <- 0;
-    ctx.gv.(base + ws.c.Netlist.const1) <- 1;
-    ctx.fv.(base + ws.c.Netlist.const1) <- 1;
-    Array.iter
-      (fun net ->
-        let v = ctx.asg.(base + net) in
-        ctx.gv.(base + net) <- v;
-        ctx.fv.(base + net) <- v)
-      ws.pi_arr;
-    Array.iter
-      (fun (d : Netlist.dff) ->
-        if f = 0 then begin
-          ctx.gv.(base + d.Netlist.q_output) <- x;
-          ctx.fv.(base + d.Netlist.q_output) <- x
-        end
-        else begin
-          let prev = (f - 1) * ctx.n + d.Netlist.d_input in
-          ctx.gv.(base + d.Netlist.q_output) <- ctx.gv.(prev);
-          ctx.fv.(base + d.Netlist.q_output) <- ctx.fv.(prev)
-        end)
-      ws.c.Netlist.dffs;
-    (* fault forcing on source nets *)
-    if ws.driver.(ctx.site) < 0 then
-      ctx.fv.(base + ctx.site) <- ctx.sv;
-    (* sweep *)
-    let gv = ctx.gv and fv = ctx.fv in
-    Array.iter
-      (fun (g : Netlist.gate) ->
-        let out = base + g.Netlist.output in
-        (match g.Netlist.kind, g.Netlist.inputs with
-        | Netlist.G_not, [ a ] ->
-          gv.(out) <- t_not gv.(base + a);
-          fv.(out) <- t_not fv.(base + a)
-        | Netlist.G_buf, [ a ] ->
-          gv.(out) <- gv.(base + a);
-          fv.(out) <- fv.(base + a)
-        | Netlist.G_and, [ a; b ] ->
-          gv.(out) <- t_and gv.(base + a) gv.(base + b);
-          fv.(out) <- t_and fv.(base + a) fv.(base + b)
-        | Netlist.G_or, [ a; b ] ->
-          gv.(out) <- t_or gv.(base + a) gv.(base + b);
-          fv.(out) <- t_or fv.(base + a) fv.(base + b)
-        | Netlist.G_nand, [ a; b ] ->
-          gv.(out) <- t_not (t_and gv.(base + a) gv.(base + b));
-          fv.(out) <- t_not (t_and fv.(base + a) fv.(base + b))
-        | Netlist.G_nor, [ a; b ] ->
-          gv.(out) <- t_not (t_or gv.(base + a) gv.(base + b));
-          fv.(out) <- t_not (t_or fv.(base + a) fv.(base + b))
-        | Netlist.G_xor, [ a; b ] ->
-          gv.(out) <- t_xor gv.(base + a) gv.(base + b);
-          fv.(out) <- t_xor fv.(base + a) fv.(base + b)
-        | Netlist.G_xnor, [ a; b ] ->
-          gv.(out) <- t_not (t_xor gv.(base + a) gv.(base + b));
-          fv.(out) <- t_not (t_xor fv.(base + a) fv.(base + b))
-        | Netlist.G_mux2, [ s_; a; b ] ->
-          gv.(out) <- t_mux gv.(base + s_) gv.(base + a) gv.(base + b);
-          fv.(out) <- t_mux fv.(base + s_) fv.(base + a) fv.(base + b)
-        | ( Netlist.G_and | Netlist.G_or | Netlist.G_nand | Netlist.G_nor
-          | Netlist.G_xor | Netlist.G_xnor | Netlist.G_not | Netlist.G_buf
-          | Netlist.G_mux2 ), _ ->
-          invalid_arg "Podem.simulate: corrupt gate");
-        if g.Netlist.output = ctx.site then fv.(out) <- ctx.sv)
-      ws.order
-  done
-
-let detected_full ctx =
-  let rec frame f =
-    if f >= ctx.frames then false
-    else
-      let base = f * ctx.n in
-      Array.exists
-        (fun po ->
-          let g = ctx.gv.(base + po) and fl = ctx.fv.(base + po) in
-          g <> x && fl <> x && g <> fl)
-        ctx.ws.po_arr
-      || frame (f + 1)
-  in
-  frame 0
-
-(* --- cone engine ------------------------------------------------------- *)
 
 let bit_set b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -508,7 +411,7 @@ let sweep_events ctx =
   Array.fill !cur 0 (Array.length !cur) 0;
   Array.fill !nxt 0 (Array.length !nxt) 0
 
-let simulate_cone ctx =
+let sweep ctx =
   (if not ctx.swept then begin
      ctx.swept <- true;
      first_sweep ctx
@@ -516,76 +419,16 @@ let simulate_cone ctx =
    else sweep_events ctx);
   ctx.pending <- []
 
-let rec detected_cone ctx f i =
+let rec detected_in ctx f i =
   if f >= ctx.frames then false
-  else if i >= Array.length ctx.cone_pos then detected_cone ctx (f + 1) 0
+  else if i >= Array.length ctx.cone_pos then detected_in ctx (f + 1) 0
   else begin
     let j = (f * ctx.n) + Array.unsafe_get ctx.cone_pos i in
     let g = ctx.gv.(j) and fl = ctx.fv.(j) in
-    (g <> x && fl <> x && g <> fl) || detected_cone ctx f (i + 1)
+    (g <> x && fl <> x && g <> fl) || detected_in ctx f (i + 1)
   end
 
-let simulate ctx =
-  ctx.implications <- ctx.implications + 1;
-  if ctx.use_cone then simulate_cone ctx else simulate_full ctx
-
-let detected ctx =
-  if ctx.use_cone then detected_cone ctx 0 0 else detected_full ctx
-
-(* Candidate D-frontier objectives of the full engine, best first: gates
-   with a D on an input and X on their output, late frames and late
-   levels first (closest to the outputs). The caller takes the first one
-   whose backtrace reaches an unassigned primary input. *)
-let objectives_full ctx =
-  let acc = ref [] in
-  for f = 0 to ctx.frames - 1 do
-    let base = f * ctx.n in
-    let order = ctx.ws.order in
-    for gi = 0 to Array.length order - 1 do
-      let g = order.(gi) in
-      let out = base + g.Netlist.output in
-      let out_x = ctx.gv.(out) = x || ctx.fv.(out) = x in
-      if out_x then begin
-        let carries_d net =
-          let i = base + net in
-          ctx.gv.(i) <> x && ctx.fv.(i) <> x && ctx.gv.(i) <> ctx.fv.(i)
-        in
-        if List.exists carries_d g.Netlist.inputs then begin
-          let pick =
-            match g.Netlist.kind, g.Netlist.inputs with
-            | (Netlist.G_and | Netlist.G_nand), inputs ->
-              List.find_opt (fun net -> ctx.gv.(base + net) = x) inputs
-              |> Option.map (fun net -> (net, 1))
-            | (Netlist.G_or | Netlist.G_nor), inputs ->
-              List.find_opt (fun net -> ctx.gv.(base + net) = x) inputs
-              |> Option.map (fun net -> (net, 0))
-            | (Netlist.G_xor | Netlist.G_xnor), inputs ->
-              List.find_opt (fun net -> ctx.gv.(base + net) = x) inputs
-              |> Option.map (fun net -> (net, 0))
-            | (Netlist.G_not | Netlist.G_buf), _ -> None
-            | Netlist.G_mux2, [ s_; a; b ] ->
-              if ctx.gv.(base + s_) = x then begin
-                (* route the data input that carries the D *)
-                if carries_d a then Some (s_, 0)
-                else if carries_d b then Some (s_, 1)
-                else Some (s_, 0)
-              end
-              else if ctx.gv.(base + s_) = 0 && ctx.gv.(base + a) = x then
-                Some (a, 0)
-              else if ctx.gv.(base + s_) = 1 && ctx.gv.(base + b) = x then
-                Some (b, 0)
-              else None
-            | Netlist.G_mux2, _ -> None
-          in
-          match pick with
-          | Some (net, v) -> acc := (f, net, v) :: !acc
-          | None -> ()
-        end
-      end
-    done
-  done;
-  (* reversed scan order: latest frame / deepest gate first *)
-  !acc
+let detected ctx = detected_in ctx 0 0
 
 (* A decision — primary input [net] of frame [f] set to [v] — is encoded
    as [((f * n + net) lsl 1) lor v], -1 meaning none; an objective inside
@@ -710,7 +553,7 @@ let frame_has_d ctx base =
   || any_d ctx.gv ctx.fv base ctx.cone_qs (Array.length ctx.cone_qs - 1)
 
 (* D-frontier scan fused with the backtrace: candidates are tried in the
-   order the full engine's objective list is consumed — latest frame
+   order a whole-circuit objective list would be consumed — latest frame
    first, deepest cone gate first (the restriction to the cone is exact:
    a non-cone gate reads no cone net, so never sees a D; so is skipping
    a frame with no D) — and the scan stops at the first candidate whose
@@ -768,23 +611,30 @@ let rec activate ctx f =
   end
   else activate ctx (f + 1)
 
-let rec first_reachable ctx = function
-  | [] -> -1
-  | (f, net, v) :: rest ->
-    let d = backtrace ctx f net v in
-    if d >= 0 then d else first_reachable ctx rest
+(* The steps the search delegates: the cone-restricted ones above in
+   {!generate}, a caller's in {!Test_hook.generate}. *)
+type ctx_steps = {
+  sweep_planes : ctx -> unit;
+  detect_po : ctx -> bool;
+  dfrontier_step : ctx -> int;
+}
 
-let decide ctx =
-  if not (activated ctx) then activate ctx 0
-  else if ctx.use_cone then dfrontier ctx
-  else first_reachable ctx (objectives_full ctx)
+let cone_steps =
+  { sweep_planes = sweep; detect_po = detected; dfrontier_step = dfrontier }
+
+let decide steps ctx =
+  if not (activated ctx) then activate ctx 0 else steps.dfrontier_step ctx
 
 let set_input ctx f net v =
   let i = (f * ctx.n) + net in
   ctx.asg.(i) <- v;
   ctx.pending <- i :: ctx.pending
 
-let search ctx ~max_backtracks ~max_implications =
+let search steps ctx ~max_backtracks ~implication_limit =
+  let simulate ctx =
+    ctx.implications <- ctx.implications + 1;
+    steps.sweep_planes ctx
+  in
   (* decision stack: (frame, net, value, already flipped); its entries
      are exactly the current assignments *)
   let stack = ref [] in
@@ -810,10 +660,10 @@ let search ctx ~max_backtracks ~max_implications =
       end
   in
   let rec loop () =
-    if detected ctx then `Detected (extract_test ctx !stack)
-    else if ctx.implications > max_implications then `Abort
+    if steps.detect_po ctx then `Detected (extract_test ctx !stack)
+    else if ctx.implications > implication_limit then `Abort
     else begin
-      let d = decide ctx in
+      let d = decide steps ctx in
       if d < 0 then begin
         match backtrack () with
         | `No_test -> `No_test
@@ -842,8 +692,7 @@ let cone_qs (ws : workspace) cone =
          else None)
   |> Array.of_list
 
-let generate ?(max_implications = 1500) ?(engine = `Cone) ws ~max_frames
-    ~max_backtracks fault =
+let run steps ws ~max_frames ~max_backtracks fault =
   let implications = ref 0 and backtracks = ref 0 in
   let any_abort = ref false in
   let stats depth =
@@ -851,7 +700,6 @@ let generate ?(max_implications = 1500) ?(engine = `Cone) ws ~max_frames
   in
   if max_frames < 1 then (No_test_in_frames, stats 0)
   else begin
-    let use_cone = engine = `Cone in
     let cone = Sim.cone ws.sim fault.Fault.f_net in
     let cone_qs = cone_qs ws cone in
     (* Each unrolling depth gets its own backtrack budget (an exhausted
@@ -863,10 +711,10 @@ let generate ?(max_implications = 1500) ?(engine = `Cone) ws ~max_frames
       if k > max_frames then
         ((if !any_abort then Aborted else No_test_in_frames), stats max_frames)
       else begin
-        let ctx = make_ctx ~use_cone ws fault cone cone_qs k in
+        let ctx = make_ctx ws fault cone cone_qs k in
         let outcome =
-          search ctx ~max_backtracks
-            ~max_implications:(max 1 (max_implications - !implications))
+          search steps ctx ~max_backtracks
+            ~implication_limit:(max 1 (implication_budget - !implications))
         in
         implications := !implications + ctx.implications;
         backtracks := !backtracks + ctx.backtracks;
@@ -880,3 +728,48 @@ let generate ?(max_implications = 1500) ?(engine = `Cone) ws ~max_frames
     in
     try_frames 1
   end
+
+let generate ws ~max_frames ~max_backtracks fault =
+  run cone_steps ws ~max_frames ~max_backtracks fault
+
+module Test_hook = struct
+  type view = {
+    frames : int;
+    n : int;
+    site : int;
+    sv : int;
+    gv : int array;
+    fv : int array;
+    asg : int array;
+  }
+
+  type steps = {
+    sweep : view -> unit;
+    detect : view -> bool;
+    dfrontier : view -> backtrace:(int -> int -> int -> int) -> int;
+  }
+
+  let view (ctx : ctx) =
+    {
+      frames = ctx.frames;
+      n = ctx.n;
+      site = ctx.site;
+      sv = ctx.sv;
+      gv = ctx.gv;
+      fv = ctx.fv;
+      asg = ctx.asg;
+    }
+
+  let generate (s : steps) ws ~max_frames ~max_backtracks fault =
+    run
+      {
+        sweep_planes =
+          (fun ctx ->
+            s.sweep (view ctx);
+            ctx.pending <- []);
+        detect_po = (fun ctx -> s.detect (view ctx));
+        dfrontier_step =
+          (fun ctx -> s.dfrontier (view ctx) ~backtrace:(backtrace ctx));
+      }
+      ws ~max_frames ~max_backtracks fault
+end

@@ -17,6 +17,15 @@
     visibly more effort, which is exactly the behaviour the paper's
     sequential-depth argument predicts.
 
+    There is one engine: the faulty plane is swept, and the D-frontier
+    and detection scans run, only inside the fault site's sequential
+    output cone ({!Hlts_sim.Sim.cone}); everything outside it provably
+    carries the good value. The one other entry point,
+    {!Test_hook}, exists for the test suite alone: it lets a full-sweep
+    reference replace those three cone-restricted steps and keep the
+    rest of the search, so that tests can check the restriction
+    bit-for-bit.
+
     All searches of one ATPG run share one {!workspace}: it reads the
     circuit through the tables {!Hlts_sim.Sim.compile} already built
     (driver, flip-flop and primary-input indexes, fanout CSRs, the
@@ -38,7 +47,10 @@ type test = {
 
 type verdict =
   | Detected of test
-  | No_test_in_frames  (** search exhausted within the frame budget *)
+  | No_test_in_frames
+      (** search exhausted within the frame budget. The backtrace
+          commits to one input per objective, so this is not a proof
+          that no test exists. *)
   | Aborted            (** backtrack limit hit *)
 
 type stats = {
@@ -49,14 +61,6 @@ type stats = {
           detected, [max_frames] otherwise *)
 }
 
-type engine = [ `Cone | `Full ]
-(** [`Cone] (the default) restricts the faulty plane, the D-frontier
-    scan and the detection scan to the fault site's sequential output
-    cone ({!Hlts_sim.Sim.cone}); everything outside the cone provably
-    carries the good value, so verdicts, tests and stats are
-    bit-identical to [`Full] — the pre-cone full-sweep search, the
-    reference the property tests compare against. *)
-
 type workspace
 
 val workspace : Hlts_sim.Sim.t -> workspace
@@ -64,12 +68,66 @@ val workspace : Hlts_sim.Sim.t -> workspace
     plane until the first {!generate}. *)
 
 val generate :
-  ?max_implications:int ->
-  ?engine:engine ->
   workspace ->
   max_frames:int ->
   max_backtracks:int ->
   Hlts_fault.Fault.t ->
   verdict * stats
-(** [max_implications] (default 1500) bounds the total three-valued
-    resimulations spent on one fault across all unrolling depths. *)
+(** The search of one fault, unrolling 1 to [max_frames] frames. Each
+    depth has its own [max_backtracks]; the budget of 1500
+    three-valued resimulations is shared by all depths. A depth that
+    exhausts either budget makes the verdict [Aborted] unless a deeper
+    one finds a test. *)
+
+(** {2 Test-only hook}
+
+    Not for product code: the test suite's full-sweep reference PODEM
+    plugs in here. {!Test_hook.generate} runs the very search
+    {!generate} runs — contexts, activation, backtrace, backtracking,
+    the depth loop, the budgets and the stats — with the three steps
+    that {!generate} restricts to the fault site's output cone
+    ({!Hlts_sim.Sim.cone}) supplied by the caller. Comparing the two
+    therefore checks exactly the cone restriction. *)
+
+module Test_hook : sig
+  type view = {
+    frames : int;  (** unrolling depth *)
+    n : int;
+        (** nets per frame: plane entry [f * n + net] is [net] in frame
+            [f] *)
+    site : int;  (** the fault's net *)
+    sv : int;  (** its stuck value, 0 or 1 *)
+    gv : int array;  (** good plane: 0, 1 or 2 = X *)
+    fv : int array;  (** faulty plane: 0, 1 or 2 = X *)
+    asg : int array;
+        (** the primary-input assignment: 0, 1 or 2 = X (undecided);
+            read-only *)
+  }
+  (** The search state at one depth. Only the first [frames * n]
+      entries of each plane belong to it. *)
+
+  type steps = {
+    sweep : view -> unit;
+        (** three-valued simulation of both planes over all [frames]
+            from [asg]: X initial state, the fault forced in every
+            frame *)
+    detect : view -> bool;
+        (** does some frame's primary output carry a D or D-bar (both
+            planes defined and different)? *)
+    dfrontier : view -> backtrace:(int -> int -> int -> int) -> int;
+        (** the D-frontier step once the fault is activated.
+            [backtrace f net v] walks the objective "[net] of frame [f]
+            to [v]" back to an undecided primary input and returns that
+            decision, or a negative number when it dead-ends. The step
+            returns the first non-negative decision over its objectives,
+            or -1. *)
+  }
+
+  val generate :
+    steps ->
+    workspace ->
+    max_frames:int ->
+    max_backtracks:int ->
+    Hlts_fault.Fault.t ->
+    verdict * stats
+end

@@ -131,7 +131,20 @@ module Json = struct
                | 'u' ->
                  advance ();
                  if !pos + 4 > n then fail "bad \\u escape";
-                 let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+                 (* exactly four hex digits: no sign, blank or
+                    underscore *)
+                 let hex c =
+                   match c with
+                   | '0' .. '9' -> Char.code c - Char.code '0'
+                   | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+                   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+                   | _ -> fail "bad \\u escape"
+                 in
+                 let code = ref 0 in
+                 for i = 0 to 3 do
+                   code := (!code lsl 4) lor hex s.[!pos + i]
+                 done;
+                 let code = !code in
                  pos := !pos + 4;
                  (* BMP code points as UTF-8; enough for anything the
                     emitter produces *)

@@ -1,8 +1,11 @@
 (* Reference implementations the property tests hold product code
    against: the per-fault fault simulation behind the product grader
-   ({!Hlts_sim.Ppsfp}), and the list-scan definitions behind the indexed
-   DFG, ETPN and floorplan views. Each is built from public APIs alone,
-   so it shares no code path with what it checks. *)
+   ({!Hlts_sim.Ppsfp}), PODEM's full-sweep steps, and the list-scan
+   definitions behind the indexed DFG, ETPN and floorplan views. Each is
+   built from public APIs alone. The PODEM reference is the one that
+   shares code with what it checks, by design: what it checks is the
+   cone restriction, so it plugs full-sweep steps into the product
+   search through [Podem.Test_hook] and keeps everything else. *)
 
 module Sim = Hlts_sim.Sim
 module Fault = Hlts_fault.Fault
@@ -39,6 +42,134 @@ let replay_full ?(mask = -1L) t (m : Sim.machine) (fault : Fault.t) tr ~evals =
     end
   in
   cycle 0
+
+(* --- PODEM without the cone restriction -------------------------------- *)
+
+module Netlist = Hlts_netlist.Netlist
+module Hook = Hlts_atpg.Podem.Test_hook
+
+(* three-valued logic on 0 / 1 / 2=X *)
+let x = 2
+let t_not a = if a = x then x else 1 - a
+let t_and a b = if a = 0 || b = 0 then 0 else if a = 1 && b = 1 then 1 else x
+let t_or a b = if a = 1 || b = 1 then 1 else if a = 0 && b = 0 then 0 else x
+let t_xor a b = if a = x || b = x then x else a lxor b
+
+let t_mux s a b =
+  if s = 0 then a else if s = 1 then b else if a = b && a <> x then a else x
+
+(* Full-sweep steps for [Podem.Test_hook.generate]: both planes are
+   recomputed over every gate of every frame, every PO of every frame is
+   scanned, and the D-frontier is collected over the whole circuit
+   before the first objective whose backtrace reaches an undecided PI is
+   taken. *)
+let podem_full_steps sim : Hook.steps =
+  let c = Sim.circuit sim in
+  let order = Sim.levelized sim in
+  let pis = Sim.pi_nets sim and pos = Sim.po_nets sim in
+  let sweep (v : Hook.view) =
+    let gv = v.Hook.gv and fv = v.Hook.fv in
+    for f = 0 to v.Hook.frames - 1 do
+      let base = f * v.Hook.n in
+      let load net g fl =
+        gv.(base + net) <- g;
+        fv.(base + net) <- fl
+      in
+      load c.Netlist.const0 0 0;
+      load c.Netlist.const1 1 1;
+      Array.iter
+        (fun net -> load net v.Hook.asg.(base + net) v.Hook.asg.(base + net))
+        pis;
+      Array.iter
+        (fun (d : Netlist.dff) ->
+          if f = 0 then load d.Netlist.q_output x x
+          else begin
+            let prev = ((f - 1) * v.Hook.n) + d.Netlist.d_input in
+            load d.Netlist.q_output gv.(prev) fv.(prev)
+          end)
+        c.Netlist.dffs;
+      (* forcing a gate-driven site here too is harmless: its driver
+         overwrites it below, before any reader sees it *)
+      fv.(base + v.Hook.site) <- v.Hook.sv;
+      Array.iter
+        (fun (g : Netlist.gate) ->
+          let out = base + g.Netlist.output in
+          let eval p =
+            match g.Netlist.kind, g.Netlist.inputs with
+            | Netlist.G_not, [ a ] -> t_not p.(base + a)
+            | Netlist.G_buf, [ a ] -> p.(base + a)
+            | Netlist.G_and, [ a; b ] -> t_and p.(base + a) p.(base + b)
+            | Netlist.G_or, [ a; b ] -> t_or p.(base + a) p.(base + b)
+            | Netlist.G_nand, [ a; b ] -> t_not (t_and p.(base + a) p.(base + b))
+            | Netlist.G_nor, [ a; b ] -> t_not (t_or p.(base + a) p.(base + b))
+            | Netlist.G_xor, [ a; b ] -> t_xor p.(base + a) p.(base + b)
+            | Netlist.G_xnor, [ a; b ] -> t_not (t_xor p.(base + a) p.(base + b))
+            | Netlist.G_mux2, [ s; a; b ] ->
+              t_mux p.(base + s) p.(base + a) p.(base + b)
+            | _ -> invalid_arg "Oracle.podem_full_steps: corrupt gate"
+          in
+          gv.(out) <- eval gv;
+          fv.(out) <- (if g.Netlist.output = v.Hook.site then v.Hook.sv else eval fv))
+        order
+    done
+  in
+  let carries_d (v : Hook.view) i =
+    v.Hook.gv.(i) <> x && v.Hook.fv.(i) <> x && v.Hook.gv.(i) <> v.Hook.fv.(i)
+  in
+  let detect (v : Hook.view) =
+    List.exists
+      (fun f -> Array.exists (fun po -> carries_d v ((f * v.Hook.n) + po)) pos)
+      (List.init v.Hook.frames Fun.id)
+  in
+  (* D-frontier objectives, best first: gates with a D on an input and
+     X on their output, latest frame and deepest level first; each asks
+     for its non-controlling value on its first X input (mux: the
+     select routing the D) *)
+  let objectives (v : Hook.view) =
+    let gv = v.Hook.gv in
+    let acc = ref [] in
+    for f = 0 to v.Hook.frames - 1 do
+      let base = f * v.Hook.n in
+      Array.iter
+        (fun (g : Netlist.gate) ->
+          let out = base + g.Netlist.output in
+          let d net = carries_d v (base + net) in
+          if (gv.(out) = x || v.Hook.fv.(out) = x) && List.exists d g.Netlist.inputs
+          then begin
+            let first_x value =
+              List.find_opt (fun net -> gv.(base + net) = x) g.Netlist.inputs
+              |> Option.map (fun net -> (net, value))
+            in
+            let pick =
+              match g.Netlist.kind, g.Netlist.inputs with
+              | (Netlist.G_and | Netlist.G_nand), _ -> first_x 1
+              | (Netlist.G_or | Netlist.G_nor | Netlist.G_xor | Netlist.G_xnor), _
+                -> first_x 0
+              | (Netlist.G_not | Netlist.G_buf), _ -> None
+              | Netlist.G_mux2, [ s; a; b ] ->
+                if gv.(base + s) = x then
+                  Some (s, if (not (d a)) && d b then 1 else 0)
+                else if gv.(base + s) = 0 && gv.(base + a) = x then Some (a, 0)
+                else if gv.(base + s) = 1 && gv.(base + b) = x then Some (b, 0)
+                else None
+              | Netlist.G_mux2, _ -> None
+            in
+            Option.iter (fun (net, value) -> acc := (f, net, value) :: !acc) pick
+          end)
+        order
+    done;
+    !acc
+  in
+  let dfrontier v ~backtrace =
+    let rec first = function
+      | [] -> -1
+      | (f, net, value) :: rest ->
+        let d = backtrace f net value in
+        if d >= 0 then d else first rest
+    in
+    first (objectives v)
+  in
+  { Hook.sweep; detect; dfrontier }
 
 (* --- list-scan definitions of the indexed design views ---------------- *)
 

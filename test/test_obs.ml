@@ -147,6 +147,22 @@ let test_json_roundtrip () =
   | Ok _ -> Alcotest.fail "truncated input accepted"
   | Error _ -> ()
 
+(* A [\u] escape takes exactly four hex digits; anything else is a parse
+   error, never an exception (a daemon reads these off the socket). *)
+let test_json_unicode_escape () =
+  let open Obs.Json in
+  List.iter
+    (fun bad ->
+      match of_string (Printf.sprintf "\"%s\"" bad) with
+      | Ok _ -> Alcotest.failf "%S accepted" bad
+      | Error _ -> ()
+      | exception e ->
+        Alcotest.failf "%S raised %s" bad (Printexc.to_string e))
+    [ "\\uZZZZ"; "\\u-123"; "\\u 12 "; "\\u1_23"; "\\u12" ];
+  match of_string "\"\\u00e9\\u00C9\"" with
+  | Ok v -> Alcotest.(check bool) "\\u00e9 decodes" true (v = Str "\xc3\xa9\xc3\x89")
+  | Error e -> Alcotest.failf "\\u00e9 rejected: %s" e
+
 (* --- file sinks --------------------------------------------------------- *)
 
 let run_workload () =
@@ -734,6 +750,7 @@ let () =
       ( "formats",
         [
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "json unicode escape" `Quick test_json_unicode_escape;
           Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_wellformed;
           Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_wellformed;

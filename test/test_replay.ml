@@ -1,9 +1,11 @@
-(* PODEM's cone-limited search against its full-sweep reference
-   ([`Full]): random sequential netlists x random faults, and every
-   collapsed fault of a real data path, must agree bit-for-bit on the
-   verdict, the generated test and the effort counters. One workspace
-   serves a whole fault list, as in an ATPG run, and reusing it must
-   give what a fresh workspace per fault gives. *)
+(* PODEM's cone-limited search against the same search with full-sweep
+   steps ([Oracle.podem_full_steps]): random sequential netlists x
+   random faults, and every collapsed fault of a real data path, must
+   agree bit-for-bit on the verdict, the generated test and the effort
+   counters. One workspace serves a whole fault list, as in an ATPG run,
+   and reusing it must give what a fresh workspace per fault gives.
+   Every test PODEM reports on a small random netlist must detect its
+   fault from every power-up state. *)
 
 module N = Hlts_netlist.Netlist
 module B = N.Builder
@@ -56,30 +58,100 @@ let random_fault st c =
   let faults = F.universe c in
   List.nth faults (Random.State.int st (List.length faults))
 
-(* --- Podem `Cone vs `Full ------------------------------------------------ *)
+(* --- cone search vs full-sweep reference --------------------------------- *)
 
+let reference sim ws ~max_frames ~max_backtracks fault =
+  Podem.Test_hook.generate (Oracle.podem_full_steps sim) ws ~max_frames
+    ~max_backtracks fault
+
+(* The name keeps the engines' former names: [`Cone] is the product
+   search, [`Full] the reference. *)
 let prop_podem_matches_oracle =
   QCheck.Test.make ~name:"Podem `Cone = Podem `Full" ~count:100
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let c = random_netlist st in
-      let ws = Podem.workspace (Sim.compile c) in
+      let sim = Sim.compile c in
+      let ws = Podem.workspace sim in
       List.for_all
         (fun fault ->
           let v1, s1 =
-            Podem.generate ~engine:`Cone ws ~max_frames:3 ~max_backtracks:10
-              fault
+            Podem.generate ws ~max_frames:3 ~max_backtracks:10 fault
           in
           let v2, s2 =
-            Podem.generate ~engine:`Full ws ~max_frames:3 ~max_backtracks:10
-              fault
+            reference sim ws ~max_frames:3 ~max_backtracks:10 fault
           in
           if not (v1 = v2 && s1 = s2) then
             QCheck.Test.fail_reportf "seed %d %s: engines disagree" seed
               (F.to_string fault);
           true)
         (List.init 3 (fun _ -> random_fault st c)))
+
+(* --- Detected tests against binary replay -------------------------------- *)
+
+(* The power-up state word of flip-flop [d] when lane [j] holds state
+   [j]: bit [j] is bit [d] of [j]. *)
+let power_up_word ~states d =
+  let w = ref 0L in
+  for j = 0 to states - 1 do
+    if (j lsr d) land 1 = 1 then w := Int64.logor !w (Int64.shift_left 1L j)
+  done;
+  !w
+
+(* Does [test] detect [fault] in binary simulation from every power-up
+   state? The 2^dffs states run side by side, one per lane, in a good
+   and a faulty machine; unassigned PIs read 0, as in [Atpg.pack_tests].
+   Every lane must see a PO differ in some frame. *)
+let detects_from_every_state sim (test : Podem.test) fault =
+  let n_dffs = Array.length (Sim.circuit sim).N.dffs in
+  assert (n_dffs <= 6);
+  let states = 1 lsl n_dffs in
+  let all = if states = 64 then -1L else Int64.pred (Int64.shift_left 1L states) in
+  let good = Sim.machine sim and bad = Sim.machine sim in
+  for d = 0 to n_dffs - 1 do
+    let w = power_up_word ~states d in
+    good.Sim.state.(d) <- w;
+    bad.Sim.state.(d) <- w
+  done;
+  let seen = ref 0L in
+  Array.iter
+    (fun assigned ->
+      Array.iter
+        (fun net ->
+          let w = if List.assoc_opt net assigned = Some true then -1L else 0L in
+          good.Sim.values.(net) <- w;
+          bad.Sim.values.(net) <- w)
+        (Sim.pi_nets sim);
+      Sim.eval sim good;
+      Sim.eval ~fault sim bad;
+      seen := Int64.logor !seen (Sim.po_diff sim good bad);
+      Sim.step sim good;
+      Sim.step sim bad)
+    test.Podem.t_frames;
+  Int64.logand !seen all = all
+
+(* Every fault of 300 small random netlists (at most 6 PI bits and 2
+   flip-flops, 3 frames): each [Detected] test must detect from every
+   power-up state. *)
+let test_detected_every_state () =
+  let replayed = ref 0 in
+  for seed = 0 to 299 do
+    let c = random_netlist (Random.State.make [| seed |]) in
+    let sim = Sim.compile c in
+    let ws = Podem.workspace sim in
+    List.iter
+      (fun fault ->
+        match Podem.generate ws ~max_frames:3 ~max_backtracks:1000 fault with
+        | Podem.Detected test, _ ->
+          incr replayed;
+          if not (detects_from_every_state sim test fault) then
+            Alcotest.failf "seed %d %s: the test misses some power-up state"
+              seed (F.to_string fault)
+        | (Podem.No_test_in_frames | Podem.Aborted), _ -> ())
+      (F.universe c)
+  done;
+  Alcotest.(check bool) "some Detected verdicts replayed" true (!replayed > 0)
 
 (* --- real data path ------------------------------------------------------- *)
 
@@ -98,13 +170,12 @@ let ex_datapath bits =
 
 let test_podem_datapath () =
   let c = datapath 4 in
-  let ws = Podem.workspace (Sim.compile c) in
+  let sim = Sim.compile c in
+  let ws = Podem.workspace sim in
   List.iter
     (fun fault ->
-      let generate engine =
-        Podem.generate ~engine ws ~max_frames:5 ~max_backtracks:20 fault
-      in
-      if generate `Cone <> generate `Full then
+      let cone = Podem.generate ws ~max_frames:5 ~max_backtracks:20 fault in
+      if cone <> reference sim ws ~max_frames:5 ~max_backtracks:20 fault then
         Alcotest.failf "%s: engines disagree" (F.to_string fault))
     (F.collapsed_universe c)
 
@@ -166,6 +237,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_podem_matches_oracle;
           Alcotest.test_case "toy datapath@4" `Quick test_podem_datapath;
+          Alcotest.test_case "Detected holds from every power-up state" `Quick
+            test_detected_every_state;
         ] );
       ( "workspace",
         [

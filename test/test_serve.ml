@@ -419,6 +419,37 @@ let test_stale_socket_replaced () =
       Client.close c;
       expect_clean_exit pid2)
 
+(* One 12-byte frame whose JSON payload carries a malformed [\u]
+   escape, on a raw connection: the daemon drops that connection and
+   keeps serving. *)
+let test_malformed_escape_survived () =
+  with_daemon (fun ~pid ~addr ~sock ~dir:_ ->
+      let payload = "\"\\uZZZZ\"" in
+      let frame = Bytes.create (4 + String.length payload) in
+      Bytes.set_int32_be frame 0 (Int32.of_int (String.length payload));
+      Bytes.blit_string payload 0 frame 4 (String.length payload);
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          ignore (Unix.write fd frame 0 (Bytes.length frame));
+          (* wait until the daemon has read the frame and hung up *)
+          let buf = Bytes.create 64 in
+          let rec drain () =
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> ()
+            | _ -> drain ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+          in
+          drain ());
+      let c = Result.get_ok (Client.connect addr) in
+      let pong = rpc_exn c (Json.Obj [ ("op", Json.Str "ping") ]) in
+      Alcotest.(check bool) "pong after malformed escape" true (jbool "ok" pong);
+      shutdown c;
+      Client.close c;
+      expect_clean_exit pid)
+
 let () =
   Alcotest.run "hlts_serve"
     [
@@ -429,6 +460,8 @@ let () =
           Alcotest.test_case "stale socket replaced" `Quick
             test_stale_socket_replaced;
           Alcotest.test_case "sigterm drains" `Quick test_sigterm_drains;
+          Alcotest.test_case "malformed escape survived" `Quick
+            test_malformed_escape_survived;
         ] );
       ( "requests",
         [
