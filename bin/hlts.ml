@@ -230,7 +230,7 @@ let synth_cmd =
               "registers: %d   units: %d   mux slices: %d   area: %.3f mm2\n"
               stats.Hlts_etpn.Etpn.n_registers stats.Hlts_etpn.Etpn.n_fus
               stats.Hlts_etpn.Etpn.n_mux_slices
-              (Hlts_floorplan.Floorplan.area o.Flows.etpn ~bits);
+              (Hlts_synth.State.area o.Flows.state ~bits);
             Ok ()))
   in
   Cmd.v
@@ -246,7 +246,7 @@ let testability_cmd =
         let* d = find_bench bench in
         let* a = find_approach approach in
         let o = Eval.outcome a d ~bits in
-        let t = Hlts_testability.Testability.analyze o.Flows.etpn in
+        let t = Hlts_synth.State.analysis o.Flows.state in
         Printf.printf "register testability measures (%s, %s):\n" bench approach;
         List.iter
           (fun (rid, m) ->

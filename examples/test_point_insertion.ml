@@ -24,7 +24,7 @@ let () =
   let state = o.Flows.state in
 
   (* where the analysis says observability is weakest *)
-  let analysis = T.analyze (State.etpn state) in
+  let analysis = State.analysis state in
   Format.printf "register observability of the CAMAD Diffeq design:@.";
   List.iter
     (fun (rid, m) ->

@@ -37,7 +37,7 @@ let () =
   (* default allocation: every operation and value on its own node *)
   let state = State.init design in
   let etpn = State.etpn state in
-  let t = T.analyze etpn in
+  let t = State.analysis state in
   Format.printf "=== default allocation (before any merger) ===@.";
   print_measures etpn t;
   Format.printf "sequential-depth metric: %.1f@.@." (T.seq_depth_total t);
@@ -59,7 +59,7 @@ let () =
 
   (* after full synthesis *)
   let ours = Flows.synthesize Flows.Ours design in
-  let t' = T.analyze ours.Flows.etpn in
+  let t' = State.analysis ours.Flows.state in
   Format.printf "=== after Algorithm 1 ===@.";
   print_measures ours.Flows.etpn t';
   Format.printf "sequential-depth metric: %.1f@." (T.seq_depth_total t');

@@ -246,8 +246,7 @@ type wtask =
       Hlts_sched.Constraints.t
       * Hlts_sched.Schedule.t
       * Hlts_alloc.Binding.t
-      * int (* execution time of the committed state *)
-      * float (* its floorplanned area at [params.bits] *)
+      * float (* the committed state's floorplanned area at [params.bits] *)
   | W_try of Candidates.pair list
 
 (* Per attempt: the outcome ([None] = infeasible), handed back by
@@ -440,12 +439,12 @@ let run ?(params = default_params) ?jobs dfg =
     (* Serial when one job was asked for, or when the caller is itself
        a pool worker (pools never nest). *)
     if jobs > 1 && not (Pool.in_worker ()) then begin
-      (* Force the initial state's derived views before the workers
-         start so they share them already-evaluated: forcing the shared
-         lazies here happens-before every Domain.spawn, so workers only
-         ever read them forced (no counters are emitted by the forcing,
-         so observability is unchanged). *)
-      ignore (State.execution_time state0);
+      (* Force the initial state's H (with its consistency check and
+         data-path view) before the workers start so they share it
+         already-evaluated: forcing the shared lazies here
+         happens-before every Domain.spawn, so workers only ever read
+         them forced (no counters are emitted by the forcing, so
+         observability is unchanged). *)
       ignore (State.area state0 ~bits:params.bits);
       (* One base-state slot per sharing group, not per lane and not a
          single shared ref: a [W_state]-built state carries
@@ -499,13 +498,13 @@ let run ?(params = default_params) ?jobs dfg =
           } )
       in
       let wf : wtask -> wreply = function
-        | W_state (cons, schedule, binding, etime, area) ->
-          (* The scalar views every attempt reads off the base state
-             come seeded with the re-base: without them each worker would
-             rebuild the committed design's ETPN once per iteration
-             just to recompute two numbers the parent already has. *)
+        | W_state (cons, schedule, binding, area) ->
+          (* The base state's H comes seeded with the re-base: without
+             it each worker would floorplan the committed design once
+             per iteration just to recompute a number the parent
+             already has. E is the schedule length. *)
           worker_states.(Pool.worker_group ()) <-
-            State.make ~etime
+            State.make
               ~area:[ (params.bits, area) ]
               ~dfg ~cons ~schedule ~binding ();
           []
@@ -523,7 +522,6 @@ let run ?(params = default_params) ?jobs dfg =
                ( s'.State.cons,
                  s'.State.schedule,
                  s'.State.binding,
-                 State.execution_time s',
                  State.area s' ~bits:params.bits )))
     end
     else

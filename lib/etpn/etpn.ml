@@ -4,11 +4,11 @@ module Schedule = Hlts_sched.Schedule
 module Binding = Hlts_alloc.Binding
 module Petri = Hlts_petri.Petri
 
-type port =
+type port = Datapath.port =
   | P_left
   | P_right
 
-type node =
+type node = Datapath.node =
   | Port_in of string
   | Port_out of string
   | Cond_out of int
@@ -23,55 +23,64 @@ type arc = {
   a_guards : int list;
 }
 
-(* Per-node lookup tables over [nodes] and [arcs], built once per
-   record: every estimator of a merge attempt (testability, candidate
-   scoring, the floorplanner) queries nodes and arcs by id, and a list
-   scan per query made each of them quadratic in the design size. Node
-   ids are dense ([build] numbers them 0..n-1 and a test point takes
-   the next one), so plain arrays index them. *)
+(* In-arc and out-arc lists by node id, in arc-list order; node kinds
+   and reg/fu lookups are the data-path view's own tables. *)
 type index = {
-  kinds : node array;
-  ins : arc list array;  (* by destination, in arc-list order *)
-  outs : arc list array;  (* by source, in arc-list order *)
-  reg_nodes : int array;  (* reg id -> node id, -1 where absent *)
-  fu_nodes : int array;  (* fu id -> node id, -1 where absent *)
+  ins : arc list array;
+  outs : arc list array;
 }
 
 type t = {
   dfg : Dfg.t;
   schedule : Schedule.t;
   binding : Binding.t;
+  datapath : Datapath.t;
   nodes : (int * node) list;
   arcs : arc list;
   control : Petri.t;
   index : index;
 }
 
-let make_index nodes arcs =
-  let kinds = Array.of_list (List.map snd nodes) in
-  let n = Array.length kinds in
+(* The guards of each view arc, read off the schedule. *)
+let assemble dfg schedule binding datapath =
+  let length = Schedule.length schedule in
+  let guards = function
+    | Datapath.Load name ->
+      [ (Hlts_alloc.Lifetime.interval_of dfg schedule (Dfg.V_input name))
+          .Hlts_alloc.Lifetime.birth
+        - 1 ]
+    | Datapath.Exec op -> [ Schedule.step schedule op ]
+    | Datapath.Emit -> [ length + 1 ]
+    | Datapath.Always -> List.init (length + 2) Fun.id
+  in
+  let arcs =
+    List.map
+      (fun a ->
+        {
+          a_src = a.Datapath.a_src;
+          a_dst = a.Datapath.a_dst;
+          a_port = a.Datapath.a_port;
+          a_guards =
+            List.sort_uniq compare (List.concat_map guards a.Datapath.a_transfers);
+        })
+      (Datapath.arcs datapath)
+  in
+  let n = Datapath.size datapath in
   let ins = Array.make n [] and outs = Array.make n [] in
   List.iter
     (fun a ->
       ins.(a.a_dst) <- a :: ins.(a.a_dst);
       outs.(a.a_src) <- a :: outs.(a.a_src))
     (List.rev arcs);
-  (* reg/fu id -> node id of the first node carrying it, so a malformed
-     binding with a repeated id resolves as the former list search did *)
-  let first_node key =
-    let ids = Array.map key kinds in
-    let tbl = Array.make (1 + Array.fold_left max (-1) ids) (-1) in
-    for node = n - 1 downto 0 do
-      if ids.(node) >= 0 then tbl.(ids.(node)) <- node
-    done;
-    tbl
-  in
   {
-    kinds;
-    ins;
-    outs;
-    reg_nodes = first_node (function Reg r -> r.Binding.reg_id | _ -> -1);
-    fu_nodes = first_node (function Fu fu -> fu.Binding.fu_id | _ -> -1);
+    dfg;
+    schedule;
+    binding;
+    datapath;
+    nodes = List.init n (fun id -> (id, Datapath.node datapath id));
+    arcs;
+    control = Petri.chain length;
+    index = { ins; outs };
   }
 
 let build dfg schedule binding =
@@ -81,122 +90,21 @@ let build dfg schedule binding =
   else
     match Binding.validate dfg schedule binding with
     | Error _ as e -> e
-    | Ok () ->
-      let next = ref 0 in
-      let nodes = ref [] in
-      let fresh n =
-        let id = !next in
-        incr next;
-        nodes := (id, n) :: !nodes;
-        id
-      in
-      let reg_node = Hashtbl.create 16 in
-      List.iter
-        (fun r -> Hashtbl.replace reg_node r.Binding.reg_id (fresh (Reg r)))
-        binding.Binding.registers;
-      let fu_node = Hashtbl.create 16 in
-      List.iter
-        (fun fu -> Hashtbl.replace fu_node fu.Binding.fu_id (fresh (Fu fu)))
-        binding.Binding.fus;
-      let const_node = Hashtbl.create 8 in
-      let const_id c =
-        match Hashtbl.find_opt const_node c with
-        | Some id -> id
-        | None ->
-          let id = fresh (Const c) in
-          Hashtbl.replace const_node c id;
-          id
-      in
-      let reg_of_value v =
-        Hashtbl.find reg_node (Binding.reg_of_value binding v).Binding.reg_id
-      in
-      let fu_of_op id =
-        Hashtbl.find fu_node (Binding.fu_of_op binding id).Binding.fu_id
-      in
-      (* Raw arcs; guards merged afterwards. *)
-      let raw = ref [] in
-      let arc src dst port guard = raw := (src, dst, port, guard) :: !raw in
-      (* input loading: port -> register, guarded by the load step (one
-         before the input's first use, see Lifetime) *)
-      List.iter
-        (fun name ->
-          let v = Dfg.V_input name in
-          let load_step =
-            (Hlts_alloc.Lifetime.interval_of dfg schedule v).Hlts_alloc.Lifetime.birth
-            - 1
-          in
-          let p = fresh (Port_in name) in
-          arc p (reg_of_value v) None load_step)
-        dfg.Dfg.inputs;
-      (* operations: operand transfers and result store, guarded by the
-         operation's control step *)
-      let operand_src = function
-        | Dfg.Const c -> const_id c
-        | Dfg.Input name -> reg_of_value (Dfg.V_input name)
-        | Dfg.Op id -> reg_of_value (Dfg.V_op id)
-      in
-      List.iter
-        (fun o ->
-          let s = Schedule.step schedule o.Dfg.id in
-          let fu = fu_of_op o.Dfg.id in
-          let a, b = o.Dfg.args in
-          arc (operand_src a) fu (Some P_left) s;
-          arc (operand_src b) fu (Some P_right) s;
-          if Op.is_comparison o.Dfg.kind then
-            arc fu (fresh (Cond_out o.Dfg.id)) None s
-          else arc fu (reg_of_value (Dfg.V_op o.Dfg.id)) None s)
-        dfg.Dfg.ops;
-      (* outputs: register -> port, after the last step *)
-      let out_guard = Schedule.length schedule + 1 in
-      List.iter
-        (fun name ->
-          let v = Option.get (Dfg.value_of_name dfg name) in
-          let p = fresh (Port_out name) in
-          arc (reg_of_value v) p None out_guard)
-        dfg.Dfg.outputs;
-      (* merge guards of identical (src, dst, port) transfers *)
-      let grouped =
-        Hlts_util.Listx.group_by (fun (s, d, p, _) -> (s, d, p)) !raw
-      in
-      let arcs =
-        List.map
-          (fun ((a_src, a_dst, a_port), transfers) ->
-            let a_guards =
-              List.sort_uniq compare (List.map (fun (_, _, _, g) -> g) transfers)
-            in
-            { a_src; a_dst; a_port; a_guards })
-          grouped
-      in
-      let nodes = List.sort compare !nodes in
-      Ok
-        {
-          dfg;
-          schedule;
-          binding;
-          nodes;
-          arcs;
-          control = Petri.chain (Schedule.length schedule);
-          index = make_index nodes arcs;
-        }
+    | Ok () -> Ok (assemble dfg schedule binding (Datapath.build dfg binding))
 
 let build_exn dfg schedule binding =
   match build dfg schedule binding with
   | Ok t -> t
   | Error msg -> invalid_arg ("Etpn.build: " ^ msg)
 
-let by_id tbl id =
-  if id < 0 || id >= Array.length tbl then raise Not_found else tbl.(id)
+let datapath t = t.datapath
+let node t id = Datapath.node t.datapath id
+let node_id_of_reg t reg_id = Datapath.node_id_of_reg t.datapath reg_id
+let node_id_of_fu t fu_id = Datapath.node_id_of_fu t.datapath fu_id
 
-let node t id = by_id t.index.kinds id
+let arcs_at tbl id =
+  if id < 0 || id >= Array.length tbl then [] else tbl.(id)
 
-let node_of tbl id =
-  let node = by_id tbl id in
-  if node < 0 then raise Not_found else node
-
-let node_id_of_reg t reg_id = node_of t.index.reg_nodes reg_id
-let node_id_of_fu t fu_id = node_of t.index.fu_nodes fu_id
-
-let arcs_at tbl id = try by_id tbl id with Not_found -> []
 let in_arcs t id = arcs_at t.index.ins id
 let out_arcs t id = arcs_at t.index.outs id
 
@@ -294,25 +202,11 @@ let stats t =
     n_arcs = List.length t.arcs;
   }
 
-let interconnect t =
-  let normalize a = (min a.a_src a.a_dst, max a.a_src a.a_dst) in
-  List.sort_uniq compare (List.map normalize t.arcs)
+let interconnect t = Datapath.interconnect t.datapath
 
 let add_observation_point t ~reg_id =
-  let reg_node = node_id_of_reg t reg_id in
-  let fresh = 1 + List.fold_left (fun acc (id, _) -> max acc id) 0 t.nodes in
-  let port = Port_out (Printf.sprintf "tp_r%d" reg_id) in
-  let arc =
-    {
-      a_src = reg_node;
-      a_dst = fresh;
-      a_port = None;
-      a_guards =
-        List.init (Hlts_sched.Schedule.length t.schedule + 2) Fun.id;
-    }
-  in
-  let nodes = t.nodes @ [ (fresh, port) ] and arcs = t.arcs @ [ arc ] in
-  { t with nodes; arcs; index = make_index nodes arcs }
+  assemble t.dfg t.schedule t.binding
+    (Datapath.add_observation_point t.datapath ~reg_id)
 
 let node_label t id =
   match node t id with

@@ -10,13 +10,15 @@
     units feed the control part through {!constructor-Cond_out} vertices.
 
     An ETPN is deterministic given (DFG, schedule, binding); {!build}
-    constructs and checks it. *)
+    constructs and checks it. Its nodes and unguarded arcs are the
+    {!Datapath} view of (DFG, binding), which {!build} constructs once
+    and carries; estimators that need no guards read that view. *)
 
-type port =
+type port = Datapath.port =
   | P_left
   | P_right
 
-type node =
+type node = Datapath.node =
   | Port_in of string
   | Port_out of string
   | Cond_out of int        (** condition signal of comparison op [id] *)
@@ -33,20 +35,21 @@ type arc = {
 }
 
 type index
-(** Per-node lookup tables behind {!node}, {!in_arcs}, {!out_arcs} and
-    {!node_id_of_reg}/{!node_id_of_fu}, built with the record. *)
+(** Per-node in-arc and out-arc tables behind {!in_arcs} and
+    {!out_arcs}, built with the record. *)
 
 type t = private {
   dfg : Hlts_dfg.Dfg.t;
   schedule : Hlts_sched.Schedule.t;
   binding : Hlts_alloc.Binding.t;
+  datapath : Datapath.t;       (** the nodes and unguarded arcs *)
   nodes : (int * node) list;   (** ascending node id, dense from 0 *)
-  arcs : arc list;
+  arcs : arc list;             (** [Datapath.arcs datapath], guarded *)
   control : Hlts_petri.Petri.t;
   index : index;
 }
 (** Private: only {!build} and {!add_observation_point} construct one,
-    so the index always describes [nodes] and [arcs]. *)
+    so [datapath], [nodes], [arcs] and the index always agree. *)
 
 val build :
   Hlts_dfg.Dfg.t ->
@@ -54,13 +57,16 @@ val build :
   Hlts_alloc.Binding.t ->
   (t, string) result
 (** Validates the schedule against the DFG and the binding against both
-    (via {!Hlts_alloc.Binding.validate}), then constructs the data path
-    and the control chain. *)
+    (via {!Hlts_alloc.Binding.validate}), then builds the {!Datapath}
+    view, guards its arcs from the schedule and adds the control
+    chain. *)
 
 val build_exn :
   Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> Hlts_alloc.Binding.t -> t
 
-(** The lookups below are O(1) reads of the record's index. *)
+val datapath : t -> Datapath.t
+
+(** The lookups below are O(1) reads of the record's tables. *)
 
 val node : t -> int -> node
 (** @raise Not_found if no node has the id. *)
@@ -78,7 +84,10 @@ val out_arcs : t -> int -> arc list
 (** Arcs out of the node, in [arcs] order. *)
 
 val execution_time : t -> int
-(** Critical path of the control net (the paper's E). *)
+(** Critical path of the control net (the paper's E). The control part
+    is the chain of the schedule's steps, so this equals
+    [Schedule.length]; synthesis reads that and keeps the net for the
+    design's reports. *)
 
 val control_unrolled : t -> iterations:int -> Hlts_petri.Petri.t
 (** The control Petri net of a looping design (e.g. Diffeq's while-loop
@@ -103,14 +112,13 @@ type stats = {
 val stats : t -> stats
 
 val interconnect : t -> (int * int) list
-(** Undirected connectivity between data-path nodes: [(a, b)] with
-    [a < b], one entry per connected pair (used by the floorplanner and
-    the CAMAD closeness metric). *)
+(** {!Datapath.interconnect} of the data path. *)
 
 val add_observation_point : t -> reg_id:int -> t
 (** Adds a dedicated output port observing a register — a test point.
     The new port is named ["tp_r<k>"] and is active in every control
-    step. Used by the test-point-insertion extension. *)
+    step ({!Datapath.add_observation_point}, guarded). Used by the
+    test-point-insertion extension. *)
 
 val to_dot : t -> string
 (** Graphviz rendering of the data path. *)

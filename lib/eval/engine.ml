@@ -512,13 +512,13 @@ let synth_summary s (o : Flows.outcome) =
     sy_n_registers = stats.Etpn.n_registers;
     sy_n_fus = stats.Etpn.n_fus;
     sy_n_mux = stats.Etpn.n_mux_slices;
-    sy_area_mm2 = Hlts_floorplan.Floorplan.area o.Flows.etpn ~bits:s.bits;
+    sy_area_mm2 = State.area o.Flows.state ~bits:s.bits;
     sy_seq_depth = Testability.seq_depth_total (State.analysis o.Flows.state);
     sy_iterations = List.length o.Flows.records;
   }
 
 let testability_summary (o : Flows.outcome) =
-  let a = Testability.analyze o.Flows.etpn in
+  let a = State.analysis o.Flows.state in
   {
     ts_registers = Testability.register_measures a;
     ts_fus = Testability.fu_measures a;

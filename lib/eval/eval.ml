@@ -61,7 +61,7 @@ let row_of_atpg (o : Flows.outcome) ~bits (r : Atpg.result) =
   let etpn = o.Flows.etpn in
   let dfg = o.Flows.state.State.dfg in
   let stats = Etpn.stats etpn in
-  let analysis = Testability.analyze etpn in
+  let analysis = State.analysis o.Flows.state in
   {
     approach = o.Flows.approach;
     bits;
@@ -77,7 +77,7 @@ let row_of_atpg (o : Flows.outcome) ~bits (r : Atpg.result) =
     tg_random_seconds = r.Atpg.random_seconds;
     tg_det_seconds = r.Atpg.det_seconds;
     test_cycles = r.Atpg.test_cycles;
-    area_mm2 = Hlts_floorplan.Floorplan.area etpn ~bits;
+    area_mm2 = State.area o.Flows.state ~bits;
     seq_depth = Testability.seq_depth_total analysis;
     gate_count = r.Atpg.gate_count;
     detect_digest = r.Atpg.detect_digest;

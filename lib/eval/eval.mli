@@ -47,9 +47,12 @@ val evaluate :
 
 val row_of_atpg :
   Hlts_synth.Flows.outcome -> bits:int -> Hlts_atpg.Atpg.result -> row
-(** Assembles a table row from an already-run ATPG result (the
-    structural metrics and testability analysis are recomputed from the
-    outcome). {!evaluate_outcome} is [row_of_atpg] after expanding the
+(** Assembles a table row from an already-run ATPG result. The
+    structural metrics come from the outcome's ETPN; the area and the
+    sequential depth are the state's memoized {!Hlts_synth.State.area}
+    and {!Hlts_synth.State.analysis}, so they describe the synthesized
+    design even when the outcome carries an ETPN with test points.
+    {!evaluate_outcome} is [row_of_atpg] after expanding the
     ETPN and running the ATPG stack; the {!Engine} uses this directly so
     a cached fault-simulation result skips that work. *)
 

@@ -180,5 +180,15 @@ let test_points ?atpg () =
       let tapped =
         Eval.evaluate_outcome ?atpg { o with Flows.etpn } ~bits:8
       in
+      (* the row's estimates come from the state, which has no taps *)
+      let dp = Hlts_etpn.Etpn.datapath etpn in
+      let tapped =
+        {
+          tapped with
+          Eval.area_mm2 = Hlts_floorplan.Floorplan.area dp ~bits:8;
+          seq_depth =
+            Hlts_testability.Testability.(seq_depth_total (analyze dp));
+        }
+      in
       (name, base, tapped))
     [ ("ex", B.ex); ("dct", B.dct); ("diffeq", B.diffeq) ]

@@ -149,8 +149,7 @@ let figure1 ppf =
       (Schedule.step s'.State.schedule 2)
       o.Merge.delta_e;
     let seq st =
-      Hlts_testability.Testability.seq_depth_total
-        (Hlts_testability.Testability.analyze (State.etpn st))
+      Hlts_testability.Testability.seq_depth_total (State.analysis st)
     in
     Format.fprintf ppf
       "  sequential-depth metric: %.1f before merger, %.1f after@," (seq state)

@@ -1,4 +1,4 @@
-module Etpn = Hlts_etpn.Etpn
+module Datapath = Hlts_etpn.Datapath
 module Op = Hlts_dfg.Op
 
 type result = {
@@ -12,19 +12,20 @@ type result = {
    folded into the destination node that owns them: one slice per
    source beyond the first on each port, summed over the ports in the
    order their first arc appears. *)
-let block_area etpn ~bits id in_arcs =
+let block_area dp ~bits id in_arcs =
   let own =
-    match Etpn.node etpn id with
-    | Etpn.Reg _ -> Module_library.reg_area ~bits
-    | Etpn.Fu fu -> Module_library.fu_area fu.Hlts_alloc.Binding.fu_class ~bits
-    | Etpn.Port_in _ | Etpn.Port_out _ | Etpn.Cond_out _ | Etpn.Const _ ->
+    match Datapath.node dp id with
+    | Datapath.Reg _ -> Module_library.reg_area ~bits
+    | Datapath.Fu fu -> Module_library.fu_area fu.Hlts_alloc.Binding.fu_class ~bits
+    | Datapath.Port_in _ | Datapath.Port_out _ | Datapath.Cond_out _
+    | Datapath.Const _ ->
       Module_library.port_area
   in
   let rec mux acc = function
     | [] -> acc
     | a :: _ as arcs ->
       let same, rest =
-        List.partition (fun b -> b.Etpn.a_port = a.Etpn.a_port) arcs
+        List.partition (fun b -> b.Datapath.a_port = a.Datapath.a_port) arcs
       in
       let slices = float_of_int (List.length same - 1) in
       mux (acc +. (slices *. Module_library.mux_slice_area ~bits)) rest
@@ -41,9 +42,9 @@ end)
 
 let around (i, j) = [ (i + 1, j); (i - 1, j); (i, j + 1); (i, j - 1) ]
 
-let plan etpn ~bits =
-  let ids = List.map fst etpn.Etpn.nodes in
-  let n = List.length ids in
+let plan dp ~bits =
+  let n = Datapath.size dp in
+  let ids = List.init n Fun.id in
   let degree = Array.make n 0 and adj = Array.make n [] in
   let note a b =
     degree.(a) <- degree.(a) + 1;
@@ -51,7 +52,7 @@ let plan etpn ~bits =
   in
   List.iter
     (fun (a, b) -> if a = b then note a b else (note a b; note b a))
-    (Etpn.interconnect etpn);
+    (Datapath.interconnect dp);
   let order =
     List.sort
       (fun a b ->
@@ -63,7 +64,7 @@ let plan etpn ~bits =
      in mm. *)
   let cell_area =
     Hlts_util.Listx.sum_by
-      (fun id -> block_area etpn ~bits id (Etpn.in_arcs etpn id))
+      (fun id -> block_area dp ~bits id (Datapath.in_arcs dp id))
       ids
   in
   let pitch = sqrt (cell_area /. float_of_int (max 1 n)) in
@@ -110,16 +111,18 @@ let plan etpn ~bits =
   let wire_cost =
     Hlts_util.Listx.sum_by
       (fun a ->
-        let x1, y1 = center a.Etpn.a_src and x2, y2 = center a.Etpn.a_dst in
+        let x1, y1 = center a.Datapath.a_src
+        and x2, y2 = center a.Datapath.a_dst in
         let len = abs_float (x1 -. x2) +. abs_float (y1 -. y2) in
         let wid =
-          match Etpn.node etpn a.Etpn.a_dst with
-          | Etpn.Cond_out _ -> Module_library.wire_width ~bits:1
-          | Etpn.Reg _ | Etpn.Fu _ | Etpn.Port_in _ | Etpn.Port_out _
-          | Etpn.Const _ -> Module_library.wire_width ~bits
+          match Datapath.node dp a.Datapath.a_dst with
+          | Datapath.Cond_out _ -> Module_library.wire_width ~bits:1
+          | Datapath.Reg _ | Datapath.Fu _ | Datapath.Port_in _
+          | Datapath.Port_out _ | Datapath.Const _ ->
+            Module_library.wire_width ~bits
         in
         len *. wid)
-      etpn.Etpn.arcs
+      (Datapath.arcs dp)
   in
   {
     cell_area;
@@ -128,4 +131,4 @@ let plan etpn ~bits =
     placement = List.map (fun id -> (id, center id)) ids;
   }
 
-let area etpn ~bits = (plan etpn ~bits).total
+let area dp ~bits = (plan dp ~bits).total

@@ -17,13 +17,14 @@ type result = {
       (** node id -> block center, mm; every data-path node is placed *)
 }
 
-val plan : Hlts_etpn.Etpn.t -> bits:int -> result
-(** Placement keeps the free cells next to placed blocks as an ordered
-    set, updated in O(log n) per placement, and picks each block's cell
-    by one pass over that set (ties go to the least cell). With [n]
-    blocks, [f] frontier cells (at most [2n + 2]) and average degree
-    [d], a plan costs O(n (f d + log n)) plus sorting the
-    interconnect. *)
+val plan : Hlts_etpn.Datapath.t -> bits:int -> result
+(** Reads only the schedule-free data-path view: nodes, in-arc ports
+    and (src, dst) pairs. Placement keeps the free cells next to placed
+    blocks as an ordered set, updated in O(log n) per placement, and
+    picks each block's cell by one pass over that set (ties go to the
+    least cell). With [n] blocks, [f] frontier cells (at most [2n + 2])
+    and average degree [d], a plan costs O(n (f d + log n)) plus
+    sorting the interconnect. *)
 
-val area : Hlts_etpn.Etpn.t -> bits:int -> float
+val area : Hlts_etpn.Datapath.t -> bits:int -> float
 (** [total] of {!plan}. *)

@@ -1,4 +1,4 @@
-module Etpn = Hlts_etpn.Etpn
+module Datapath = Hlts_etpn.Datapath
 module Binding = Hlts_alloc.Binding
 module Op = Hlts_dfg.Op
 
@@ -10,11 +10,8 @@ type measures = {
 }
 
 type t = {
-  etpn : Etpn.t;
-  out_cc : (int, float) Hashtbl.t;  (* controllability of a node's output *)
-  out_sc : (int, float) Hashtbl.t;
-  node_co : (int, float) Hashtbl.t; (* observability of a node's content *)
-  node_so : (int, float) Hashtbl.t;
+  datapath : Datapath.t;
+  measures : measures array;  (* node_measures, by node id *)
 }
 
 (* Combinational transfer factors: how much controllability survives a
@@ -53,77 +50,84 @@ let const_cc = 0.15
 let cond_co = 0.85
 let big = infinity
 
-let analyze etpn =
+(* Float-typed [Stdlib.max]/[min] (same definitions), so the folds
+   below compare unboxed floats. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
+let analyze dp =
   Hlts_obs.span ~cat:"testability" "testability.analyze" @@ fun sp ->
-  Hlts_obs.set sp "nodes" (Hlts_obs.Int (List.length etpn.Etpn.nodes));
+  let n = Datapath.size dp in
+  Hlts_obs.set sp "nodes" (Hlts_obs.Int n);
   Hlts_obs.count "testability.analyses";
-  let out_cc = Hashtbl.create 64 and out_sc = Hashtbl.create 64 in
-  let node_co = Hashtbl.create 64 and node_so = Hashtbl.create 64 in
-  List.iter
-    (fun (id, n) ->
-      let cc0, sc0 =
-        match n with
-        | Etpn.Port_in _ -> (1.0, 0.0)
-        | Etpn.Const _ -> (const_cc, 0.0)
-        | Etpn.Port_out _ | Etpn.Cond_out _ | Etpn.Reg _ | Etpn.Fu _ ->
-          (0.0, big)
-      in
-      let co0, so0 =
-        match n with
-        | Etpn.Port_out _ -> (1.0, 0.0)
-        | Etpn.Cond_out _ -> (cond_co, 0.0)
-        | Etpn.Port_in _ | Etpn.Const _ | Etpn.Reg _ | Etpn.Fu _ -> (0.0, big)
-      in
-      Hashtbl.replace out_cc id cc0;
-      Hashtbl.replace out_sc id sc0;
-      Hashtbl.replace node_co id co0;
-      Hashtbl.replace node_so id so0)
-    etpn.Etpn.nodes;
-  let cc_of id = Hashtbl.find out_cc id in
-  let sc_of id = Hashtbl.find out_sc id in
-  let co_of id = Hashtbl.find node_co id in
-  let so_of id = Hashtbl.find node_so id in
-  let port_cc srcs = List.fold_left (fun acc s -> max acc (cc_of s)) 0.0 srcs in
-  let port_sc srcs = List.fold_left (fun acc s -> min acc (sc_of s)) big srcs in
-  let fu_port_sources id p =
-    List.filter_map
-      (fun a -> if a.Etpn.a_port = Some p then Some a.Etpn.a_src else None)
-      (Etpn.in_arcs etpn id)
+  let kinds = Array.init n (Datapath.node dp) in
+  (* controllability of a node's output, observability of its content *)
+  let out_cc = Array.make n 0.0 and out_sc = Array.make n big in
+  let node_co = Array.make n 0.0 and node_so = Array.make n big in
+  Array.iteri
+    (fun id k ->
+      (match k with
+      | Datapath.Port_in _ -> out_cc.(id) <- 1.0; out_sc.(id) <- 0.0
+      | Datapath.Const _ -> out_cc.(id) <- const_cc; out_sc.(id) <- 0.0
+      | Datapath.Port_out _ | Datapath.Cond_out _ | Datapath.Reg _
+      | Datapath.Fu _ -> ());
+      match k with
+      | Datapath.Port_out _ -> node_co.(id) <- 1.0; node_so.(id) <- 0.0
+      | Datapath.Cond_out _ -> node_co.(id) <- cond_co; node_so.(id) <- 0.0
+      | Datapath.Port_in _ | Datapath.Const _ | Datapath.Reg _
+      | Datapath.Fu _ -> ())
+    kinds;
+  (* in-arc sources by node, all ports and per unit port, in arc order *)
+  let sources =
+    Array.init n (fun id ->
+        List.map (fun a -> a.Datapath.a_src) (Datapath.in_arcs dp id))
   in
-  let sources id = List.map (fun a -> a.Etpn.a_src) (Etpn.in_arcs etpn id) in
+  let port_sources p =
+    Array.init n (fun id ->
+        match kinds.(id) with
+        | Datapath.Fu _ ->
+          List.filter_map
+            (fun a ->
+              if a.Datapath.a_port = Some p then Some a.Datapath.a_src else None)
+            (Datapath.in_arcs dp id)
+        | Datapath.Reg _ | Datapath.Port_in _ | Datapath.Port_out _
+        | Datapath.Cond_out _ | Datapath.Const _ -> [])
+  in
+  let left = port_sources Datapath.P_left in
+  let right = port_sources Datapath.P_right in
+  let port_cc srcs = List.fold_left (fun acc s -> fmax acc out_cc.(s)) 0.0 srcs in
+  let port_sc srcs = List.fold_left (fun acc s -> fmin acc out_sc.(s)) big srcs in
 
   (* ---- forward relaxation: CC up, SC down, until stable ---- *)
   let forward_once () =
     let changed = ref false in
     let update id cc sc =
-      if cc > cc_of id +. 1e-12 then begin
-        Hashtbl.replace out_cc id cc;
+      if cc > out_cc.(id) +. 1e-12 then begin
+        out_cc.(id) <- cc;
         changed := true
       end;
-      if sc < sc_of id -. 1e-12 then begin
-        Hashtbl.replace out_sc id sc;
+      if sc < out_sc.(id) -. 1e-12 then begin
+        out_sc.(id) <- sc;
         changed := true
       end
     in
-    List.iter
-      (fun (id, n) ->
-        match n with
-        | Etpn.Reg _ ->
-          let srcs = sources id in
-          if srcs <> [] then
-            update id (register_factor *. port_cc srcs) (1.0 +. port_sc srcs)
-        | Etpn.Fu fu ->
-          let left = fu_port_sources id Etpn.P_left in
-          let right = fu_port_sources id Etpn.P_right in
-          if left <> [] && right <> [] then
-            update id
-              (fu_ctf fu *. min (port_cc left) (port_cc right))
-              (max (port_sc left) (port_sc right))
-        | Etpn.Cond_out _ | Etpn.Port_out _ ->
-          let srcs = sources id in
-          if srcs <> [] then update id (port_cc srcs) (port_sc srcs)
-        | Etpn.Port_in _ | Etpn.Const _ -> ())
-      etpn.Etpn.nodes;
+    for id = 0 to n - 1 do
+      match kinds.(id) with
+      | Datapath.Reg _ ->
+        let srcs = sources.(id) in
+        if srcs <> [] then
+          update id (register_factor *. port_cc srcs) (1.0 +. port_sc srcs)
+      | Datapath.Fu fu ->
+        let left = left.(id) and right = right.(id) in
+        if left <> [] && right <> [] then
+          update id
+            (fu_ctf fu *. fmin (port_cc left) (port_cc right))
+            (fmax (port_sc left) (port_sc right))
+      | Datapath.Cond_out _ | Datapath.Port_out _ ->
+        let srcs = sources.(id) in
+        if srcs <> [] then update id (port_cc srcs) (port_sc srcs)
+      | Datapath.Port_in _ | Datapath.Const _ -> ()
+    done;
     !changed
   in
 
@@ -133,103 +137,103 @@ let analyze etpn =
      functional-unit input is observable if the unit output is and the
      opposite port can be controlled. *)
   let arc_obs a =
-    let dst = a.Etpn.a_dst in
-    match Etpn.node etpn dst with
-    | Etpn.Port_out _ -> (1.0, 0.0)
-    | Etpn.Cond_out _ -> (cond_co, 0.0)
-    | Etpn.Reg _ -> (register_factor *. co_of dst, 1.0 +. so_of dst)
-    | Etpn.Fu fu ->
-      let other_port =
-        match a.Etpn.a_port with
-        | Some Etpn.P_left -> Some Etpn.P_right
-        | Some Etpn.P_right -> Some Etpn.P_left
+    let dst = a.Datapath.a_dst in
+    match kinds.(dst) with
+    | Datapath.Port_out _ -> (1.0, 0.0)
+    | Datapath.Cond_out _ -> (cond_co, 0.0)
+    | Datapath.Reg _ -> (register_factor *. node_co.(dst), 1.0 +. node_so.(dst))
+    | Datapath.Fu fu -> (
+      let other =
+        match a.Datapath.a_port with
+        | Some Datapath.P_left -> Some right.(dst)
+        | Some Datapath.P_right -> Some left.(dst)
         | None -> None
       in
-      (match other_port with
+      match other with
       | None -> (0.0, big)
-      | Some p ->
+      | Some other ->
         (* observing through the unit needs the opposite port controlled:
            CO is discounted by its controllability, SO pays its
            sequential set-up cost *)
-        let other = fu_port_sources dst p in
-        let co = fu_otf fu *. co_of dst *. port_cc other in
-        (co, so_of dst +. port_sc other))
-    | Etpn.Port_in _ | Etpn.Const _ -> (0.0, big)
+        let co = fu_otf fu *. node_co.(dst) *. port_cc other in
+        (co, node_so.(dst) +. port_sc other))
+    | Datapath.Port_in _ | Datapath.Const _ -> (0.0, big)
   in
   let backward_once () =
     let changed = ref false in
     let update id co so =
-      if co > co_of id +. 1e-12 then begin
-        Hashtbl.replace node_co id co;
+      if co > node_co.(id) +. 1e-12 then begin
+        node_co.(id) <- co;
         changed := true
       end;
-      if so < so_of id -. 1e-12 then begin
-        Hashtbl.replace node_so id so;
+      if so < node_so.(id) -. 1e-12 then begin
+        node_so.(id) <- so;
         changed := true
       end
     in
-    List.iter
-      (fun (id, n) ->
-        match n with
-        | Etpn.Port_out _ | Etpn.Cond_out _ -> ()
-        | Etpn.Port_in _ | Etpn.Const _ | Etpn.Reg _ | Etpn.Fu _ ->
-          let arcs = Etpn.out_arcs etpn id in
-          if arcs <> [] then begin
-            let co =
-              List.fold_left (fun acc a -> max acc (fst (arc_obs a))) 0.0 arcs
-            in
-            let so =
-              List.fold_left (fun acc a -> min acc (snd (arc_obs a))) big arcs
-            in
-            update id co so
-          end)
-      etpn.Etpn.nodes;
+    for id = 0 to n - 1 do
+      match kinds.(id) with
+      | Datapath.Port_out _ | Datapath.Cond_out _ -> ()
+      | Datapath.Port_in _ | Datapath.Const _ | Datapath.Reg _ | Datapath.Fu _ ->
+        let arcs = Datapath.out_arcs dp id in
+        if arcs <> [] then begin
+          let co, so =
+            List.fold_left
+              (fun (co, so) a ->
+                let aco, aso = arc_obs a in
+                (fmax co aco, fmin so aso))
+              (0.0, big) arcs
+          in
+          update id co so
+        end
+    done;
     !changed
   in
   let rec run pass budget =
     if budget > 0 && pass () then run pass (budget - 1)
   in
-  let rounds = 4 * List.length etpn.Etpn.nodes + 16 in
+  let rounds = (4 * n) + 16 in
   run forward_once rounds;
   run backward_once rounds;
-  { etpn; out_cc; out_sc; node_co; node_so }
-
-let etpn t = t.etpn
-
-let node_measures t id =
   (* Node controllability: the best controllability of any input line
      (§3 of the paper); sources' output measures are the line measures.
      Source-less nodes use their own output measures. *)
-  let in_srcs = List.map (fun a -> a.Etpn.a_src) (Etpn.in_arcs t.etpn id) in
-  let cc, sc =
-    match in_srcs with
-    | [] -> (Hashtbl.find t.out_cc id, Hashtbl.find t.out_sc id)
-    | srcs ->
-      ( List.fold_left (fun acc s -> max acc (Hashtbl.find t.out_cc s)) 0.0 srcs,
-        List.fold_left (fun acc s -> min acc (Hashtbl.find t.out_sc s)) big srcs
-      )
+  let measures =
+    Array.init n (fun id ->
+        let cc, sc =
+          match sources.(id) with
+          | [] -> (out_cc.(id), out_sc.(id))
+          | srcs -> (port_cc srcs, port_sc srcs)
+        in
+        { cc; sc; co = node_co.(id); so = node_so.(id) })
   in
-  { cc; sc; co = Hashtbl.find t.node_co id; so = Hashtbl.find t.node_so id }
+  { datapath = dp; measures }
+
+let datapath t = t.datapath
+
+let node_measures t id =
+  if id < 0 || id >= Array.length t.measures then raise Not_found
+  else t.measures.(id)
 
 let by_kind t keep =
   List.filter_map
-    (fun (id, n) ->
-      match keep n with
-      | Some key -> Some (key, node_measures t id)
+    (fun id ->
+      match keep (Datapath.node t.datapath id) with
+      | Some key -> Some (key, t.measures.(id))
       | None -> None)
-    t.etpn.Etpn.nodes
+    (List.init (Array.length t.measures) Fun.id)
 
 let register_measures t =
   by_kind t (function
-    | Etpn.Reg r -> Some r.Binding.reg_id
-    | Etpn.Fu _ | Etpn.Port_in _ | Etpn.Port_out _ | Etpn.Cond_out _
-    | Etpn.Const _ -> None)
+    | Datapath.Reg r -> Some r.Binding.reg_id
+    | Datapath.Fu _ | Datapath.Port_in _ | Datapath.Port_out _ | Datapath.Cond_out _
+    | Datapath.Const _ -> None)
 
 let fu_measures t =
   by_kind t (function
-    | Etpn.Fu fu -> Some fu.Binding.fu_id
-    | Etpn.Reg _ | Etpn.Port_in _ | Etpn.Port_out _ | Etpn.Cond_out _
-    | Etpn.Const _ -> None)
+    | Datapath.Fu fu -> Some fu.Binding.fu_id
+    | Datapath.Reg _ | Datapath.Port_in _ | Datapath.Port_out _ | Datapath.Cond_out _
+    | Datapath.Const _ -> None)
 
 let clamp_seq x n = if x = big || x > float_of_int (4 * n) then float_of_int (4 * n) else x
 
@@ -247,7 +251,7 @@ let balance_score t u v =
   merged -. before
 
 let testability_cost t =
-  let all = List.map (fun (id, _) -> node_measures t id) t.etpn.Etpn.nodes in
+  let all = Array.to_list t.measures in
   let n = max 1 (List.length all) in
   Hlts_util.Listx.sum_by
     (fun m ->

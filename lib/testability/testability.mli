@@ -21,7 +21,13 @@
     The paper defines node controllability as the best controllability of
     any of the node's input lines, and node observability as the best
     observability of any of its output lines (§3); {!node_measures}
-    follows that definition. *)
+    follows that definition.
+
+    The analysis reads only the schedule-free data-path view (nodes,
+    ports and arcs), so a merge attempt needs no ETPN for it. Measures
+    live in arrays by node id, and every node's measures are tabulated
+    once per analysis: {!node_measures} and {!balance_score} are array
+    reads. *)
 
 type measures = {
   cc : float;
@@ -32,14 +38,15 @@ type measures = {
 
 type t
 
-val analyze : Hlts_etpn.Etpn.t -> t
+val analyze : Hlts_etpn.Datapath.t -> t
 
-val etpn : t -> Hlts_etpn.Etpn.t
-(** The design the analysis was computed on. *)
+val datapath : t -> Hlts_etpn.Datapath.t
+(** The data path the analysis was computed on. *)
 
 val node_measures : t -> int -> measures
 (** Measures of a data-path node by node id. Unreachable values appear as
-    [cc = 0.] / [sc = infinity] (and symmetrically for observability). *)
+    [cc = 0.] / [sc = infinity] (and symmetrically for observability).
+    @raise Not_found if no node has the id. *)
 
 val register_measures : t -> (int * measures) list
 (** Measures of every register node, keyed by register id. *)

@@ -1,7 +1,9 @@
 (* Reference implementations the property tests hold product code
    against: the per-fault fault simulation behind the product grader
-   ({!Hlts_sim.Ppsfp}), PODEM's full-sweep steps, and the list-scan
-   definitions behind the indexed DFG, ETPN and floorplan views. Each is
+   ({!Hlts_sim.Ppsfp}), PODEM's full-sweep steps, the list-scan
+   definitions behind the indexed DFG, ETPN and floorplan views, and the
+   ETPN builder and hashtable testability analysis behind the
+   schedule-free data-path view. Each is
    built from public APIs alone. The PODEM reference is the one that
    shares code with what it checks, by design: what it checks is the
    cone restriction, so it plugs full-sweep steps into the product
@@ -197,30 +199,292 @@ let uses_of_value dfg v =
 
 let is_output dfg v = List.mem (Dfg.value_name dfg v) dfg.Dfg.outputs
 
-(* The [Etpn] accessors as scans of [nodes] and [arcs]. *)
-let etpn_node etpn id = List.assoc id etpn.Etpn.nodes
-let etpn_in_arcs etpn id = List.filter (fun a -> a.Etpn.a_dst = id) etpn.Etpn.arcs
-let etpn_out_arcs etpn id = List.filter (fun a -> a.Etpn.a_src = id) etpn.Etpn.arcs
+(* --- the ETPN as the list-scan builder made it -------------------------- *)
 
-let etpn_node_id_of_reg etpn reg_id =
+module Op = Hlts_dfg.Op
+module Schedule = Hlts_sched.Schedule
+module Lifetime = Hlts_alloc.Lifetime
+module Testability = Hlts_testability.Testability
+
+(* An ETPN's nodes and guarded arcs, without the control net. *)
+type design = {
+  nodes : (int * Etpn.node) list;
+  arcs : Etpn.arc list;
+  steps : int;  (* schedule length *)
+}
+
+let of_etpn e =
+  {
+    nodes = e.Etpn.nodes;
+    arcs = e.Etpn.arcs;
+    steps = Schedule.length e.Etpn.schedule;
+  }
+
+(* The ETPN builder before the data-path view was split out: checks,
+   then node ids handed out as the walk needs them, register and unit
+   of every value and op found by [Binding]'s list scans, raw guarded
+   transfers grouped by (src, dst, port). *)
+let etpn_build dfg schedule binding =
+  if not (Schedule.respects dfg schedule) then
+    Error "schedule violates data dependencies"
+  else
+    match Binding.validate dfg schedule binding with
+    | Error _ as e -> e
+    | Ok () ->
+      let next = ref 0 in
+      let nodes = ref [] in
+      let fresh n =
+        let id = !next in
+        incr next;
+        nodes := (id, n) :: !nodes;
+        id
+      in
+      let reg_node = Hashtbl.create 16 in
+      List.iter
+        (fun r -> Hashtbl.replace reg_node r.Binding.reg_id (fresh (Etpn.Reg r)))
+        binding.Binding.registers;
+      let fu_node = Hashtbl.create 16 in
+      List.iter
+        (fun fu -> Hashtbl.replace fu_node fu.Binding.fu_id (fresh (Etpn.Fu fu)))
+        binding.Binding.fus;
+      let const_node = Hashtbl.create 8 in
+      let const_id c =
+        match Hashtbl.find_opt const_node c with
+        | Some id -> id
+        | None ->
+          let id = fresh (Etpn.Const c) in
+          Hashtbl.replace const_node c id;
+          id
+      in
+      let reg_of_value v =
+        Hashtbl.find reg_node (Binding.reg_of_value binding v).Binding.reg_id
+      in
+      let fu_of_op id =
+        Hashtbl.find fu_node (Binding.fu_of_op binding id).Binding.fu_id
+      in
+      let raw = ref [] in
+      let arc src dst port guard = raw := (src, dst, port, guard) :: !raw in
+      List.iter
+        (fun name ->
+          let v = Dfg.V_input name in
+          let load_step = (Lifetime.interval_of dfg schedule v).Lifetime.birth - 1 in
+          let p = fresh (Etpn.Port_in name) in
+          arc p (reg_of_value v) None load_step)
+        dfg.Dfg.inputs;
+      let operand_src = function
+        | Dfg.Const c -> const_id c
+        | Dfg.Input name -> reg_of_value (Dfg.V_input name)
+        | Dfg.Op id -> reg_of_value (Dfg.V_op id)
+      in
+      List.iter
+        (fun o ->
+          let s = Schedule.step schedule o.Dfg.id in
+          let fu = fu_of_op o.Dfg.id in
+          let a, b = o.Dfg.args in
+          arc (operand_src a) fu (Some Etpn.P_left) s;
+          arc (operand_src b) fu (Some Etpn.P_right) s;
+          if Op.is_comparison o.Dfg.kind then
+            arc fu (fresh (Etpn.Cond_out o.Dfg.id)) None s
+          else arc fu (reg_of_value (Dfg.V_op o.Dfg.id)) None s)
+        dfg.Dfg.ops;
+      let out_guard = Schedule.length schedule + 1 in
+      List.iter
+        (fun name ->
+          let v = Option.get (Dfg.value_of_name dfg name) in
+          let p = fresh (Etpn.Port_out name) in
+          arc (reg_of_value v) p None out_guard)
+        dfg.Dfg.outputs;
+      let arcs =
+        List.map
+          (fun ((a_src, a_dst, a_port), transfers) ->
+            {
+              Etpn.a_src;
+              a_dst;
+              a_port;
+              a_guards =
+                List.sort_uniq compare (List.map (fun (_, _, _, g) -> g) transfers);
+            })
+          (Hlts_util.Listx.group_by (fun (s, d, p, _) -> (s, d, p)) !raw)
+      in
+      Ok
+        {
+          nodes = List.sort compare !nodes;
+          arcs;
+          steps = Schedule.length schedule;
+        }
+
+(* The [Etpn] accessors as scans of [nodes] and [arcs]. *)
+let etpn_node d id = List.assoc id d.nodes
+let etpn_in_arcs d id = List.filter (fun a -> a.Etpn.a_dst = id) d.arcs
+let etpn_out_arcs d id = List.filter (fun a -> a.Etpn.a_src = id) d.arcs
+
+let etpn_node_id_of_reg d reg_id =
   let matches (_, n) =
     match n with Etpn.Reg r -> r.Binding.reg_id = reg_id | _ -> false
   in
-  fst (List.find matches etpn.Etpn.nodes)
+  fst (List.find matches d.nodes)
 
-let etpn_node_id_of_fu etpn fu_id =
+let etpn_node_id_of_fu d fu_id =
   let matches (_, n) =
     match n with Etpn.Fu fu -> fu.Binding.fu_id = fu_id | _ -> false
   in
-  fst (List.find matches etpn.Etpn.nodes)
+  fst (List.find matches d.nodes)
+
+let etpn_interconnect d =
+  let normalize a = (min a.Etpn.a_src a.Etpn.a_dst, max a.Etpn.a_src a.Etpn.a_dst) in
+  List.sort_uniq compare (List.map normalize d.arcs)
+
+let etpn_add_observation_point d ~reg_id =
+  let reg_node = etpn_node_id_of_reg d reg_id in
+  let fresh = 1 + List.fold_left (fun acc (id, _) -> max acc id) 0 d.nodes in
+  let port = Etpn.Port_out (Printf.sprintf "tp_r%d" reg_id) in
+  let arc =
+    {
+      Etpn.a_src = reg_node;
+      a_dst = fresh;
+      a_port = None;
+      a_guards = List.init (d.steps + 2) Fun.id;
+    }
+  in
+  { d with nodes = d.nodes @ [ (fresh, port) ]; arcs = d.arcs @ [ arc ] }
+
+(* The testability analysis over hashtables, with every in-arc and
+   out-arc list a scan and every node's measures folded on demand.
+   Returns [Testability.node_measures] of the analysis. *)
+let testability_node_measures d =
+  let big = infinity in
+  let ctf = function
+    | Op.Fu_adder | Op.Fu_subtractor | Op.Fu_alu -> 0.95
+    | Op.Fu_multiplier -> 0.65
+    | Op.Fu_comparator -> 0.55
+    | Op.Fu_logic -> 0.80
+  in
+  let otf = function
+    | Op.Fu_adder | Op.Fu_subtractor | Op.Fu_alu -> 0.95
+    | Op.Fu_multiplier -> 0.60
+    | Op.Fu_comparator -> 0.45
+    | Op.Fu_logic -> 0.75
+  in
+  let register_factor = 0.98 and const_cc = 0.15 and cond_co = 0.85 in
+  let out_cc = Hashtbl.create 64 and out_sc = Hashtbl.create 64 in
+  let node_co = Hashtbl.create 64 and node_so = Hashtbl.create 64 in
+  List.iter
+    (fun (id, n) ->
+      let cc0, sc0 =
+        match n with
+        | Etpn.Port_in _ -> (1.0, 0.0)
+        | Etpn.Const _ -> (const_cc, 0.0)
+        | _ -> (0.0, big)
+      in
+      let co0, so0 =
+        match n with
+        | Etpn.Port_out _ -> (1.0, 0.0)
+        | Etpn.Cond_out _ -> (cond_co, 0.0)
+        | _ -> (0.0, big)
+      in
+      Hashtbl.replace out_cc id cc0;
+      Hashtbl.replace out_sc id sc0;
+      Hashtbl.replace node_co id co0;
+      Hashtbl.replace node_so id so0)
+    d.nodes;
+  let cc_of id = Hashtbl.find out_cc id and sc_of id = Hashtbl.find out_sc id in
+  let co_of id = Hashtbl.find node_co id and so_of id = Hashtbl.find node_so id in
+  let port_cc srcs = List.fold_left (fun acc s -> max acc (cc_of s)) 0.0 srcs in
+  let port_sc srcs = List.fold_left (fun acc s -> min acc (sc_of s)) big srcs in
+  let fu_port_sources id p =
+    List.filter_map
+      (fun a -> if a.Etpn.a_port = Some p then Some a.Etpn.a_src else None)
+      (etpn_in_arcs d id)
+  in
+  let sources id = List.map (fun a -> a.Etpn.a_src) (etpn_in_arcs d id) in
+  let forward_once () =
+    let changed = ref false in
+    let update id cc sc =
+      if cc > cc_of id +. 1e-12 then (Hashtbl.replace out_cc id cc; changed := true);
+      if sc < sc_of id -. 1e-12 then (Hashtbl.replace out_sc id sc; changed := true)
+    in
+    List.iter
+      (fun (id, n) ->
+        match n with
+        | Etpn.Reg _ ->
+          let srcs = sources id in
+          if srcs <> [] then
+            update id (register_factor *. port_cc srcs) (1.0 +. port_sc srcs)
+        | Etpn.Fu fu ->
+          let left = fu_port_sources id Etpn.P_left in
+          let right = fu_port_sources id Etpn.P_right in
+          if left <> [] && right <> [] then
+            update id
+              (ctf fu.Binding.fu_class *. min (port_cc left) (port_cc right))
+              (max (port_sc left) (port_sc right))
+        | Etpn.Cond_out _ | Etpn.Port_out _ ->
+          let srcs = sources id in
+          if srcs <> [] then update id (port_cc srcs) (port_sc srcs)
+        | Etpn.Port_in _ | Etpn.Const _ -> ())
+      d.nodes;
+    !changed
+  in
+  let arc_obs a =
+    let dst = a.Etpn.a_dst in
+    match etpn_node d dst with
+    | Etpn.Port_out _ -> (1.0, 0.0)
+    | Etpn.Cond_out _ -> (cond_co, 0.0)
+    | Etpn.Reg _ -> (register_factor *. co_of dst, 1.0 +. so_of dst)
+    | Etpn.Fu fu -> (
+      let other_port =
+        match a.Etpn.a_port with
+        | Some Etpn.P_left -> Some Etpn.P_right
+        | Some Etpn.P_right -> Some Etpn.P_left
+        | None -> None
+      in
+      match other_port with
+      | None -> (0.0, big)
+      | Some p ->
+        let other = fu_port_sources dst p in
+        ( otf fu.Binding.fu_class *. co_of dst *. port_cc other,
+          so_of dst +. port_sc other ))
+    | Etpn.Port_in _ | Etpn.Const _ -> (0.0, big)
+  in
+  let backward_once () =
+    let changed = ref false in
+    let update id co so =
+      if co > co_of id +. 1e-12 then (Hashtbl.replace node_co id co; changed := true);
+      if so < so_of id -. 1e-12 then (Hashtbl.replace node_so id so; changed := true)
+    in
+    List.iter
+      (fun (id, n) ->
+        match n with
+        | Etpn.Port_out _ | Etpn.Cond_out _ -> ()
+        | Etpn.Port_in _ | Etpn.Const _ | Etpn.Reg _ | Etpn.Fu _ ->
+          let arcs = etpn_out_arcs d id in
+          if arcs <> [] then
+            update id
+              (List.fold_left (fun acc a -> max acc (fst (arc_obs a))) 0.0 arcs)
+              (List.fold_left (fun acc a -> min acc (snd (arc_obs a))) big arcs))
+      d.nodes;
+    !changed
+  in
+  let rec run pass budget = if budget > 0 && pass () then run pass (budget - 1) in
+  let rounds = (4 * List.length d.nodes) + 16 in
+  run forward_once rounds;
+  run backward_once rounds;
+  fun id ->
+    let cc, sc =
+      match sources id with
+      | [] -> (cc_of id, sc_of id)
+      | srcs ->
+        ( List.fold_left (fun acc s -> max acc (cc_of s)) 0.0 srcs,
+          List.fold_left (fun acc s -> min acc (sc_of s)) big srcs )
+    in
+    { Testability.cc; sc; co = co_of id; so = so_of id }
 
 (* The O(n^2) floorplanner: hashtables per plan, and a frontier rebuilt
    from every occupied cell on every placement, sorted, then searched
    with [min_by] (first minimum wins). [Floorplan.plan] must reproduce
    it bit for bit. *)
-let floorplan_block_area etpn ~bits id in_arcs =
+let floorplan_block_area d ~bits id in_arcs =
   let own =
-    match etpn_node etpn id with
+    match etpn_node d id with
     | Etpn.Reg _ -> Module_library.reg_area ~bits
     | Etpn.Fu fu -> Module_library.fu_area fu.Binding.fu_class ~bits
     | Etpn.Port_in _ | Etpn.Port_out _ | Etpn.Cond_out _ | Etpn.Const _ ->
@@ -237,9 +501,9 @@ let floorplan_block_area etpn ~bits id in_arcs =
   in
   own +. mux
 
-let floorplan_plan etpn ~bits =
-  let ids = List.map fst etpn.Etpn.nodes in
-  let connections = Etpn.interconnect etpn in
+let floorplan_plan d ~bits =
+  let ids = List.map fst d.nodes in
+  let connections = etpn_interconnect d in
   let degree_tbl = Hashtbl.create 64 in
   let adj = Hashtbl.create 64 in
   let note id n =
@@ -257,7 +521,7 @@ let floorplan_plan etpn ~bits =
   in
   let areas =
     List.map
-      (fun id -> (id, floorplan_block_area etpn ~bits id (etpn_in_arcs etpn id)))
+      (fun id -> (id, floorplan_block_area d ~bits id (etpn_in_arcs d id)))
       ids
   in
   let cell_area = Hlts_util.Listx.sum_by snd areas in
@@ -304,13 +568,13 @@ let floorplan_plan etpn ~bits =
         let x1, y1 = center a.Etpn.a_src and x2, y2 = center a.Etpn.a_dst in
         let len = abs_float (x1 -. x2) +. abs_float (y1 -. y2) in
         let wid =
-          match etpn_node etpn a.Etpn.a_dst with
+          match etpn_node d a.Etpn.a_dst with
           | Etpn.Cond_out _ -> Module_library.wire_width ~bits:1
           | Etpn.Reg _ | Etpn.Fu _ | Etpn.Port_in _ | Etpn.Port_out _
           | Etpn.Const _ -> Module_library.wire_width ~bits
         in
         len *. wid)
-      etpn.Etpn.arcs
+      d.arcs
   in
   {
     Floorplan.cell_area;

@@ -37,3 +37,30 @@ let make seed =
   let outputs = if outputs = [] then [ List.hd names ] else outputs in
   Dfg.validate_exn
     { Dfg.name = Printf.sprintf "rand%d" seed; inputs; ops; outputs }
+
+(* The states along [steps] random merger attempts from the default
+   allocation of [d], initial state first: each attempt that succeeds
+   is committed, so later states cover shared units, shared registers
+   and their multiplexers. *)
+let trajectory rng d steps =
+  let module State = Hlts_synth.State in
+  let module Merge = Hlts_synth.Merge in
+  let module Binding = Hlts_alloc.Binding in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let rec go s k acc =
+    if k = 0 then List.rev (s :: acc)
+    else
+      let fus = s.State.binding.Binding.fus
+      and regs = s.State.binding.Binding.registers in
+      let outcome =
+        if Rng.bool rng && List.length fus >= 2 then
+          Merge.modules s ~bits:8 (pick fus).Binding.fu_id (pick fus).Binding.fu_id
+        else if List.length regs >= 2 then
+          Merge.registers s ~bits:8 (pick regs).Binding.reg_id
+            (pick regs).Binding.reg_id
+        else None
+      in
+      let s' = match outcome with Some o -> o.Merge.state | None -> s in
+      go s' (k - 1) (s :: acc)
+  in
+  go (State.init d) steps []

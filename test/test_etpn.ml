@@ -230,14 +230,15 @@ let accessors_coherent etpn =
   let ids = List.init (n + 2) (fun i -> i - 1) in
   let regs = List.map (fun r -> r.Binding.reg_id) etpn.Etpn.binding.Binding.registers in
   let fus = List.map (fun f -> f.Binding.fu_id) etpn.Etpn.binding.Binding.fus in
-  List.for_all (same (Etpn.node etpn) (Oracle.etpn_node etpn)) ids
-  && List.for_all (same (Etpn.in_arcs etpn) (Oracle.etpn_in_arcs etpn)) ids
-  && List.for_all (same (Etpn.out_arcs etpn) (Oracle.etpn_out_arcs etpn)) ids
+  let d = Oracle.of_etpn etpn in
+  List.for_all (same (Etpn.node etpn) (Oracle.etpn_node d)) ids
+  && List.for_all (same (Etpn.in_arcs etpn) (Oracle.etpn_in_arcs d)) ids
+  && List.for_all (same (Etpn.out_arcs etpn) (Oracle.etpn_out_arcs d)) ids
   && List.for_all
-       (same (Etpn.node_id_of_reg etpn) (Oracle.etpn_node_id_of_reg etpn))
+       (same (Etpn.node_id_of_reg etpn) (Oracle.etpn_node_id_of_reg d))
        (-1 :: List.length regs :: regs)
   && List.for_all
-       (same (Etpn.node_id_of_fu etpn) (Oracle.etpn_node_id_of_fu etpn))
+       (same (Etpn.node_id_of_fu etpn) (Oracle.etpn_node_id_of_fu d))
        (-1 :: List.length fus :: fus)
 
 let prop_accessors_coherent =

@@ -8,7 +8,6 @@ module Binding = Hlts_alloc.Binding
 module Constraints = Hlts_sched.Constraints
 module Basic = Hlts_sched.Basic
 module State = Hlts_synth.State
-module Merge = Hlts_synth.Merge
 module Rng = Hlts_util.Rng
 open Hlts_floorplan
 
@@ -43,7 +42,7 @@ let test_plan_everywhere () =
       let etpn = build d in
       List.iter
         (fun bits ->
-          let r = Floorplan.plan etpn ~bits in
+          let r = Floorplan.plan (Etpn.datapath etpn) ~bits in
           if not (r.Floorplan.total > 0.0) then Alcotest.failf "%s: zero area" name;
           Alcotest.(check (float 1e-9))
             (name ^ " total = cells + wires")
@@ -58,23 +57,23 @@ let test_plan_everywhere () =
 
 let test_no_slot_collisions () =
   let etpn = build B.ewf in
-  let r = Floorplan.plan etpn ~bits:8 in
+  let r = Floorplan.plan (Etpn.datapath etpn) ~bits:8 in
   let slots = List.map snd r.Floorplan.placement in
   Alcotest.(check int) "distinct slots" (List.length slots)
     (List.length (List.sort_uniq compare slots))
 
 let test_area_grows_with_bits () =
   let etpn = build B.dct in
-  let a4 = Floorplan.area etpn ~bits:4 in
-  let a8 = Floorplan.area etpn ~bits:8 in
-  let a16 = Floorplan.area etpn ~bits:16 in
+  let a4 = Floorplan.area (Etpn.datapath etpn) ~bits:4 in
+  let a8 = Floorplan.area (Etpn.datapath etpn) ~bits:8 in
+  let a16 = Floorplan.area (Etpn.datapath etpn) ~bits:16 in
   Alcotest.(check bool) "4 < 8 < 16" true (a4 < a8 && a8 < a16)
 
 let test_paper_scale () =
   (* DESIGN.md substitution 4: a 16-bit Dct data path should land in the
      paper's few-mm2 ballpark (the paper reports 2.5-3.3 mm2). *)
   let etpn = build B.dct in
-  let a = Floorplan.area etpn ~bits:16 in
+  let a = Floorplan.area (Etpn.datapath etpn) ~bits:16 in
   Alcotest.(check bool) (Printf.sprintf "plausible scale (%.3f mm2)" a) true
     (a > 0.5 && a < 10.0)
 
@@ -85,13 +84,14 @@ let test_sharing_reduces_cells () =
   let s = asap d in
   let dflt = Etpn.build_exn d s (Binding.default d) in
   let shared = Etpn.build_exn d s (Binding.allocate d s) in
-  let a_dflt = (Floorplan.plan dflt ~bits:8).Floorplan.cell_area in
-  let a_shared = (Floorplan.plan shared ~bits:8).Floorplan.cell_area in
+  let a_dflt = (Floorplan.plan (Etpn.datapath dflt) ~bits:8).Floorplan.cell_area in
+  let a_shared = (Floorplan.plan (Etpn.datapath shared) ~bits:8).Floorplan.cell_area in
   Alcotest.(check bool) "sharing shrinks cells" true (a_shared < a_dflt)
 
 let test_deterministic () =
   let etpn = build B.ex in
-  let r1 = Floorplan.plan etpn ~bits:8 and r2 = Floorplan.plan etpn ~bits:8 in
+  let dp = Etpn.datapath etpn in
+  let r1 = Floorplan.plan dp ~bits:8 and r2 = Floorplan.plan dp ~bits:8 in
   Alcotest.(check bool) "same result" true (r1 = r2)
 
 let prop_wire_cost_nonnegative =
@@ -99,7 +99,7 @@ let prop_wire_cost_nonnegative =
     QCheck.(pair (int_bound (List.length B.all - 1)) (int_range 2 32))
     (fun (i, bits) ->
       let _, d = List.nth B.all i in
-      let r = Floorplan.plan (build d) ~bits in
+      let r = Floorplan.plan (Etpn.datapath (build d)) ~bits in
       r.Floorplan.wire_cost >= 0.0)
 
 (* --- the planner against its O(n^2) reference ------------------------ *)
@@ -113,29 +113,12 @@ let plan_matches_oracle etpn ~bits =
         (fun (id, (x, y)) -> Printf.sprintf "%d:%h,%h" id x y)
         r.Floorplan.placement )
   in
-  render (Floorplan.plan etpn ~bits) = render (Oracle.floorplan_plan etpn ~bits)
+  render (Floorplan.plan (Etpn.datapath etpn) ~bits)
+  = render (Oracle.floorplan_plan (Oracle.of_etpn etpn) ~bits)
 
-(* The state after [steps] random merger attempts from the default
-   allocation: each attempt that succeeds is committed, so the ETPNs
-   cover shared units, shared registers and their multiplexers. *)
+(* The last state of a random merge trajectory ({!Random_dfg.trajectory}). *)
 let random_trajectory rng d steps =
-  let pick l = List.nth l (Rng.int rng (List.length l)) in
-  let rec go s k =
-    if k = 0 then s
-    else
-      let fus = s.State.binding.Binding.fus
-      and regs = s.State.binding.Binding.registers in
-      let outcome =
-        if Rng.bool rng && List.length fus >= 2 then
-          Merge.modules s ~bits:8 (pick fus).Binding.fu_id (pick fus).Binding.fu_id
-        else if List.length regs >= 2 then
-          Merge.registers s ~bits:8 (pick regs).Binding.reg_id
-            (pick regs).Binding.reg_id
-        else None
-      in
-      go (match outcome with Some o -> o.Merge.state | None -> s) (k - 1)
-  in
-  go (State.init d) steps
+  List.hd (List.rev (Random_dfg.trajectory rng d steps))
 
 let prop_plan_matches_oracle =
   QCheck.Test.make ~name:"plan = O(n^2) reference planner" ~count:60

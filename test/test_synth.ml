@@ -135,7 +135,7 @@ let test_merge_registers_respects_added_arcs () =
 
 let test_candidates_mergeable_only () =
   let s = State.init B.diffeq in
-  let t = Hlts_testability.Testability.analyze (State.etpn s) in
+  let t = Hlts_testability.Testability.analyze (State.datapath s) in
   let pairs = Candidates.all_scored s t Candidates.Balance in
   Alcotest.(check bool) "nonempty" true (pairs <> []);
   List.iter
@@ -156,7 +156,7 @@ let test_candidates_mergeable_only () =
 
 let test_select_k () =
   let s = State.init B.diffeq in
-  let t = Hlts_testability.Testability.analyze (State.etpn s) in
+  let t = Hlts_testability.Testability.analyze (State.datapath s) in
   Alcotest.(check int) "k=3" 3
     (List.length (Candidates.select s t Candidates.Balance ~k:3));
   Alcotest.(check int) "k=1" 1
@@ -164,7 +164,7 @@ let test_select_k () =
 
 let test_scores_descending () =
   let s = State.init B.dct in
-  let t = Hlts_testability.Testability.analyze (State.etpn s) in
+  let t = Hlts_testability.Testability.analyze (State.datapath s) in
   List.iter
     (fun strategy ->
       let scored = Candidates.all_scored s t strategy in
@@ -328,7 +328,7 @@ let test_recommend_ranks_unobservable () =
   let recs = Test_points.recommend s ~k:3 in
   Alcotest.(check int) "k respected" 3 (List.length recs);
   (* the top recommendation is a register with below-median observability *)
-  let t = Hlts_testability.Testability.analyze (State.etpn s) in
+  let t = Hlts_testability.Testability.analyze (State.datapath s) in
   let all = Hlts_testability.Testability.register_measures t in
   let co r = (List.assoc r all).Hlts_testability.Testability.co in
   let top = List.hd recs in
@@ -377,7 +377,7 @@ let test_ours_better_seq_depth_than_camad () =
       (fun d ->
         let o = Flows.synthesize a d in
         Hlts_testability.Testability.seq_depth_total
-          (Hlts_testability.Testability.analyze o.Flows.etpn))
+          (State.analysis o.Flows.state))
       [ B.ex; B.dct; B.diffeq ]
   in
   Alcotest.(check bool) "ours <= camad overall" true
@@ -420,6 +420,187 @@ let prop_merge_preserves_semantics =
       match outcome with
       | None -> true
       | Some o -> State.consistent o.Merge.state)
+
+(* --- estimators against their references ------------------------------- *)
+
+module Datapath = Hlts_etpn.Datapath
+module Petri = Hlts_petri.Petri
+module Testability = Hlts_testability.Testability
+module Floorplan = Hlts_floorplan.Floorplan
+
+(* E read off the schedule = the critical path of the validating
+   builder's control net. *)
+let e_matches_petri s =
+  State.execution_time s
+  = Petri.execution_time
+      (Etpn.build_exn s.State.dfg s.State.schedule s.State.binding).Etpn.control
+
+(* The final states of the four flows, per benchmark and width,
+   synthesized once for both estimator tests. *)
+let flow_states =
+  let memo = Hashtbl.create 32 in
+  fun ~bits (name, d) ->
+    match Hashtbl.find_opt memo (name, bits) with
+    | Some states -> states
+    | None ->
+      let params = { Synth.default_params with Synth.bits } in
+      let states =
+        List.map
+          (fun a -> (Flows.synthesize ~params a d).Flows.state)
+          Flows.[ Camad; Approach1; Approach2; Ours ]
+      in
+      Hashtbl.replace memo (name, bits) states;
+      states
+
+let test_e_matches_petri () =
+  List.iter
+    (fun (name, d) ->
+      List.iter
+        (fun s ->
+          if not (e_matches_petri s) then
+            Alcotest.failf "%s: E %d is not the control net's" name
+              (State.execution_time s))
+        (State.init d :: flow_states ~bits:8 (name, d)))
+    B.all
+
+let prop_e_matches_petri =
+  QCheck.Test.make ~name:"E = control net on random trajectories" ~count:60
+    QCheck.(pair (int_bound 1_000_000) (int_bound 12))
+    (fun (seed, steps) ->
+      let rng = Hlts_util.Rng.create seed in
+      List.for_all e_matches_petri
+        (Random_dfg.trajectory rng (Random_dfg.make seed) steps))
+
+let hex_measures m =
+  Printf.sprintf "%h %h %h %h" m.Testability.cc m.Testability.sc
+    m.Testability.co m.Testability.so
+
+(* Where the data-path view of [dp]/[etpn] departs from the list-scan
+   ETPN [d] of the same design: nodes, arcs (order, ports, guards), the
+   view's unguarded arcs, the floorplan at every width and every node's
+   testability measures, floats compared with [%h]. *)
+let view_mismatch ~bits_list d etpn dp analysis =
+  let arc_key a = (a.Etpn.a_src, a.Etpn.a_dst, a.Etpn.a_port) in
+  let view_key a = (a.Datapath.a_src, a.Datapath.a_dst, a.Datapath.a_port) in
+  let ids = List.init (Datapath.size dp) Fun.id in
+  if Oracle.of_etpn etpn <> d then Some "ETPN nodes or arcs"
+  else if List.map (fun id -> (id, Datapath.node dp id)) ids <> d.Oracle.nodes
+  then Some "view nodes"
+  else if
+    List.map view_key (Datapath.arcs dp) <> List.map arc_key d.Oracle.arcs
+  then Some "view arcs"
+  else
+    match
+      List.find_opt
+        (fun bits ->
+          Printf.sprintf "%h" (Floorplan.area dp ~bits)
+          <> Printf.sprintf "%h" (Oracle.floorplan_plan d ~bits).Floorplan.total)
+        bits_list
+    with
+    | Some bits -> Some (Printf.sprintf "area at %d bit" bits)
+    | None -> (
+      let reference = Oracle.testability_node_measures d in
+      match
+        List.find_opt
+          (fun id ->
+            hex_measures (Testability.node_measures analysis id)
+            <> hex_measures (reference id))
+          ids
+      with
+      | Some id -> Some (Printf.sprintf "measures of node %d" id)
+      | None -> None)
+
+(* The state's own view, H and analysis; the ETPN with all registers
+   tapped, stacked; and the structure of each register tapped alone. *)
+let state_view_mismatch ~bits_list s =
+  let d =
+    match Oracle.etpn_build s.State.dfg s.State.schedule s.State.binding with
+    | Ok d -> d
+    | Error e -> failwith e
+  in
+  let etpn = State.etpn s in
+  let own =
+    match
+      view_mismatch ~bits_list d etpn (State.datapath s) (State.analysis s)
+    with
+    | Some _ as m -> m
+    | None ->
+      List.find_opt
+        (fun bits ->
+          Printf.sprintf "%h" (State.area s ~bits)
+          <> Printf.sprintf "%h" (Oracle.floorplan_plan d ~bits).Floorplan.total)
+        bits_list
+      |> Option.map (Printf.sprintf "State.area at %d bit")
+  in
+  let tapped (d, etpn) =
+    let dp = Etpn.datapath etpn in
+    view_mismatch ~bits_list d etpn dp (Testability.analyze dp)
+    |> Option.map (( ^ ) "tapped: ")
+  in
+  let regs =
+    List.map (fun r -> r.Binding.reg_id) s.State.binding.Binding.registers
+  in
+  let tap (d, etpn) reg_id =
+    ( Oracle.etpn_add_observation_point d ~reg_id,
+      Etpn.add_observation_point etpn ~reg_id )
+  in
+  match own with
+  | Some _ -> own
+  | None -> (
+    match tapped (List.fold_left tap (d, etpn) regs) with
+    | Some _ as m -> m
+    | None ->
+      List.find_opt
+        (fun reg_id ->
+          let d, etpn = tap (d, etpn) reg_id in
+          Oracle.of_etpn etpn <> d)
+        regs
+      |> Option.map (Printf.sprintf "R%d tapped alone"))
+
+let test_view_matches_oracle () =
+  List.iter
+    (fun (name, d) ->
+      List.iter
+        (fun bits ->
+          let rng = Hlts_util.Rng.create bits in
+          List.iteri
+            (fun i s ->
+              match state_view_mismatch ~bits_list:[ bits ] s with
+              | None -> ()
+              | Some what -> Alcotest.failf "%s@%d state %d: %s" name bits i what)
+            ((State.init d :: flow_states ~bits (name, d))
+            @ Random_dfg.trajectory rng d 6))
+        [ 4; 8; 16 ])
+    B.all
+
+let prop_view_matches_oracle =
+  QCheck.Test.make ~name:"view = list-scan ETPN on random trajectories"
+    ~count:60
+    QCheck.(pair (int_bound 1_000_000) (int_bound 12))
+    (fun (seed, steps) ->
+      let rng = Hlts_util.Rng.create seed in
+      List.for_all
+        (fun s -> state_view_mismatch ~bits_list:[ 4; 8; 16 ] s = None)
+        (Random_dfg.trajectory rng (Random_dfg.make seed) steps))
+
+let test_inconsistent_raises () =
+  (* the toy's N2 reads N1 and N3 reads N2: one step for all is invalid *)
+  let d = B.toy in
+  let s =
+    State.make ~dfg:d ~cons:(Hlts_sched.Constraints.of_dfg d)
+      ~schedule:(Schedule.of_assoc [ (1, 1); (2, 1); (3, 1) ])
+      ~binding:(Binding.default d) ()
+  in
+  Alcotest.(check bool) "inconsistent" false (State.consistent s);
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "datapath raises" true
+    (raises (fun () -> ignore (State.datapath s)));
+  Alcotest.(check bool) "area raises" true
+    (raises (fun () -> ignore (State.area s ~bits:8)));
+  Alcotest.(check bool) "etpn raises" true
+    (raises (fun () -> ignore (State.etpn s)))
 
 let () =
   Alcotest.run "hlts_synth"
@@ -469,6 +650,16 @@ let () =
         [
           Alcotest.test_case "recommend" `Quick test_recommend_ranks_unobservable;
           Alcotest.test_case "insert" `Quick test_insert_adds_ports;
+        ] );
+      ( "estimators",
+        [
+          Alcotest.test_case "E = control net" `Quick test_e_matches_petri;
+          QCheck_alcotest.to_alcotest prop_e_matches_petri;
+          Alcotest.test_case "view = list-scan ETPN" `Quick
+            test_view_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_view_matches_oracle;
+          Alcotest.test_case "inconsistent state raises" `Quick
+            test_inconsistent_raises;
         ] );
       ( "flows",
         [

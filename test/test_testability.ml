@@ -14,7 +14,7 @@ let asap d = Basic.asap_exn (Constraints.of_dfg d)
 let analyzed d =
   let s = asap d in
   let etpn = Etpn.build_exn d s (Binding.allocate d s) in
-  (etpn, Testability.analyze etpn)
+  (etpn, Testability.analyze (Etpn.datapath etpn))
 
 let test_ranges_everywhere () =
   List.iter
@@ -54,7 +54,7 @@ let test_input_registers_most_controllable () =
   let s = asap d in
   let binding = Binding.default d in
   let etpn = Etpn.build_exn d s binding in
-  let t = Testability.analyze etpn in
+  let t = Testability.analyze (Etpn.datapath etpn) in
   let reg_of name =
     (Binding.reg_of_value binding (Option.get (Dfg.value_of_name d name)))
       .Binding.reg_id
@@ -74,7 +74,7 @@ let test_output_registers_most_observable () =
   let s = asap d in
   let binding = Binding.default d in
   let etpn = Etpn.build_exn d s binding in
-  let t = Testability.analyze etpn in
+  let t = Testability.analyze (Etpn.datapath etpn) in
   let reg_of name =
     (Binding.reg_of_value binding (Option.get (Dfg.value_of_name d name)))
       .Binding.reg_id
@@ -101,7 +101,7 @@ let test_mul_harder_than_add () =
     in
     let s = asap d in
     let etpn = Etpn.build_exn d s (Binding.default d) in
-    let t = Testability.analyze etpn in
+    let t = Testability.analyze (Etpn.datapath etpn) in
     let fus = Testability.fu_measures t in
     (* unit output controllability is reflected in the result register's CC *)
     let regs = Testability.register_measures t in
@@ -138,7 +138,7 @@ let test_balance_score_prefers_complementary () =
   let s = asap d in
   let binding = Binding.default d in
   let etpn = Etpn.build_exn d s binding in
-  let t = Testability.analyze etpn in
+  let t = Testability.analyze (Etpn.datapath etpn) in
   let regs = Testability.register_measures t in
   (* most controllable-but-unobservable *)
   let by f = Hlts_util.Listx.max_by (fun (_, m) -> f m) regs in
@@ -165,11 +165,13 @@ let test_testability_cost_orders_designs () =
   let s = asap d in
   let c1 =
     Testability.testability_cost
-      (Testability.analyze (Etpn.build_exn d s (Binding.default d)))
+      (Testability.analyze
+         (Etpn.datapath (Etpn.build_exn d s (Binding.default d))))
   in
   let c2 =
     Testability.testability_cost
-      (Testability.analyze (Etpn.build_exn d s (Binding.allocate d s)))
+      (Testability.analyze
+         (Etpn.datapath (Etpn.build_exn d s (Binding.allocate d s))))
   in
   Alcotest.(check bool) "finite positive" true
     (c1 > 0.0 && c2 > 0.0 && c1 < 1e6 && c2 < 1e6)
@@ -178,7 +180,8 @@ let test_deterministic () =
   let d = B.dct in
   let s = asap d in
   let etpn = Etpn.build_exn d s (Binding.allocate d s) in
-  let t1 = Testability.analyze etpn and t2 = Testability.analyze etpn in
+  let dp = Etpn.datapath etpn in
+  let t1 = Testability.analyze dp and t2 = Testability.analyze dp in
   List.iter
     (fun (id, _) ->
       let m1 = Testability.node_measures t1 id in
