@@ -6,46 +6,57 @@ type interval = {
   death : int;
 }
 
-(* Core interval computation. [length] is the schedule's length, taken
-   once per pass by the whole-design callers ([of_schedule],
-   [occupancy]): it is a fold over the schedule, and inputs and outputs
-   each need it. *)
-let interval_core dfg sched ~length v =
-  let uses = Dfg.uses_of_value dfg v in
-  let def_step =
-    match v with
-    | Dfg.V_input _ ->
-      (* inputs are loaded from their port just before their first use, so
-         several staged inputs can share one register *)
-      let first_use =
-        List.fold_left
-          (fun acc use -> min acc (Schedule.step sched use))
-          (length + 1) uses
-      in
-      first_use - 1
-    | Dfg.V_op id -> Schedule.step sched id
-  in
-  let birth = def_step + 1 in
-  let uses = List.map (Schedule.step sched) uses in
-  let uses = if Dfg.is_output dfg v then (length + 1) :: uses else uses in
-  let last_use = List.fold_left max def_step uses in
+(* The interval rule, from the steps that decide it. [def] is the
+   defining op's step, or [-1] for a primary input, which is loaded from
+   its port just before its first read ([first_read], [max_int] when
+   nothing reads it: an unread input is loaded at the schedule's end),
+   so several staged inputs can share one register. [last_read] is the
+   latest reading step, [0] when nothing reads the value. *)
+let interval ~length ~def ~first_read ~last_read ~output =
+  let def = if def < 0 then min first_read (length + 1) - 1 else def in
+  let birth = def + 1 in
+  let last_read = max last_read def in
+  (* outputs have a virtual final read *)
+  let last_read = if output then max last_read (length + 1) else last_read in
   (* A value with no reader still occupies its register for one step. *)
-  { birth; death = max (last_use + 1) (birth + 1) }
+  { birth; death = max (last_read + 1) (birth + 1) }
+
+(* [length] is the schedule's length, a fold over the schedule: callers
+   asking for several values take it once ([intervals_of]). *)
+let interval_core dfg sched ~length v =
+  let reads = List.map (Schedule.step sched) (Dfg.uses_of_value dfg v) in
+  interval ~length
+    ~def:
+      (match v with Dfg.V_input _ -> -1 | Dfg.V_op id -> Schedule.step sched id)
+    ~first_read:(List.fold_left Int.min max_int reads)
+    ~last_read:(List.fold_left Int.max 0 reads)
+    ~output:(Dfg.is_output dfg v)
 
 let interval_of dfg sched v =
   interval_core dfg sched ~length:(Schedule.length sched) v
 
-let of_schedule dfg sched =
+let intervals_of dfg sched values =
   let length = Schedule.length sched in
-  List.map (fun v -> (v, interval_core dfg sched ~length v)) (Dfg.values dfg)
+  List.map (interval_core dfg sched ~length) values
 
-let occupancy dfg sched =
-  let length = Schedule.length sched in
-  List.fold_left
-    (fun acc v ->
-      let iv = interval_core dfg sched ~length v in
-      acc + (iv.death - iv.birth))
-    0 (Dfg.values dfg)
+let of_schedule dfg sched =
+  let values = Dfg.values dfg in
+  List.combine values (intervals_of dfg sched values)
+
+let occupancy dfg steps =
+  let length = Array.fold_left Int.max 0 steps in
+  let add total (row : Dfg.value_row) =
+    let reads = row.reader_pos in
+    let iv =
+      interval ~length
+        ~def:(if row.def_pos < 0 then -1 else steps.(row.def_pos))
+        ~first_read:(List.fold_left (fun acc p -> min acc steps.(p)) max_int reads)
+        ~last_read:(List.fold_left (fun acc p -> max acc steps.(p)) 0 reads)
+        ~output:row.output
+    in
+    total + (iv.death - iv.birth)
+  in
+  (List.fold_left add 0 (Dfg.value_rows dfg), length)
 
 let overlap a b = a.birth < b.death && b.birth < a.death
 

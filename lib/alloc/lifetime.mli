@@ -8,7 +8,13 @@
     [length+1]. Lifetimes are half-open intervals
     [\[birth, death)] of occupied steps; two values may share a register
     iff their intervals do not overlap — a value read at step [s] is
-    compatible with one written at the end of [s]. *)
+    compatible with one written at the end of [s].
+
+    {!occupancy} applies the same rule, through the same function, to a
+    dense step array (such as {!Hlts_sched.Constraints.levels}) read
+    through {!Hlts_dfg.Dfg.value_rows}, with no schedule in between: it
+    is the SR2 trial metric of the merge engine, run twice per
+    head-to-head decision. *)
 
 type interval = {
   birth : int;  (** first step the register is occupied; def step + 1 *)
@@ -22,10 +28,20 @@ val of_schedule :
 val interval_of :
   Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> Hlts_dfg.Dfg.value -> interval
 
-val occupancy : Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> int
-(** Total register occupancy: the sum of all interval lengths. Equal to
-    summing [death - birth] over {!of_schedule}, in one pass (the SR2
-    trial metric of the merge engine). *)
+val intervals_of :
+  Hlts_dfg.Dfg.t ->
+  Hlts_sched.Schedule.t ->
+  Hlts_dfg.Dfg.value list ->
+  interval list
+(** {!interval_of} of each value, in order, taking the schedule's length
+    (a fold over the whole schedule) once rather than per value. *)
+
+val occupancy : Hlts_dfg.Dfg.t -> int array -> int * int
+(** [occupancy dfg steps] is [(total, length)] when the op at position
+    [i] of [dfg.ops] runs at step [steps.(i)]: [total] is the register
+    occupancy, the sum of [death - birth] over {!of_schedule} of that
+    schedule, and [length] is the highest step. One pass over the value
+    rows. *)
 
 val overlap : interval -> interval -> bool
 

@@ -2,7 +2,6 @@ module Dfg = Hlts_dfg.Dfg
 module Op = Hlts_dfg.Op
 module Constraints = Hlts_sched.Constraints
 module Schedule = Hlts_sched.Schedule
-module Basic = Hlts_sched.Basic
 module Binding = Hlts_alloc.Binding
 module Lifetime = Hlts_alloc.Lifetime
 
@@ -15,33 +14,30 @@ type outcome = {
 
 (* SR2 trial metric: total register occupancy (sum of lifetime lengths)
    first — compact lifetimes enable the register mergers SR1 wants — then
-   the critical-path length as the paper's fallback. The trial reschedule
-   reuses the constraint set's shared adjacency/reachability index, and
-   occupancy is a single pass ({!Lifetime.occupancy}); the schedule is
-   returned alongside so [decide] can defer the critical-path fallback
-   until occupancy alone fails to decide the comparison. *)
-let order_metric dfg cons =
+   the critical-path length as the paper's fallback. No schedule is
+   built: the trial set's ASAP levels ({!Constraints.levels}) go straight
+   into one pass over the DFG's value rows ({!Lifetime.occupancy}), which
+   returns the length with the occupancy. *)
+let order_metric cons =
   Hlts_obs.count "sched.reschedule_attempts";
-  match Basic.asap cons with
-  | Error _ -> None
-  | Ok sched -> Some (Lifetime.occupancy dfg sched, sched)
+  Option.map (Lifetime.occupancy (Constraints.dfg cons)) (Constraints.levels cons)
 
 (* Chooses between first-[a] and first-[b] for two unordered items, given
    a function producing the trial constraint set for each order. Returns
-   [`A], [`B], or [`Stuck] when neither order is feasible. Equivalent to
-   comparing [(occupancy, length)] lexicographically with [<=], but the
-   lengths are only computed on an occupancy tie. Sets [sr2] when the
-   occupancy metric — the SR2 enhancement strategy proper — decided a
-   head-to-head; forced orders and the critical-path fallback leave it,
-   so a merger whose every choice was forced reports as plain SR1. *)
-let decide ~sr2 dfg trial_a trial_b =
-  let ma = Option.bind trial_a (order_metric dfg) in
-  let mb = Option.bind trial_b (order_metric dfg) in
+   [`A], [`B], or [`Stuck] when neither order is feasible; otherwise
+   compares [(occupancy, length)] lexicographically with [<=]. Sets
+   [sr2] when the occupancy metric — the SR2 enhancement strategy
+   proper — decided a head-to-head; forced orders and the critical-path
+   fallback leave it, so a merger whose every choice was forced reports
+   as plain SR1. *)
+let decide ~sr2 trial_a trial_b =
+  let ma = Option.bind trial_a order_metric in
+  let mb = Option.bind trial_b order_metric in
   match ma, mb with
   | None, None -> `Stuck
   | Some _, None -> `A
   | None, Some _ -> `B
-  | Some (oa, sa), Some (ob, sb) ->
+  | Some (oa, la), Some (ob, lb) ->
     if oa < ob then begin
       sr2 := true;
       `A
@@ -50,7 +46,7 @@ let decide ~sr2 dfg trial_a trial_b =
       sr2 := true;
       `B
     end
-    else if Schedule.length sa <= Schedule.length sb then `A
+    else if la <= lb then `A
     else `B
 
 (* --- module merger ----------------------------------------------------- *)
@@ -72,7 +68,7 @@ let try_arc cons a b =
 
 (* Merge-sorts two operation chains into one total order, accumulating
    chain arcs; the head-to-head decision is SR2. *)
-let merge_op_chains ~sr2 dfg cons chain_a chain_b =
+let merge_op_chains ~sr2 cons chain_a chain_b =
   let rec loop cons emitted prev xs ys =
     match xs, ys with
     | [], [] -> Some (cons, List.rev emitted)
@@ -106,7 +102,7 @@ let merge_op_chains ~sr2 dfg cons chain_a chain_b =
           | None -> None
           | Some (c, _) -> try_arc c first second
         in
-        match decide ~sr2 dfg (trial a b) (trial b a) with
+        match decide ~sr2 (trial a b) (trial b a) with
         | `Stuck -> None
         | (`A | `B) as side -> take side
       end
@@ -159,7 +155,7 @@ let modules state ~bits fa fb =
       let chain_a = by_step fu_a.Binding.fu_ops in
       let chain_b = by_step fu_b.Binding.fu_ops in
       let sr2 = ref false in
-      match merge_op_chains ~sr2 state.State.dfg state.State.cons chain_a chain_b with
+      match merge_op_chains ~sr2 state.State.cons chain_a chain_b with
       | None -> None
       | Some (cons, emitted) ->
         let merged = { Binding.fu_id = 0; fu_class = cls; fu_ops = emitted } in
@@ -243,7 +239,7 @@ let merge_value_chains ~sr2 dfg cons chain_a chain_b =
         | None -> None
         | Some c -> expire_before dfg c first second
       in
-      (match decide ~sr2 dfg (trial a b) (trial b a) with
+      (match decide ~sr2 (trial a b) (trial b a) with
       | `Stuck -> None
       | (`A | `B) as side -> take side)
   in
@@ -257,12 +253,10 @@ let registers state ~bits ra rb =
     let reg_a = List.find (fun r -> r.Binding.reg_id = ra) binding.Binding.registers in
     let reg_b = List.find (fun r -> r.Binding.reg_id = rb) binding.Binding.registers in
     let by_birth values =
-      List.sort
-        (fun u w ->
-          compare
-            (Lifetime.interval_of dfg state.State.schedule u).Lifetime.birth
-            (Lifetime.interval_of dfg state.State.schedule w).Lifetime.birth)
-        values
+      List.combine (Lifetime.intervals_of dfg state.State.schedule values) values
+      |> List.stable_sort (fun (a, _) (b, _) ->
+             compare a.Lifetime.birth b.Lifetime.birth)
+      |> List.map snd
     in
     let chain_a = by_birth reg_a.Binding.reg_values in
     let chain_b = by_birth reg_b.Binding.reg_values in

@@ -21,6 +21,12 @@ type value =
   | V_input of string
   | V_op of int
 
+type value_row = {
+  def_pos : int;
+  reader_pos : int list;
+  output : bool;
+}
+
 (* Lookups by op id, by value and by output name are on the hot path
    of every merger, scheduler and lifetime query. DFG values are
    immutable, so one index keyed on the *physical* record (a DFG is
@@ -33,6 +39,7 @@ type index = {
       (* ids of the ops reading a value, in op order, each op once even
          when both operands name the value *)
   output_names : (string, unit) Hashtbl.t;
+  rows : value_row list;
 }
 
 let make_index t =
@@ -61,7 +68,28 @@ let make_index t =
     (List.rev t.ops);
   let output_names = Hashtbl.create (List.length t.outputs) in
   List.iter (fun name -> Hashtbl.replace output_names name ()) t.outputs;
-  { by_id; readers; output_names }
+  (* The same facts by position, for the passes that run per trial
+     schedule: [values] order, op positions in [ops] order. *)
+  let pos = Hashtbl.create (2 * n) in
+  List.iteri (fun i o -> Hashtbl.replace pos o.id i) t.ops;
+  let row v def_pos name =
+    {
+      def_pos;
+      reader_pos =
+        List.map (Hashtbl.find pos)
+          (Option.value ~default:[] (Hashtbl.find_opt readers v));
+      output = Hashtbl.mem output_names name;
+    }
+  in
+  let rows =
+    List.map (fun name -> row (V_input name) (-1) name) t.inputs
+    @ List.filter_map
+        (fun o ->
+          if Op.is_comparison o.kind then None
+          else Some (row (V_op o.id) (Hashtbl.find pos o.id) o.result))
+        t.ops
+  in
+  { by_id; readers; output_names; rows }
 
 let index =
   (* Atomic, not a plain ref: domain workers index shared DFGs
@@ -228,6 +256,8 @@ let values t =
 
 let uses_of_value t v =
   Option.value ~default:[] (Hashtbl.find_opt (index t).readers v)
+
+let value_rows t = (index t).rows
 
 let is_output t v = Hashtbl.mem (index t).output_names (value_name t v)
 

@@ -79,6 +79,20 @@ val uses_of_value : t -> value -> int list
 
 val is_output : t -> value -> bool
 
+(** {!values}, {!uses_of_value} and {!is_output} by position, for passes
+    that run once per trial schedule. An op's position is its index in
+    [ops]. *)
+type value_row = {
+  def_pos : int;  (** position of the defining op; [-1] for a primary input *)
+  reader_pos : int list;
+      (** positions of the reading ops, as {!uses_of_value} lists them *)
+  output : bool;  (** {!is_output} *)
+}
+
+val value_rows : t -> value_row list
+(** One row per value, in {!values} order. Built with, and cached in,
+    the same index as {!uses_of_value}. *)
+
 val data_op_count : t -> int
 (** Operations excluding comparisons. *)
 

@@ -5,22 +5,11 @@ let ids_of cons = List.map (fun o -> o.Dfg.id) (Constraints.dfg cons).Dfg.ops
 
 let asap cons =
   Hlts_obs.span ~cat:"reschedule" "sched.asap" @@ fun _ ->
-  if not (Constraints.is_acyclic cons) then Error "cyclic constraints"
-  else begin
-    let steps = Hashtbl.create 16 in
-    let rec step_of id =
-      match Hashtbl.find_opt steps id with
-      | Some s -> s
-      | None ->
-        let s =
-          1 + List.fold_left (fun acc p -> max acc (step_of p)) 0 (Constraints.preds cons id)
-        in
-        Hashtbl.replace steps id s;
-        s
-    in
-    let assoc = List.map (fun id -> (id, step_of id)) (ids_of cons) in
-    Ok (Schedule.of_assoc assoc)
-  end
+  match Constraints.levels cons with
+  | None -> Error "cyclic constraints"
+  | Some levels ->
+    Ok
+      (Schedule.of_assoc (List.mapi (fun i id -> (id, levels.(i))) (ids_of cons)))
 
 let asap_exn cons =
   match asap cons with

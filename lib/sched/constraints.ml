@@ -10,11 +10,12 @@ module IntMap = Map.Make (Int)
 
 (* The constraint graph is queried far more often than it is extended:
    every head-to-head step of a chain merger asks [reachable]/[would_cycle]
-   several times, and every trial reschedule walks [preds]/[succs] over the
-   whole graph. The representation therefore keeps
+   several times, and every SR2 trial levels the whole graph. The
+   representation therefore keeps
 
-   - a dense id->index map and per-node base adjacency, built once per DFG
-     and shared (physically) by every constraint set derived from it, and
+   - a dense id->index map and per-node base adjacency (by id, and the
+     predecessors by dense index for [levels]), built once per DFG and
+     shared (physically) by every constraint set derived from it, and
    - a transitively-closed reachability bitset per node ([reach], one
      [Bytes] row per operation), maintained incrementally by [add_arc]
      with copy-on-write of the rows whose closure grows.
@@ -30,6 +31,7 @@ type base = {
   index : (int, int) Hashtbl.t;  (** op id -> dense index *)
   dpreds : int list array;  (** data predecessors (ids, sorted uniq) *)
   dsuccs : int list array;  (** data successors (ids, sorted uniq) *)
+  dpred_ix : int array array;  (** [dpreds] as dense indices *)
 }
 
 type t = {
@@ -119,7 +121,17 @@ let of_dfg dfg =
   in
   let reach = closure n succs_of in
   {
-    base = { ids; index; dpreds; dsuccs };
+    base =
+      {
+        ids;
+        index;
+        dpreds;
+        dsuccs;
+        dpred_ix =
+          Array.map
+            (fun l -> Array.of_list (List.map (Hashtbl.find index) l))
+            dpreds;
+      };
     dfg;
     extra = ArcSet.empty;
     xpreds = IntMap.empty;
@@ -209,6 +221,33 @@ let reachable t a b = a = b || bit_get t.reach.(idx t a) (idx t b)
 let would_cycle t a b = a = b || reachable t b a
 
 let is_acyclic t = not t.cyclic
+
+(* A memoized recursion over the base and extra predecessors by dense
+   index; a level of 0 marks a node not yet visited. *)
+let levels t =
+  if t.cyclic then None
+  else begin
+    let ids = t.base.ids in
+    let levels = Array.make (Array.length ids) 0 in
+    let rec level i =
+      if levels.(i) = 0 then begin
+        let top =
+          Array.fold_left (fun acc p -> max acc (level p)) 0 t.base.dpred_ix.(i)
+        in
+        let top =
+          List.fold_left
+            (fun acc p -> max acc (level (idx t p)))
+            top (extra_adj t.xpreds ids.(i))
+        in
+        levels.(i) <- top + 1
+      end;
+      levels.(i)
+    in
+    for i = 0 to Array.length ids - 1 do
+      ignore (level i)
+    done;
+    Some levels
+  end
 
 (* --- reference oracle --------------------------------------------------- *)
 

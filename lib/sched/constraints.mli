@@ -7,7 +7,10 @@
     reachability index, so {!reachable}, {!would_cycle}, {!known} and
     {!is_acyclic} are O(1) bit tests; {!add_arc} pays a bounded closure
     update (copy-on-write over the rows whose reachable set grows), and
-    constraint sets branched off a common ancestor share structure. *)
+    constraint sets branched off a common ancestor share structure.
+    {!levels} reads a set's ASAP schedule off the shared dense adjacency
+    in one pass, with no {!Schedule.t} built: the merge engine's SR2
+    trials call it twice per head-to-head decision. *)
 
 type t
 
@@ -34,6 +37,12 @@ val preds : t -> int -> int list
 val succs : t -> int -> int list
 
 val is_acyclic : t -> bool
+
+val levels : t -> int array option
+(** The ASAP step of every operation — one past its latest data or
+    extra predecessor — indexed by its position in [(dfg t).ops]; [None]
+    iff the set is cyclic. Computed afresh on every call, so the caller
+    owns the array. *)
 
 val would_cycle : t -> int -> int -> bool
 (** [would_cycle t a b]: does adding arc (a, b) close a cycle — i.e. is

@@ -1,9 +1,10 @@
 (* Reference implementations the property tests hold product code
    against: the per-fault fault simulation behind the product grader
    ({!Hlts_sim.Ppsfp}), PODEM's full-sweep steps, the list-scan
-   definitions behind the indexed DFG, ETPN and floorplan views, and the
+   definitions behind the indexed DFG, ETPN and floorplan views, the
    ETPN builder and hashtable testability analysis behind the
-   schedule-free data-path view. Each is
+   schedule-free data-path view, and the id-keyed ASAP behind the
+   constraint set's dense levels. Each is
    built from public APIs alone. The PODEM reference is the one that
    shares code with what it checks, by design: what it checks is the
    cone restriction, so it plugs full-sweep steps into the product
@@ -180,6 +181,39 @@ module Etpn = Hlts_etpn.Etpn
 module Binding = Hlts_alloc.Binding
 module Floorplan = Hlts_floorplan.Floorplan
 module Module_library = Hlts_floorplan.Module_library
+
+(* --- the recursive ASAP -------------------------------------------------- *)
+
+module Constraints = Hlts_sched.Constraints
+
+(* ASAP as [Basic.asap] computed it before the constraint set levelled
+   itself by dense index: a memoized recursion over [Constraints.preds]
+   by op id, one step past the latest predecessor. It finds cycles
+   itself (an operation reached again while its own step is pending)
+   rather than asking the set's reachability index. Steps are indexed
+   like [Constraints.levels], by position in the DFG's [ops]; [None] on
+   a cycle. *)
+let asap cons =
+  let steps = Hashtbl.create 16 and pending = Hashtbl.create 16 in
+  let exception Cycle in
+  let rec step_of id =
+    match Hashtbl.find_opt steps id with
+    | Some s -> s
+    | None ->
+      if Hashtbl.mem pending id then raise Cycle;
+      Hashtbl.replace pending id ();
+      let s =
+        1
+        + List.fold_left
+            (fun acc p -> max acc (step_of p))
+            0 (Constraints.preds cons id)
+      in
+      Hashtbl.replace steps id s;
+      s
+  in
+  match List.map (fun o -> step_of o.Dfg.id) (Constraints.dfg cons).Dfg.ops with
+  | steps -> Some (Array.of_list steps)
+  | exception Cycle -> None
 
 (* [Dfg.uses_of_value]: a filter over the op list. *)
 let uses_of_value dfg v =

@@ -64,3 +64,29 @@ let trajectory rng d steps =
       go s' (k - 1) (s :: acc)
   in
   go (State.init d) steps []
+
+(* The constraint sets along [k] random [add_arc] calls from
+   [Constraints.of_dfg d], base set first. Arcs are drawn between any
+   two operations, so some repeat an earlier arc or one the data
+   already implies, and some close a cycle (a self-loop among them);
+   a cycle-closing draw is kept one time in four, so most sequences
+   stay acyclic for a while and some end cyclic. *)
+let constraint_sets rng d k =
+  let module Constraints = Hlts_sched.Constraints in
+  let ids = Array.of_list (List.map (fun o -> o.Dfg.id) d.Dfg.ops) in
+  let rec go c added k acc =
+    if k = 0 then List.rev acc
+    else
+      let a, b =
+        match added with
+        | _ :: _ when Rng.int rng 5 = 0 -> Rng.pick rng (Array.of_list added)
+        | _ -> (Rng.pick rng ids, Rng.pick rng ids)
+      in
+      if Constraints.would_cycle c a b && Rng.int rng 4 <> 0 then
+        go c added (k - 1) acc
+      else
+        let c = Constraints.add_arc c a b in
+        go c ((a, b) :: added) (k - 1) (c :: acc)
+  in
+  let c0 = Constraints.of_dfg d in
+  go c0 [] k [ c0 ]

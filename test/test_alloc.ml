@@ -47,8 +47,8 @@ let prop_death_after_birth =
         (Lifetime.of_schedule d s))
 
 let prop_occupancy_sums_intervals =
-  (* the one-pass SR2 metric and the per-value lifetimes agree, under
-     ASAP and under a stretched ALAP schedule *)
+  (* the dense SR2 metric and the per-value lifetimes agree, under ASAP
+     and under a stretched ALAP schedule *)
   QCheck.Test.make ~name:"occupancy = summed of_schedule intervals" ~count:200
     QCheck.(pair (int_bound 1_000_000) (int_bound 3))
     (fun (seed, slack) ->
@@ -62,10 +62,14 @@ let prop_occupancy_sums_intervals =
       List.for_all
         (fun s ->
           let ivs = Lifetime.of_schedule d s in
-          Lifetime.occupancy d s
-          = List.fold_left
-              (fun acc (_, iv) -> acc + (iv.Lifetime.death - iv.Lifetime.birth))
-              0 ivs
+          let steps =
+            Array.of_list (List.map (fun o -> Schedule.step s o.Dfg.id) d.Dfg.ops)
+          in
+          Lifetime.occupancy d steps
+          = ( List.fold_left
+                (fun acc (_, iv) -> acc + (iv.Lifetime.death - iv.Lifetime.birth))
+                0 ivs,
+              Schedule.length s )
           && List.for_all (fun (v, iv) -> Lifetime.interval_of d s v = iv) ivs)
         schedules)
 

@@ -154,6 +154,29 @@ let test_asap_with_extra_arcs () =
   let s = Basic.asap_exn cons in
   Alcotest.(check bool) "order" true (Schedule.step s 21 < Schedule.step s 22)
 
+let prop_levels_match_oracle =
+  (* the dense levels, and the schedule [Basic.asap] reads off them,
+     against the id-keyed recursive ASAP, along random [add_arc]
+     sequences — duplicate, implied and cycle-closing arcs included *)
+  QCheck.Test.make ~name:"levels = recursive ASAP" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
+    (fun (seed, k) ->
+      let d = Random_dfg.make seed in
+      let rng = Hlts_util.Rng.create seed in
+      List.for_all
+        (fun c ->
+          let oracle = Oracle.asap c in
+          let basic =
+            match Basic.asap c with
+            | Error _ -> None
+            | Ok s ->
+              Some
+                (Array.of_list
+                   (List.map (fun o -> Schedule.step s o.Dfg.id) d.Dfg.ops))
+          in
+          Constraints.levels c = oracle && basic = oracle)
+        (Random_dfg.constraint_sets rng d k))
+
 let test_alap () =
   let cons = Constraints.of_dfg B.ex in
   let asap = Basic.asap_exn cons in
@@ -341,6 +364,7 @@ let () =
           Alcotest.test_case "alap" `Quick test_alap;
           Alcotest.test_case "alap infeasible" `Quick test_alap_infeasible;
           Alcotest.test_case "mobility" `Quick test_mobility;
+          QCheck_alcotest.to_alcotest prop_levels_match_oracle;
         ] );
       ( "list",
         [

@@ -295,7 +295,9 @@ let test_deterministic () =
    state views). The reachability index, the state caches and the
    candidate/lifetime rewrites must preserve the committed merge
    sequence bit for bit — %h prints exact float images, so any change
-   in summation order or tie-breaking shows up here. *)
+   in summation order or tie-breaking shows up here. The three
+   [Benchmarks.random] graphs are the ones the synth-scale benchmark
+   times. *)
 let records_digest records =
   let line r =
     Printf.sprintf "%d|%s|%d|%h|%h|%h" r.Synth.iteration r.Synth.description
@@ -319,6 +321,21 @@ let test_golden_trajectories () =
     [
       ("tseng", B.tseng, "e7d29eb3d02b6a2b3332583109dbb378", 7, 4);
       ("paulin", B.paulin, "686cc71cada1cdcf6920f32ea3f2bd46", 15, 7);
+      ( "rnd-s1-n40",
+        B.random ~seed:1 ~ops:40,
+        "00ded574205d6966110b2fdddf64eeb8",
+        62,
+        16 );
+      ( "rnd-s2-n44",
+        B.random ~seed:2 ~ops:44,
+        "6dcda11267e03366753cd85686f04c19",
+        68,
+        19 );
+      ( "rnd-s3-n48",
+        B.random ~seed:3 ~ops:48,
+        "f376d5572b2367e711e3d8f6fa1c6dc9",
+        76,
+        21 );
     ]
 
 (* --- test points -------------------------------------------------------- *)
@@ -583,6 +600,38 @@ let prop_view_matches_oracle =
         (fun s -> state_view_mismatch ~bits_list:[ 4; 8; 16 ] s = None)
         (Random_dfg.trajectory rng (Random_dfg.make seed) steps))
 
+module Lifetime = Hlts_alloc.Lifetime
+
+let prop_order_metric_matches_oracle =
+  (* the SR2 trial metric — the set's levels through the dense value
+     rows, as the merge engine reads it — against the lifetimes of the
+     recursive ASAP schedule *)
+  QCheck.Test.make ~name:"SR2 trial metric = oracle ASAP lifetimes"
+    ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
+    (fun (seed, k) ->
+      let d = Random_dfg.make seed in
+      let rng = Hlts_util.Rng.create seed in
+      List.for_all
+        (fun c ->
+          let metric =
+            Option.map (Lifetime.occupancy d) (Hlts_sched.Constraints.levels c)
+          in
+          match Oracle.asap c with
+          | None -> metric = None
+          | Some steps ->
+            let s =
+              Schedule.of_assoc
+                (List.mapi (fun i o -> (o.Dfg.id, steps.(i))) d.Dfg.ops)
+            in
+            let occupancy =
+              List.fold_left
+                (fun acc (_, iv) -> acc + (iv.Lifetime.death - iv.Lifetime.birth))
+                0 (Lifetime.of_schedule d s)
+            in
+            metric = Some (occupancy, Schedule.length s))
+        (Random_dfg.constraint_sets rng d k))
+
 let test_inconsistent_raises () =
   (* the toy's N2 reads N1 and N3 reads N2: one step for all is invalid *)
   let d = B.toy in
@@ -660,6 +709,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_view_matches_oracle;
           Alcotest.test_case "inconsistent state raises" `Quick
             test_inconsistent_raises;
+          QCheck_alcotest.to_alcotest prop_order_metric_matches_oracle;
         ] );
       ( "flows",
         [
