@@ -540,17 +540,27 @@ let run_json_serve seed file =
     List.map2
       (fun (name, cells, (rc : Engine.result), wall_cold)
            (_, _, (rw : Engine.result), wall_warm) ->
-        let dig (r : Engine.result) =
-          ( r.Engine.digest,
-            Engine.response_digest r.Engine.response,
-            Engine.journal_digest r.Engine.journal )
+        (* The digests are recomputed from the content (the oracle),
+           and the ones the result carries must equal them. *)
+        let dig label (r : Engine.result) =
+          let resp_d = Engine.response_digest r.Engine.response
+          and journal_d = Engine.journal_digest r.Engine.journal in
+          if
+            r.Engine.response_digest <> resp_d
+            || r.Engine.journal_digest <> journal_d
+          then
+            failwith
+              (Printf.sprintf "%s: %s stored digests differ from the content"
+                 name label);
+          (r.Engine.digest, resp_d, journal_d)
         in
-        if dig rc <> dig rw then
+        let cold_d = dig "cold" rc and warm_d = dig "warm" rw in
+        if cold_d <> warm_d then
           failwith
             (Printf.sprintf "%s: warm digests differ from cold digests" name);
         if not rw.Engine.cached then
           failwith (Printf.sprintf "%s: warm pass was not fully cached" name);
-        let req_d, resp_d, journal_d = dig rc in
+        let req_d, resp_d, journal_d = cold_d in
         let open Hlts_obs.Json in
         Obj
           [

@@ -121,28 +121,30 @@ let first_lane word =
   find 0
 
 (* Packs up to 64 deterministic tests into lanes and records the good
-   trajectory (missing PI assignments are 0). *)
+   trajectory (missing PI assignments are 0). Each cycle's words are
+   built in one pass over each lane's assignments, into an array by PI
+   position; assignments to non-PI nets are ignored. *)
 let pack_tests sim tests =
-  let pis = Array.to_list (Sim.pi_nets sim) in
+  let pis = Sim.pi_nets sim in
+  let pi_pos = Array.make (Sim.circuit sim).Netlist.n_nets (-1) in
+  Array.iteri (fun i net -> pi_pos.(net) <- i) pis;
   let depth =
     List.fold_left (fun acc t -> max acc (Array.length t.Podem.t_frames)) 0 tests
   in
-  let lane_tests = Array.of_list tests in
   let stimuli =
     Array.init depth (fun cycle ->
-        List.map
-          (fun net ->
-            let word = ref 0L in
-            Array.iteri
-              (fun lane t ->
-                if cycle < Array.length t.Podem.t_frames then begin
-                  match List.assoc_opt net t.Podem.t_frames.(cycle) with
-                  | Some true -> word := Int64.logor !word (Int64.shift_left 1L lane)
-                  | Some false | None -> ()
-                end)
-              lane_tests;
-            (net, !word))
-          pis)
+        let words = Array.make (Array.length pis) 0L in
+        List.iteri
+          (fun lane t ->
+            if cycle < Array.length t.Podem.t_frames then
+              List.iter
+                (fun (net, v) ->
+                  let i = pi_pos.(net) in
+                  if v && i >= 0 then
+                    words.(i) <- Int64.logor words.(i) (Int64.shift_left 1L lane))
+                t.Podem.t_frames.(cycle))
+          tests;
+        Array.to_list (Array.mapi (fun i net -> (net, words.(i))) pis))
   in
   Sim.record sim stimuli
 

@@ -78,5 +78,13 @@ val run : ?config:config -> ?jobs:int -> Hlts_netlist.Netlist.t -> result
     plane scratch.
     @raise Invalid_argument as {!Hlts_pool.Pool.create}. *)
 
+val pack_tests : Hlts_sim.Sim.t -> Podem.test list -> Hlts_sim.Sim.trajectory
+(** [pack_tests sim tests] packs up to 64 tests, one per bit lane, and
+    records the good trajectory over them ({!Hlts_sim.Sim.record}):
+    each cycle assigns every PI, in {!Hlts_sim.Sim.pi_nets} order, the
+    word whose lane [i] bit is test [i]'s value for it in that frame.
+    A PI a test leaves unassigned, or a test shorter than the batch,
+    reads 0; assignments to non-PI nets are ignored. *)
+
 val coverage_pct : result -> float
 (** [100 * coverage]. *)

@@ -1,4 +1,8 @@
-let magic = "hlts-cache/1"
+(* Bumped whenever a kind's payload type changes: [Marshal] is untyped,
+   so an entry of an older format must fail the header check and be
+   evicted, never unmarshalled as the new type. /2: a [result] entry
+   is the engine's sealed answer (response, journal and both digests). *)
+let magic = "hlts-cache/2"
 
 let default_dir () =
   match Sys.getenv_opt "HLTS_CACHE_DIR" with

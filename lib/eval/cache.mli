@@ -12,7 +12,7 @@
     [$HLTS_CACHE_DIR], else [~/.cache/hlts]) holding marshalled values;
     every file carries a header
 
-    {v hlts-cache/1 <kind> <ocaml-version> <payload-md5> <payload-length> v}
+    {v hlts-cache/2 <kind> <ocaml-version> <payload-md5> <payload-length> v}
 
     which is verified on every read — a bad magic, version skew, length
     or checksum mismatch means the entry is corrupt or stale and is
@@ -22,7 +22,12 @@
 
     Type safety of the disk tier rests on the namespace discipline:
     each [kind] must be read and written with exactly one type. The
-    engine is the only writer and upholds this. *)
+    engine is the only writer and upholds this. The magic names the
+    payload format: it is bumped whenever a kind's type changes, so an
+    entry of an older format is evicted as corrupt instead of being
+    unmarshalled as the new type. [/2] made a [result] entry the
+    engine's sealed answer — response, journal and both their digests
+    (an old store recomputes each answer once). *)
 
 type t
 

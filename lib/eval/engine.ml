@@ -104,6 +104,8 @@ type result = {
   digest : string;
   response : response;
   journal : Obs.Journal.event list;
+  response_digest : string;
+  journal_digest : string;
   cached : bool;
   probe_s : float;
   compute_s : float;
@@ -237,6 +239,25 @@ let response_to_json = function
       ]
 
 let response_digest r = md5 (Json.to_string (response_to_json r))
+
+(* A result-tier entry: one answer sealed with its two digests. Both
+   are pure functions of the answer, so they are computed once, when
+   the answer is built, and a hit serves them without re-encoding the
+   response or the journal. *)
+type entry = {
+  e_response : response;
+  e_journal : Obs.Journal.event list;
+  e_response_digest : string;
+  e_journal_digest : string;
+}
+
+let seal response journal =
+  {
+    e_response = response;
+    e_journal = journal;
+    e_response_digest = response_digest response;
+    e_journal_digest = journal_digest journal;
+  }
 
 let spec_to_json s =
   let p = s.params and a = s.atpg in
@@ -549,14 +570,20 @@ let fan_out ?jobs f xs =
 (* A sweep fans the missing cells out over the worker pool exactly as
    the old [Experiments.table_rows] did: outcomes are synthesized
    in-process (they are shared across widths), then each cell evaluates
-   its (outcome, width) on a pool lane. Cached cells skip the pool
-   entirely. *)
+   its (outcome, width) on a pool lane. Each cell is probed, and each
+   computed cell stored, under its [Atpg] request digest, so a later
+   [Atpg] request or an overlapping sweep hits it; cached cells skip
+   the pool entirely. Returns the rows, their concatenated journals and
+   whether every cell was cached. *)
 let run_sweep t ~find cells =
+  let cell_of_entry e =
+    match e.e_response with Row r -> Some (r, e.e_journal) | _ -> None
+  in
   let keyed =
     List.map
       (fun s ->
         let key = spec_digest ~op:"atpg" s in
-        (s, key, find ~kind:"result" key))
+        (s, key, Option.bind (find key) cell_of_entry))
       cells
   in
   let missing =
@@ -571,10 +598,9 @@ let run_sweep t ~find cells =
   in
   let computed =
     List.map2
-      (fun (s, key, _o, journal) row ->
-        let entry = (row, journal) in
-        Cache.store t.cache ~kind:"result" key entry;
-        (s, key, entry))
+      (fun (_s, key, _o, journal) row ->
+        Cache.store t.cache ~kind:"result" key (seal (Row row) journal);
+        (key, (row, journal)))
       missing
       (fan_out ?jobs:t.jobs
          (fun (s, o) ->
@@ -584,19 +610,16 @@ let run_sweep t ~find cells =
   let rows_journals =
     List.map
       (fun (_, key, hit) ->
-        match hit with
-        | Some entry -> entry
-        | None ->
-          let _, _, entry =
-            List.find (fun (_, k, _) -> k = key) computed
-          in
-          entry)
+        match hit with Some cell -> cell | None -> List.assoc key computed)
       keyed
   in
   ( Rows (List.map fst rows_journals),
     List.concat_map snd rows_journals,
     missing = [] )
 
+(* Every request, a sweep included, is one result-tier entry under its
+   own request digest: a hit is a single lookup that re-encodes
+   nothing. A miss computes the answer, seals it and stores it. *)
 let run t req =
   Obs.count "engine.requests";
   let t0 = Obs.Clock.now_ns () in
@@ -605,47 +628,44 @@ let run t req =
      cache probe never changes what it returns, so this stays outside
      every determinism contract. *)
   let probe_ns = ref 0L in
-  let find ~kind key =
+  let find key : entry option =
     let p0 = Obs.Clock.now_ns () in
-    let r = Cache.find t.cache ~kind key in
+    let r = Cache.find t.cache ~kind:"result" key in
     probe_ns := Int64.add !probe_ns (Int64.sub (Obs.Clock.now_ns ()) p0);
     r
   in
   let digest = request_digest req in
-  let finish (response, journal, cached) =
-    Obs.count (if cached then "engine.cache_hits" else "engine.cache_misses");
-    let total_s = Obs.Clock.seconds_since t0 in
-    let probe_s = Int64.to_float !probe_ns /. 1e9 in
-    {
-      digest; response; journal; cached; probe_s;
-      compute_s = Float.max 0.0 (total_s -. probe_s);
-    }
+  let entry, cached =
+    match find digest with
+    | Some e -> (e, true)
+    | None ->
+      let response, journal, cached =
+        match req with
+        | Synth s ->
+          let o, journal, _ = outcome t ?jobs:t.jobs s in
+          (Synth_done (synth_summary s o), journal, false)
+        | Testability s ->
+          let o, journal, _ = outcome t s in
+          (Testability_done (testability_summary o), journal, false)
+        | Atpg s ->
+          let row, journal = atpg_row t ?jobs:t.jobs s in
+          (Row row, journal, false)
+        | Sweep cells -> run_sweep t ~find cells
+      in
+      let e = seal response journal in
+      Cache.store t.cache ~kind:"result" digest e;
+      (e, cached)
   in
-  match req with
-  | Sweep cells -> finish (run_sweep t ~find cells)
-  | Synth s ->
-    finish
-      (match find ~kind:"result" digest with
-      | Some (response, journal) -> (response, journal, true)
-      | None ->
-        let o, journal, _ = outcome t ?jobs:t.jobs s in
-        let response = Synth_done (synth_summary s o) in
-        Cache.store t.cache ~kind:"result" digest (response, journal);
-        (response, journal, false))
-  | Testability s ->
-    finish
-      (match find ~kind:"result" digest with
-      | Some (response, journal) -> (response, journal, true)
-      | None ->
-        let o, journal, _ = outcome t s in
-        let response = Testability_done (testability_summary o) in
-        Cache.store t.cache ~kind:"result" digest (response, journal);
-        (response, journal, false))
-  | Atpg s ->
-    finish
-      (match find ~kind:"result" digest with
-      | Some (row, journal) -> (Row row, journal, true)
-      | None ->
-        let row, journal = atpg_row t ?jobs:t.jobs s in
-        Cache.store t.cache ~kind:"result" digest (row, journal);
-        (Row row, journal, false))
+  Obs.count (if cached then "engine.cache_hits" else "engine.cache_misses");
+  let total_s = Obs.Clock.seconds_since t0 in
+  let probe_s = Int64.to_float !probe_ns /. 1e9 in
+  {
+    digest;
+    response = entry.e_response;
+    journal = entry.e_journal;
+    response_digest = entry.e_response_digest;
+    journal_digest = entry.e_journal_digest;
+    cached;
+    probe_s;
+    compute_s = Float.max 0.0 (total_s -. probe_s);
+  }

@@ -16,7 +16,12 @@
 
     Execution consults a {!Cache} at three tiers before computing:
 
-    - [result]: request digest -> complete response + decision journal;
+    - [result]: request digest -> one sealed answer: the complete
+      response, its decision journal and both their digests
+      ({!response_digest}, {!journal_digest}), computed once when the
+      answer is built. Every request is one entry, a [Sweep] included;
+      a sweep also writes one [Atpg] entry per computed cell, so later
+      [Atpg] requests and overlapping sweeps hit them;
     - [atpg]: (netlist digest, ATPG config) -> raw fault-sim /
       test-generation result, shared by requests that reach the same
       gate-level circuit through different wrappers;
@@ -26,7 +31,8 @@
       table row and by testability/synth requests for the same design.
 
     Cache hits are byte-identical to cold runs, journal included: the
-    journal is captured at compute time and stored with the result. *)
+    journal is captured at compute time and stored with the result.
+    A hit re-encodes nothing: it returns the stored digests. *)
 
 module Flows = Hlts_synth.Flows
 
@@ -96,6 +102,11 @@ type result = {
       (** the decision journal of every synthesis the request ran (or
           would have run — cache hits return the stored journal),
           byte-identical cold or warm, at any job count *)
+  response_digest : string;
+      (** {!response_digest}[ response], computed when the answer was
+          built and stored with it *)
+  journal_digest : string;
+      (** {!journal_digest}[ journal], likewise stored *)
   cached : bool;  (** everything was served from the cache *)
   probe_s : float;
       (** wall seconds spent probing the result cache tier — the

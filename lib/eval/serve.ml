@@ -35,7 +35,7 @@ type job = {
 }
 
 (* One of the K slowest requests, journal included, for the SIGUSR1
-   dump. *)
+   dump; its journal digest is the one the result carried. *)
 type slow = {
   sl_t_s : float;
   sl_op : string;
@@ -44,6 +44,7 @@ type slow = {
   sl_trace : string;
   sl_total_s : float;
   sl_journal : Obs.Journal.event list;
+  sl_journal_digest : string;
 }
 
 type state = {
@@ -125,7 +126,7 @@ let slow_summary_json s =
       ("t_s", Json.Float s.sl_t_s); ("op", Json.Str s.sl_op);
       ("digest", Json.Str s.sl_digest); ("verdict", Json.Str s.sl_verdict);
       ("trace", Json.Str s.sl_trace); ("total_s", Json.Float s.sl_total_s);
-      ("journal_digest", Json.Str (Engine.journal_digest s.sl_journal));
+      ("journal_digest", Json.Str s.sl_journal_digest);
     ]
 
 (* SIGUSR1 dump: one line per retained request, slowest first, captured
@@ -161,7 +162,7 @@ let write_metrics st =
    and verdict — they become _bucket histograms in --metrics), slow
    ring. *)
 let record st ~op ~digest ~verdict ~trace ~async ~queue_s ~cache_s ~compute_s
-    ~reply_s ~bytes_out ~total_s ~journal =
+    ~reply_s ~bytes_out ~total_s ~result =
   access st
     ([
        ("trace", Json.Str trace); ("op", Json.Str op);
@@ -179,9 +180,9 @@ let record st ~op ~digest ~verdict ~trace ~async ~queue_s ~cache_s ~compute_s
   Obs.sample "serve.phase.cache_seconds" cache_s;
   Obs.sample "serve.phase.compute_seconds" compute_s;
   Obs.sample "serve.phase.reply_seconds" reply_s;
-  match journal with
+  match result with
   | None -> ()
-  | Some j ->
+  | Some (r : Engine.result) ->
     note_slow st
       {
         sl_t_s = Obs.Clock.seconds_since st.t0;
@@ -190,7 +191,8 @@ let record st ~op ~digest ~verdict ~trace ~async ~queue_s ~cache_s ~compute_s
         sl_verdict = verdict;
         sl_trace = trace;
         sl_total_s = total_s;
-        sl_journal = j;
+        sl_journal = r.Engine.journal;
+        sl_journal_digest = r.Engine.journal_digest;
       }
 
 (* ---- replies ------------------------------------------------------------ *)
@@ -202,9 +204,8 @@ let result_reply ~with_journal (r : Engine.result) =
        ("digest", Json.Str r.Engine.digest);
        ("cached", Json.Bool r.Engine.cached);
        ("response", Engine.response_to_json r.Engine.response);
-       ( "response_digest",
-         Json.Str (Engine.response_digest r.Engine.response) );
-       ("journal_digest", Json.Str (Engine.journal_digest r.Engine.journal));
+       ("response_digest", Json.Str r.Engine.response_digest);
+       ("journal_digest", Json.Str r.Engine.journal_digest);
      ]
     @
     if with_journal then
@@ -277,10 +278,10 @@ type meta = {
   m_trace : string;
   m_cache_s : float;
   m_compute_s : float;
-  m_journal : Obs.Journal.event list option;
+  m_result : Engine.result option;
 }
 
-let meta ?(digest = "-") ?(cache_s = 0.0) ?(compute_s = 0.0) ?journal
+let meta ?(digest = "-") ?(cache_s = 0.0) ?(compute_s = 0.0) ?result
     ?(trace = "-") ~op verdict =
   {
     m_op = op;
@@ -289,7 +290,7 @@ let meta ?(digest = "-") ?(cache_s = 0.0) ?(compute_s = 0.0) ?journal
     m_trace = trace;
     m_cache_s = cache_s;
     m_compute_s = compute_s;
-    m_journal = journal;
+    m_result = result;
   }
 
 (* One decoded envelope -> one reply frame plus its accounting meta.
@@ -355,7 +356,7 @@ let handle st frame =
           meta ~op:op_str ~trace ~digest:result.Engine.digest
             ~cache_s:result.Engine.probe_s
             ~compute_s:result.Engine.compute_s
-            ~journal:result.Engine.journal
+            ~result
             (if result.Engine.cached then "hit" else "miss") )
       end
       else if Queue.length st.queue >= st.cfg.queue_limit then begin
@@ -416,7 +417,7 @@ let rec pump st conn =
         ~trace:m.m_trace ~async:false ~queue_s:0.0 ~cache_s:m.m_cache_s
         ~compute_s:m.m_compute_s ~reply_s:(Obs.Clock.seconds_since r0)
         ~bytes_out ~total_s:(Obs.Clock.seconds_since t_start)
-        ~journal:m.m_journal
+        ~result:m.m_result
     in
     match Wire.write_frame' conn.fd reply with
     | bytes_out ->
@@ -449,7 +450,7 @@ let run_job st jb =
     ~trace:jb.jb_trace ~async:true ~queue_s ~cache_s:result.Engine.probe_s
     ~compute_s:result.Engine.compute_s ~reply_s:0.0 ~bytes_out:0
     ~total_s:(Obs.Clock.seconds_since t_start)
-    ~journal:(Some result.Engine.journal)
+    ~result:(Some result)
 
 let bind_listen cfg =
   let sa = Wire.sockaddr cfg.addr in

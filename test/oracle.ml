@@ -1,6 +1,7 @@
 (* Reference implementations the property tests hold product code
    against: the per-fault fault simulation behind the product grader
-   ({!Hlts_sim.Ppsfp}), PODEM's full-sweep steps, the list-scan
+   ({!Hlts_sim.Ppsfp}), the lookup-per-lane test packing behind
+   [Atpg.pack_tests], PODEM's full-sweep steps, the list-scan
    definitions behind the indexed DFG, ETPN and floorplan views, the
    ETPN builder and hashtable testability analysis behind the
    schedule-free data-path view, and the id-keyed ASAP behind the
@@ -45,6 +46,38 @@ let replay_full ?(mask = -1L) t (m : Sim.machine) (fault : Fault.t) tr ~evals =
     end
   in
   cycle 0
+
+(* --- test packing by lookup ------------------------------------------- *)
+
+(* [Atpg.pack_tests] as it was before it built each cycle's words in one
+   pass: for every (cycle, PI, lane), a [List.assoc_opt] of the PI in
+   that lane's frame. *)
+let pack_tests sim (tests : Hlts_atpg.Podem.test list) =
+  let pis = Array.to_list (Sim.pi_nets sim) in
+  let depth =
+    List.fold_left
+      (fun acc t -> max acc (Array.length t.Hlts_atpg.Podem.t_frames))
+      0 tests
+  in
+  let lane_tests = Array.of_list tests in
+  let stimuli =
+    Array.init depth (fun cycle ->
+        List.map
+          (fun net ->
+            let word = ref 0L in
+            Array.iteri
+              (fun lane (t : Hlts_atpg.Podem.test) ->
+                if cycle < Array.length t.t_frames then begin
+                  match List.assoc_opt net t.t_frames.(cycle) with
+                  | Some true ->
+                    word := Int64.logor !word (Int64.shift_left 1L lane)
+                  | Some false | None -> ()
+                end)
+              lane_tests;
+            (net, !word))
+          pis)
+  in
+  Sim.record sim stimuli
 
 (* --- PODEM without the cone restriction -------------------------------- *)
 

@@ -275,6 +275,128 @@ let test_engine_cold_warm_identical () =
     (Engine.journal_digest warm.Engine.journal);
   Alcotest.(check bool) "journal captured" true (cold.Engine.journal <> [])
 
+(* Every request kind, cold, then a memory hit on the same engine, then
+   a disk hit through a fresh engine over the same directory: the
+   digests a result carries are those of its content, and all three
+   passes agree. The sweep shares one cell with the [Atpg] request, so
+   its cold pass mixes a cell hit with a computed cell. *)
+let test_stored_digests_every_kind () =
+  let dir = temp_dir () in
+  let s = spec_exn ~atpg:cheap_atpg ~bench:"toy" ~approach:Flows.Ours ~bits:4 () in
+  let s2 =
+    spec_exn ~atpg:cheap_atpg ~bench:"toy" ~approach:Flows.Camad ~bits:4 ()
+  in
+  let reqs =
+    [
+      ("synth", Engine.Synth s);
+      ("testability", Engine.Testability s);
+      ("atpg", Engine.Atpg s);
+      ("sweep", Engine.Sweep [ s2; s ]);
+    ]
+  in
+  let engine () =
+    Engine.create ~jobs:1 ~cache:(Cache.create ~dir:(Some dir) ()) ()
+  in
+  let pass label ~cached e =
+    List.map
+      (fun (name, req) ->
+        let r = Engine.run e req in
+        let what = Printf.sprintf "%s %s" label name in
+        Alcotest.(check bool) (what ^ ": cached") cached r.Engine.cached;
+        Alcotest.(check string) (what ^ ": response digest of the content")
+          (Engine.response_digest r.Engine.response) r.Engine.response_digest;
+        Alcotest.(check string) (what ^ ": journal digest of the content")
+          (Engine.journal_digest r.Engine.journal) r.Engine.journal_digest;
+        (r.Engine.digest, r.Engine.response_digest, r.Engine.journal_digest))
+      reqs
+  in
+  let e = engine () in
+  let cold = pass "cold" ~cached:false e in
+  let mem = pass "memory" ~cached:true e in
+  let disk = pass "disk" ~cached:true (engine ()) in
+  let triples = Alcotest.(list (triple string string string)) in
+  Alcotest.check triples "memory = cold" cold mem;
+  Alcotest.check triples "disk = cold" cold disk
+
+(* Total result-tier lookups a cache has served (every tier's probes go
+   through [Cache.find], so this counts them all). *)
+let lookups c =
+  let s = Cache.stats c in
+  s.Cache.mem_hits + s.Cache.mem_misses
+
+let test_warm_sweep_one_lookup () =
+  let dir = temp_dir () in
+  let cells =
+    List.map
+      (fun approach ->
+        spec_exn ~atpg:cheap_atpg ~bench:"toy" ~approach ~bits:4 ())
+      [ Flows.Ours; Flows.Camad; Flows.Approach2 ]
+  in
+  let sweep = Engine.Sweep cells in
+  let c = Cache.create ~dir:(Some dir) () in
+  let e = Engine.create ~jobs:1 ~cache:c () in
+  let cold = Engine.run e sweep in
+  Alcotest.(check bool) "cold computes" false cold.Engine.cached;
+  let before = lookups c in
+  let warm = Engine.run e sweep in
+  Alcotest.(check bool) "warm recalls" true warm.Engine.cached;
+  Alcotest.(check int) "memory hit: one lookup" 1 (lookups c - before);
+  let c2 = Cache.create ~dir:(Some dir) () in
+  let disk = Engine.run (Engine.create ~jobs:1 ~cache:c2 ()) sweep in
+  Alcotest.(check bool) "disk recalls" true disk.Engine.cached;
+  Alcotest.(check int) "disk hit: one lookup" 1 (lookups c2);
+  Alcotest.(check int) "disk hit: one disk read" 1 (Cache.stats c2).Cache.disk_hits;
+  Alcotest.(check string) "same journal digest" cold.Engine.journal_digest
+    disk.Engine.journal_digest;
+  (* the per-cell entries are still written: a cell asked alone hits *)
+  let c3 = Cache.create ~dir:(Some dir) () in
+  let cell =
+    Engine.run (Engine.create ~jobs:1 ~cache:c3 ()) (Engine.Atpg (List.nth cells 1))
+  in
+  Alcotest.(check bool) "cell hits after the sweep" true cell.Engine.cached
+
+(* A well-formed entry of the previous disk format — valid header and
+   checksum, but a [result] payload of the old type — must be evicted as
+   corrupt, never unmarshalled as a sealed answer. *)
+let test_old_format_evicted () =
+  let dir = temp_dir () in
+  let s = spec_exn ~atpg:cheap_atpg ~bench:"toy" ~approach:Flows.Ours ~bits:4 () in
+  let fresh = Engine.run (Engine.create ~jobs:1 ()) (Engine.Atpg s) in
+  let row =
+    match fresh.Engine.response with
+    | Engine.Row r -> r
+    | _ -> Alcotest.fail "an atpg request answers a row"
+  in
+  let digest = fresh.Engine.digest in
+  let payload = Marshal.to_string (row, fresh.Engine.journal) [] in
+  let path =
+    List.fold_left Filename.concat dir
+      [ "result"; String.sub digest 0 2; digest ]
+  in
+  Unix.mkdir (Filename.concat dir "result") 0o755;
+  Unix.mkdir (Filename.dirname path) 0o755;
+  corrupt_with
+    (Printf.sprintf "hlts-cache/1 result %s %s %d\n%s" Sys.ocaml_version
+       (Digest.to_hex (Digest.string payload))
+       (String.length payload) payload)
+    path;
+  let c = Cache.create ~dir:(Some dir) () in
+  Alcotest.(check bool) "miss" true
+    (Option.is_none (Cache.find c ~kind:"result" digest));
+  Alcotest.(check int) "one disk error" 1 (Cache.stats c).Cache.disk_errors;
+  Alcotest.(check bool) "file removed" false (Sys.file_exists path);
+  (* the engine recomputes the answer once and stores it afresh *)
+  let run () =
+    Engine.run
+      (Engine.create ~jobs:1 ~cache:(Cache.create ~dir:(Some dir) ()) ())
+      (Engine.Atpg s)
+  in
+  let cold = run () in
+  Alcotest.(check bool) "recomputed" false cold.Engine.cached;
+  Alcotest.(check string) "same answer" fresh.Engine.response_digest
+    cold.Engine.response_digest;
+  Alcotest.(check bool) "then hits" true (run ()).Engine.cached
+
 let test_request_json_roundtrip () =
   let s =
     spec_exn ~atpg:cheap_atpg ~bench:"tseng" ~approach:Flows.Approach2
@@ -398,5 +520,11 @@ let () =
         [
           Alcotest.test_case "cold = warm" `Quick
             test_engine_cold_warm_identical;
+          Alcotest.test_case "stored digests, every kind" `Quick
+            test_stored_digests_every_kind;
+          Alcotest.test_case "warm sweep: one lookup" `Quick
+            test_warm_sweep_one_lookup;
+          Alcotest.test_case "hlts-cache/1 entry evicted" `Quick
+            test_old_format_evicted;
         ] );
     ]

@@ -114,6 +114,37 @@ let prop_grade_matches_oracle =
       | None -> true
       | Some msg -> QCheck.Test.fail_reportf "seed %d %s" seed msg)
 
+(* --- Atpg.pack_tests vs Oracle.pack_tests --------------------------------- *)
+
+(* Up to 64 random tests of up to 6 frames over a random netlist. Each
+   frame assigns a random subset of all nets (non-PI nets included,
+   which packing ignores), each net at most once, in random order. *)
+let prop_pack_tests_matches_oracle =
+  QCheck.Test.make ~name:"Atpg.pack_tests = Oracle.pack_tests" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let c = random_netlist st in
+      let sim = Sim.compile c in
+      let frame () =
+        List.filter_map
+          (fun net ->
+            if Random.State.int st 3 = 0 then None
+            else Some (net, Random.State.bool st))
+          (List.init c.N.n_nets Fun.id)
+        |> List.map (fun a -> (Random.State.bits st, a))
+        |> List.sort compare |> List.map snd
+      in
+      let tests =
+        List.init (Random.State.int st 65) (fun _ ->
+            { Podem.t_frames = Array.init (Random.State.int st 7) (fun _ -> frame ()) })
+      in
+      let got = Sim.trajectory_stimuli (Atpg.pack_tests sim tests)
+      and want = Sim.trajectory_stimuli (Oracle.pack_tests sim tests) in
+      got = want
+      || QCheck.Test.fail_reportf "seed %d: %d tests pack differently" seed
+           (List.length tests))
+
 (* --- real data paths ------------------------------------------------------ *)
 
 let datapath bits =
@@ -330,6 +361,7 @@ let () =
             (test_real_datapath (fun () -> datapath 4));
           Alcotest.test_case "ex@4" `Quick
             (test_real_datapath (fun () -> ex_datapath 4));
+          QCheck_alcotest.to_alcotest prop_pack_tests_matches_oracle;
         ] );
       ( "words",
         [
