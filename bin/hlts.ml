@@ -596,18 +596,7 @@ let report_cmd =
             Ok ()
           end
         else
-          let* ic =
-            match open_in journal with
-            | ic -> Ok ic
-            | exception Sys_error msg -> Error msg
-          in
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> close_in ic);
-          let report = Hlts_eval.Report.parse (List.rev !lines) in
+          let* report = Hlts_eval.Report.read_file journal in
           if Hlts_eval.Report.decisions report = 0 then
             Error
               (Printf.sprintf

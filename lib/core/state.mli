@@ -52,9 +52,10 @@ val datapath : t -> Hlts_etpn.Datapath.t
     @raise Invalid_argument if the state is not {!consistent}. *)
 
 val execution_time : t -> int
-(** E: the schedule length. The control part of the ETPN is the chain
-    of the schedule's steps, so this is the critical path of its Petri
-    net ({!Hlts_etpn.Etpn.execution_time}) without building either. *)
+(** E: the schedule length. The ETPN's control part is implicit: it is
+    always the chain of the schedule's steps, whose timed-Petri-net
+    critical path (the paper's E) is the step count. The tests hold
+    this against a reference Petri net. *)
 
 val analysis : t -> Hlts_testability.Testability.t
 (** Controllability/observability analysis of {!datapath}, computed on

@@ -2,7 +2,6 @@ module Dfg = Hlts_dfg.Dfg
 module Op = Hlts_dfg.Op
 module Schedule = Hlts_sched.Schedule
 module Binding = Hlts_alloc.Binding
-module Petri = Hlts_petri.Petri
 
 type port = Datapath.port =
   | P_left
@@ -37,7 +36,6 @@ type t = {
   datapath : Datapath.t;
   nodes : (int * node) list;
   arcs : arc list;
-  control : Petri.t;
   index : index;
 }
 
@@ -79,7 +77,6 @@ let assemble dfg schedule binding datapath =
     datapath;
     nodes = List.init n (fun id -> (id, Datapath.node datapath id));
     arcs;
-    control = Petri.chain length;
     index = { ins; outs };
   }
 
@@ -107,51 +104,6 @@ let arcs_at tbl id =
 
 let in_arcs t id = arcs_at t.index.ins id
 let out_arcs t id = arcs_at t.index.outs id
-
-let execution_time t = Petri.execution_time t.control
-
-let control_unrolled t ~iterations =
-  assert (iterations >= 1);
-  let steps = Schedule.length t.schedule in
-  (* places: 0 = start; iteration i (0-based), step s (1-based) =
-     1 + i*steps + (s-1); done place = 1 + iterations*steps *)
-  let place_id i s = 1 + (i * steps) + (s - 1) in
-  let done_id = 1 + (iterations * steps) in
-  let places =
-    { Petri.p_id = 0; p_name = "start"; p_delay = 0 }
-    :: { Petri.p_id = done_id; p_name = "done"; p_delay = 0 }
-    :: List.concat
-         (List.init iterations (fun i ->
-              List.init steps (fun s ->
-                  {
-                    Petri.p_id = place_id i (s + 1);
-                    p_name = Printf.sprintf "it%d_s%d" i (s + 1);
-                    p_delay = 1;
-                  })))
-  in
-  let transitions = ref [] in
-  let next_t = ref 0 in
-  let trans name t_in t_out =
-    incr next_t;
-    transitions :=
-      { Petri.t_id = !next_t; t_name = name; t_in; t_out } :: !transitions
-  in
-  for i = 0 to iterations - 1 do
-    let first = place_id i 1 in
-    (if i = 0 then trans "enter" [ 0 ] [ first ]);
-    for s = 1 to steps - 1 do
-      trans
-        (Printf.sprintf "it%d_t%d" i s)
-        [ place_id i s ]
-        [ place_id i (s + 1) ]
-    done;
-    let last = place_id i steps in
-    (* conditional choice: exit the loop, or start the next iteration *)
-    trans (Printf.sprintf "exit%d" i) [ last ] [ done_id ];
-    if i + 1 < iterations then
-      trans (Printf.sprintf "repeat%d" i) [ last ] [ place_id (i + 1) 1 ]
-  done;
-  Petri.make_exn ~places ~transitions:(List.rev !transitions) ~initial:[ 0 ]
 
 type stats = {
   n_registers : int;

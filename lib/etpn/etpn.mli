@@ -4,10 +4,12 @@
     The data path is a directed graph whose vertices are registers,
     functional units, ports and constants, and whose arcs are guarded by
     control states: an arc labelled with control step [s] transfers data
-    while the control token is in step [s]. The control part is a timed
-    Petri net (here: the chain generated from the schedule); the two parts
-    are related through those guards. Conditions produced by comparison
-    units feed the control part through {!constructor-Cond_out} vertices.
+    while the control token is in step [s]. In the paper the control part
+    is a timed Petri net and E is its critical path. Here the control part
+    is implicit: it is always the chain of the schedule's steps, so the
+    guards are the schedule itself and E is [Schedule.length]. Conditions
+    produced by comparison units leave the data path through
+    {!constructor-Cond_out} vertices.
 
     An ETPN is deterministic given (DFG, schedule, binding); {!build}
     constructs and checks it. Its nodes and unguarded arcs are the
@@ -45,7 +47,6 @@ type t = private {
   datapath : Datapath.t;       (** the nodes and unguarded arcs *)
   nodes : (int * node) list;   (** ascending node id, dense from 0 *)
   arcs : arc list;             (** [Datapath.arcs datapath], guarded *)
-  control : Hlts_petri.Petri.t;
   index : index;
 }
 (** Private: only {!build} and {!add_observation_point} construct one,
@@ -58,8 +59,7 @@ val build :
   (t, string) result
 (** Validates the schedule against the DFG and the binding against both
     (via {!Hlts_alloc.Binding.validate}), then builds the {!Datapath}
-    view, guards its arcs from the schedule and adds the control
-    chain. *)
+    view and guards its arcs from the schedule. *)
 
 val build_exn :
   Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> Hlts_alloc.Binding.t -> t
@@ -82,22 +82,6 @@ val in_arcs : t -> int -> arc list
 
 val out_arcs : t -> int -> arc list
 (** Arcs out of the node, in [arcs] order. *)
-
-val execution_time : t -> int
-(** Critical path of the control net (the paper's E). The control part
-    is the chain of the schedule's steps, so this equals
-    [Schedule.length]; synthesis reads that and keeps the net for the
-    design's reports. *)
-
-val control_unrolled : t -> iterations:int -> Hlts_petri.Petri.t
-(** The control Petri net of a looping design (e.g. Diffeq's while-loop
-    body), unrolled for a bounded number of iterations: after the last
-    control step of each iteration a conditional choice either exits or
-    enters the next iteration's first step — the condition signal of the
-    data path's comparison steers it at run time. The worst-case
-    execution time of the unrolled net is [iterations * execution_time],
-    which the reachability-tree critical-path extraction must find by
-    exploring every branch. *)
 
 (** Structural metrics of the data path. *)
 type stats = {

@@ -294,6 +294,14 @@ let parse lines =
     t.res_order;
   t
 
+let read_file file =
+  Result.map
+    (fun (lines, torn) ->
+      let t = parse lines in
+      t.skipped <- t.skipped + torn;
+      t)
+    (Top.read_lines file)
+
 (* --- HTML rendering ------------------------------------------------------ *)
 
 let esc s =

@@ -1,7 +1,7 @@
 (** Self-contained HTML reports rendered from a decision-journal file.
 
-    [hlts report] feeds the lines of a {!Hlts_obs.journal_sink} JSONL
-    file through {!parse} and writes {!to_html}'s output. The renderer
+    [hlts report] reads a {!Hlts_obs.journal_sink} JSONL file with
+    {!read_file} and writes {!to_html}'s output. The renderer
     uses only what is in the file — canonical decision lines (the
     [{"j":...}] prefix) for the merge trajectory and the
     testability-balance table, span begin/end lines for the per-phase
@@ -19,6 +19,11 @@ type t
 val parse : string list -> t
 (** [parse lines] folds the journal lines, in file order, into a
     report model. Tolerant: malformed lines are skipped and counted. *)
+
+val read_file : string -> (t, string) result
+(** [read_file f] is {!parse} over the complete lines of [f]
+    ({!Top.read_lines}); a torn trailing fragment counts as skipped.
+    [Error] only when the file cannot be opened. *)
 
 val to_html : t -> string
 (** Render the complete HTML document. *)

@@ -47,12 +47,11 @@ let parse_line line =
         }
     | _ -> Error "not a heartbeat snapshot")
 
-(* Read every complete snapshot currently in [file]. The file is
-   typically being appended to by a live run: a trailing fragment
-   without a newline is a torn write in progress, and any line that
-   fails to parse is noise — both are counted as skipped, never
-   fatal. Only a missing/unreadable file is an error. *)
-let read_file file =
+(* The files read here are typically being appended to by a live run:
+   a trailing fragment without a newline is a torn write in progress,
+   so it is counted, not returned. Only a missing/unreadable file is an
+   error. *)
+let read_lines file =
   match open_in_bin file with
   | exception Sys_error msg -> Error msg
   | ic ->
@@ -61,31 +60,37 @@ let read_file file =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    let skipped = ref 0 in
     let n = String.length content in
     let rec lines acc start =
-      if start >= n then List.rev acc
+      if start >= n then (List.rev acc, 0)
       else
         match String.index_from_opt content start '\n' with
-        | None ->
-          incr skipped;  (* torn trailing write *)
-          List.rev acc
+        | None -> (List.rev acc, 1)
         | Some nl ->
           lines (String.sub content start (nl - start) :: acc) (nl + 1)
     in
-    let hbs =
-      List.filter_map
-        (fun line ->
-          if String.trim line = "" then None
-          else
-            match parse_line line with
-            | Ok hb -> Some hb
-            | Error _ ->
-              incr skipped;
-              None)
-        (lines [] 0)
-    in
-    Ok (hbs, !skipped)
+    Ok (lines [] 0)
+
+(* Every complete snapshot currently in [file]; a torn tail and any
+   line that fails to parse are counted as skipped, never fatal. *)
+let read_file file =
+  Result.map
+    (fun (lines, torn) ->
+      let skipped = ref torn in
+      let hbs =
+        List.filter_map
+          (fun line ->
+            if String.trim line = "" then None
+            else
+              match parse_line line with
+              | Ok hb -> Some hb
+              | Error _ ->
+                incr skipped;
+                None)
+          lines
+      in
+      (hbs, !skipped))
+    (read_lines file)
 
 (* ---- rendering --------------------------------------------------------- *)
 
@@ -278,43 +283,26 @@ let parse_access_line line =
    records in file order, whether a final lifecycle line was seen, and
    the skipped count. *)
 let read_access_file file =
-  match open_in_bin file with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let skipped = ref 0 in
-    let n = String.length content in
-    let rec lines acc start =
-      if start >= n then List.rev acc
-      else
-        match String.index_from_opt content start '\n' with
-        | None ->
-          incr skipped;  (* torn trailing write *)
-          List.rev acc
-        | Some nl ->
-          lines (String.sub content start (nl - start) :: acc) (nl + 1)
-    in
-    let final = ref false in
-    let accs =
-      List.filter_map
-        (fun line ->
-          if String.trim line = "" then None
-          else
-            match parse_access_line line with
-            | Ok (Request a) -> Some a
-            | Ok (Lifecycle l) ->
-              if l.lc_final then final := true;
-              None
-            | Error _ ->
-              incr skipped;
-              None)
-        (lines [] 0)
-    in
-    Ok (accs, !final, !skipped)
+  Result.map
+    (fun (lines, torn) ->
+      let skipped = ref torn and final = ref false in
+      let accs =
+        List.filter_map
+          (fun line ->
+            if String.trim line = "" then None
+            else
+              match parse_access_line line with
+              | Ok (Request a) -> Some a
+              | Ok (Lifecycle l) ->
+                if l.lc_final then final := true;
+                None
+              | Error _ ->
+                incr skipped;
+                None)
+          lines
+      in
+      (accs, !final, !skipped))
+    (read_lines file)
 
 let percentile sorted p =
   let n = Array.length sorted in

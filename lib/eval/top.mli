@@ -27,6 +27,13 @@ type hb = {
 val parse_line : string -> (hb, string) result
 (** Parse one snapshot line. *)
 
+val read_lines : string -> (string list * int, string) result
+(** [read_lines f] is every complete (newline-terminated) line of [f],
+    in file order, without its newline, plus the number of torn
+    trailing fragments (0 or 1) — a last line without a newline is a
+    write still in progress. [Error] only when the file cannot be
+    opened. The file readers here and [Report.read_file] share it. *)
+
 val read_file : string -> (hb list * int, string) result
 (** [read_file f] is every complete snapshot currently in [f], in file
     order, plus the number of skipped lines (torn trailing fragment,

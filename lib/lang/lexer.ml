@@ -60,8 +60,13 @@ let tokenize src =
       else if is_digit c then begin
         let rec span j = if j < n && is_digit src.[j] then span (j + 1) else j in
         let j = span i in
-        emit (T_int (int_of_string (String.sub src i (j - i))));
-        scan j
+        let digits = String.sub src i (j - i) in
+        match int_of_string_opt digits with
+        | Some k -> emit (T_int k); scan j
+        | None ->
+          Error
+            (Printf.sprintf "line %d: integer literal %s out of range" !line
+               digits)
       end
       else
         let two = if i + 1 < n then String.sub src i 2 else "" in

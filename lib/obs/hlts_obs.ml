@@ -1082,119 +1082,6 @@ module Metrics = struct
         (Res.gauges (Res.snapshot ()))
     end;
     Buffer.contents buf
-
-  (* Minimal exposition-format reader, enough to round-trip what
-     [expose] writes: used by the unit tests and by anything that wants
-     to scrape a written snapshot. *)
-  type sample = {
-    m_name : string;
-    m_labels : (string * string) list;
-    m_value : float;
-  }
-
-  let parse_line line =
-    let n = String.length line in
-    let i = ref 0 in
-    let fail msg = Error msg in
-    let skip_sp () = while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do incr i done in
-    let name_char c =
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
-      | _ -> false
-    in
-    let read_name () =
-      let start = !i in
-      while !i < n && name_char line.[!i] do incr i done;
-      String.sub line start (!i - start)
-    in
-    let m_name = read_name () in
-    if m_name = "" then fail "expected metric name"
-    else begin
-      let labels = ref [] in
-      let label_err = ref None in
-      if !i < n && line.[!i] = '{' then begin
-        incr i;
-        let rec labels_loop () =
-          skip_sp ();
-          if !i < n && line.[!i] = '}' then incr i
-          else begin
-            let k = read_name () in
-            if k = "" || !i + 1 >= n || line.[!i] <> '=' || line.[!i + 1] <> '"'
-            then label_err := Some "bad label"
-            else begin
-              i := !i + 2;
-              let buf = Buffer.create 16 in
-              let rec str_loop () =
-                if !i >= n then label_err := Some "unterminated label value"
-                else
-                  match line.[!i] with
-                  | '"' -> incr i
-                  | '\\' when !i + 1 < n ->
-                    (match line.[!i + 1] with
-                    | 'n' -> Buffer.add_char buf '\n'
-                    | c -> Buffer.add_char buf c);
-                    i := !i + 2;
-                    str_loop ()
-                  | c ->
-                    Buffer.add_char buf c;
-                    incr i;
-                    str_loop ()
-              in
-              str_loop ();
-              if !label_err = None then begin
-                labels := (k, Buffer.contents buf) :: !labels;
-                skip_sp ();
-                if !i < n && line.[!i] = ',' then begin
-                  incr i;
-                  labels_loop ()
-                end
-                else if !i < n && line.[!i] = '}' then incr i
-                else label_err := Some "expected , or } in labels"
-              end
-            end
-          end
-        in
-        labels_loop ()
-      end;
-      match !label_err with
-      | Some msg -> fail msg
-      | None ->
-        skip_sp ();
-        let value_str = String.sub line !i (n - !i) |> String.trim in
-        (* the value may be followed by an optional timestamp *)
-        let value_str =
-          match String.index_opt value_str ' ' with
-          | Some sp -> String.sub value_str 0 sp
-          | None -> value_str
-        in
-        let v =
-          match value_str with
-          | "+Inf" -> Some infinity
-          | "-Inf" -> Some neg_infinity
-          | "NaN" -> Some nan
-          | s -> float_of_string_opt s
-        in
-        (match v with
-        | None -> fail (Printf.sprintf "bad sample value %S" value_str)
-        | Some m_value -> Ok { m_name; m_labels = List.rev !labels; m_value })
-    end
-
-  let parse text =
-    let lines = String.split_on_char '\n' text in
-    List.fold_left
-      (fun acc line ->
-        match acc with
-        | Error _ -> acc
-        | Ok samples ->
-          let line = String.trim line in
-          if line = "" || line.[0] = '#' then acc
-          else begin
-            match parse_line line with
-            | Ok s -> Ok (s :: samples)
-            | Error msg -> Error (Printf.sprintf "%s: %s" msg line)
-          end)
-      (Ok []) lines
-    |> Result.map List.rev
 end
 
 (* ---- JSONL sinks ------------------------------------------------------- *)

@@ -357,10 +357,8 @@ module Summary : sig
       share), per-span table, counters, gauges and histograms. *)
 end
 
-(** Prometheus text-exposition rendering of a {!Summary}, plus a
-    minimal reader used to check round-trips. This is the scrape
-    surface a future [hlts serve] will expose over a socket; today it
-    is written to a file by [--metrics]. *)
+(** Prometheus text-exposition rendering of a {!Summary}, written to a
+    file by [--metrics]. *)
 module Metrics : sig
   val metric_name : string -> string
   (** Sanitize an event name into a valid Prometheus metric name:
@@ -385,18 +383,6 @@ module Metrics : sig
       {!Res.snapshot} is appended as gauges and any recorded ["res.*"]
       gauges in the summary are dropped in its favour. *)
 
-  type sample = {
-    m_name : string;
-    m_labels : (string * string) list;
-    m_value : float;
-  }
-  (** One exposition sample line: name, label pairs, value. *)
-
-  val parse : string -> (sample list, string) result
-  (** Parse text in the exposition format: comment ([#]) and blank
-      lines are skipped, every other line must be
-      [name[{label="value",...}] value [timestamp]]. Returns samples in
-      file order. *)
 end
 
 val jsonl_sink : (string -> unit) -> sink

@@ -1,5 +1,4 @@
 module Dfg = Hlts_dfg.Dfg
-module Op = Hlts_dfg.Op
 
 let ids_of cons = List.map (fun o -> o.Dfg.id) (Constraints.dfg cons).Dfg.ops
 
@@ -52,78 +51,3 @@ let mobility cons ~latency =
     List.map
       (fun id -> (id, Schedule.step late id - Schedule.step early id))
       (ids_of cons)
-
-(* Longest path from the operation to any sink, in ops; classic list-
-   scheduling criticality. *)
-let criticality cons =
-  let memo = Hashtbl.create 16 in
-  let rec height id =
-    match Hashtbl.find_opt memo id with
-    | Some h -> h
-    | None ->
-      let h =
-        match Constraints.succs cons id with
-        | [] -> 0
-        | succs -> 1 + List.fold_left (fun acc s -> max acc (height s)) 0 succs
-      in
-      Hashtbl.replace memo id h;
-      h
-  in
-  fun id -> height id
-
-let list_schedule cons ~resources =
-  if not (Constraints.is_acyclic cons) then Error "cyclic constraints"
-  else begin
-    let dfg = Constraints.dfg cons in
-    let crit = criticality cons in
-    let budget_for kind =
-      (* the cheapest budgeted class able to run this kind *)
-      List.find_opt (fun (cls, _) -> Op.supports cls kind) resources
-    in
-    let scheduled = Hashtbl.create 16 in
-    let unscheduled = ref (List.map (fun o -> o.Dfg.id) dfg.Dfg.ops) in
-    let result = ref [] in
-    let step = ref 0 in
-    while !unscheduled <> [] do
-      incr step;
-      if !step > 10_000 then invalid_arg "Basic.list_schedule: runaway";
-      let in_use = Hashtbl.create 8 in
-      let ready =
-        List.filter
-          (fun id ->
-            List.for_all
-              (fun p ->
-                match Hashtbl.find_opt scheduled p with
-                | Some s -> s < !step
-                | None -> false)
-              (Constraints.preds cons id))
-          !unscheduled
-      in
-      let by_priority =
-        List.sort
-          (fun a b -> compare (crit b, a) (crit a, b))
-          ready
-      in
-      let try_start id =
-        let kind = (Dfg.op_by_id dfg id).Dfg.kind in
-        let fits =
-          match budget_for kind with
-          | None -> true
-          | Some (cls, limit) ->
-            let used = Option.value ~default:0 (Hashtbl.find_opt in_use cls) in
-            if used < limit then begin
-              Hashtbl.replace in_use cls (used + 1);
-              true
-            end
-            else false
-        in
-        if fits then begin
-          Hashtbl.replace scheduled id !step;
-          result := (id, !step) :: !result;
-          unscheduled := List.filter (fun x -> x <> id) !unscheduled
-        end
-      in
-      List.iter try_start by_priority
-    done;
-    Ok (Schedule.of_assoc !result)
-  end

@@ -1,6 +1,5 @@
-(** Baseline scheduling algorithms: ASAP, ALAP, mobility, and
-    resource-constrained list scheduling. All honour the extra ordering
-    arcs of the constraint set. *)
+(** Baseline scheduling algorithms: ASAP, ALAP and mobility. All honour
+    the extra ordering arcs of the constraint set. *)
 
 val asap : Constraints.t -> (Schedule.t, string) result
 (** Earliest feasible step for every operation. Errors on a cyclic
@@ -14,13 +13,3 @@ val alap : Constraints.t -> latency:int -> (Schedule.t, string) result
 
 val mobility : Constraints.t -> latency:int -> (int * int) list
 (** Per-operation [alap - asap] slack, ascending op id. *)
-
-val list_schedule :
-  Constraints.t ->
-  resources:(Hlts_dfg.Op.fu_class * int) list ->
-  (Schedule.t, string) result
-(** Priority list scheduling under a resource budget: at each step, ready
-    operations are started in decreasing criticality (longest path to a
-    sink) as long as a compatible unit is free. An operation kind with no
-    budgeted class is unconstrained. Comparisons are treated like any
-    other operation. *)

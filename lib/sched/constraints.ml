@@ -248,19 +248,3 @@ let levels t =
     done;
     Some levels
   end
-
-(* --- reference oracle --------------------------------------------------- *)
-
-(* The pre-index implementation: a fresh DFS over [succs] per query. Kept
-   as the specification of [reachable] for the property tests. *)
-let reachable_dfs t a b =
-  let visited = Hashtbl.create 16 in
-  let rec dfs x =
-    if x = b then true
-    else if Hashtbl.mem visited x then false
-    else begin
-      Hashtbl.add visited x ();
-      List.exists dfs (succs t x)
-    end
-  in
-  dfs a

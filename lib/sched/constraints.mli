@@ -56,7 +56,3 @@ val reachable : t -> int -> int -> bool
 val known : t -> int -> bool
 (** [known t id]: is [id] an operation of the underlying DFG? *)
 
-val reachable_dfs : t -> int -> int -> bool
-(** Reference implementation of {!reachable}: a fresh DFS over {!succs}
-    per query, with no reliance on the reachability index. Quadratically
-    slower; kept as the oracle for the property tests. *)

@@ -70,9 +70,6 @@ let make_exn ~places ~transitions ~initial =
 
 let place t id = Hashtbl.find t.places id
 
-let transitions_of t =
-  List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.transitions [])
-
 let final_places t =
   let is_final id =
     match Hashtbl.find_opt t.outgoing id with
@@ -127,7 +124,6 @@ let fire t (m : marking) tr_id : marking * int =
 let marking_time (m : marking) = List.fold_left (fun acc (_, a) -> max acc a) 0 m
 
 let critical_path ?(max_nodes = 200_000) t =
-  Hlts_obs.span ~cat:"petri" "petri.critical_path" @@ fun sp ->
   let visited : (marking, unit) Hashtbl.t = Hashtbl.create 256 in
   let nodes = ref 0 in
   let best_time = ref 0 in
@@ -157,8 +153,6 @@ let critical_path ?(max_nodes = 200_000) t =
   let m0 = initial_marking t in
   best_time := marking_time m0;
   explore m0 [];
-  Hlts_obs.set sp "tree_nodes" (Hlts_obs.Int !nodes);
-  Hlts_obs.sample "petri.tree_nodes" (float_of_int !nodes);
   { total_time = !best_time; steps = List.rev !best_steps; tree_nodes = !nodes }
 
 let execution_time ?max_nodes t = (critical_path ?max_nodes t).total_time
@@ -176,22 +170,43 @@ let chain ?(step_delay = 1) n =
   in
   make_exn ~places ~transitions:(List.init n trans) ~initial:[ 0 ]
 
-let pp ppf t =
+let control_unrolled steps ~iterations =
+  assert (iterations >= 1);
+  (* places: 0 = start; iteration i (0-based), step s (1-based) =
+     1 + i*steps + (s-1); done place = 1 + iterations*steps *)
+  let place_id i s = 1 + (i * steps) + (s - 1) in
+  let done_id = 1 + (iterations * steps) in
   let places =
-    List.sort compare (Hashtbl.fold (fun _ p acc -> p :: acc) t.places [])
+    { p_id = 0; p_name = "start"; p_delay = 0 }
+    :: { p_id = done_id; p_name = "done"; p_delay = 0 }
+    :: List.concat
+         (List.init iterations (fun i ->
+              List.init steps (fun s ->
+                  {
+                    p_id = place_id i (s + 1);
+                    p_name = Printf.sprintf "it%d_s%d" i (s + 1);
+                    p_delay = 1;
+                  })))
   in
-  Format.fprintf ppf "@[<v>petri net: %d places, %d transitions@,"
-    (Hashtbl.length t.places) (Hashtbl.length t.transitions);
-  List.iter
-    (fun p -> Format.fprintf ppf "place %d %s delay=%d@," p.p_id p.p_name p.p_delay)
-    places;
-  let trs =
-    List.sort compare (Hashtbl.fold (fun _ tr acc -> tr :: acc) t.transitions [])
+  let transitions = ref [] in
+  let next_t = ref 0 in
+  let trans name t_in t_out =
+    incr next_t;
+    transitions := { t_id = !next_t; t_name = name; t_in; t_out } :: !transitions
   in
-  let pp_ids ids = String.concat "," (List.map string_of_int ids) in
-  List.iter
-    (fun tr ->
-      Format.fprintf ppf "trans %d %s: {%s} -> {%s}@," tr.t_id tr.t_name
-        (pp_ids tr.t_in) (pp_ids tr.t_out))
-    trs;
-  Format.fprintf ppf "initial: {%s}@]" (pp_ids t.initial)
+  for i = 0 to iterations - 1 do
+    let first = place_id i 1 in
+    (if i = 0 then trans "enter" [ 0 ] [ first ]);
+    for s = 1 to steps - 1 do
+      trans
+        (Printf.sprintf "it%d_t%d" i s)
+        [ place_id i s ]
+        [ place_id i (s + 1) ]
+    done;
+    let last = place_id i steps in
+    (* conditional choice: exit the loop, or start the next iteration *)
+    trans (Printf.sprintf "exit%d" i) [ last ] [ done_id ];
+    if i + 1 < iterations then
+      trans (Printf.sprintf "repeat%d" i) [ last ] [ place_id (i + 1) 1 ]
+  done;
+  make_exn ~places ~transitions:(List.rev !transitions) ~initial:[ 0 ]

@@ -1,5 +1,6 @@
 (** Timed Petri net with restricted firing rules — the control part of the
-    ETPN design representation (Peng & Kuchcinski 1994).
+    ETPN design representation (Peng & Kuchcinski 1994), kept as the test
+    reference for the synthesis estimate E.
 
     Places carry a delay: a token entering place [p] at time [t] becomes
     available to output transitions at [t + delay p]. A transition is
@@ -7,13 +8,15 @@
     the earliest such time (restricted firing). Choice (two transitions
     sharing an input place) models conditional control flow; the
     reachability tree explores every branch and the execution time is the
-    worst case over branches, which is what the synthesis algorithm's
-    [E] estimate needs.
+    worst case over branches.
 
     The minimum execution time of a design equals the length of the
     critical path, detected by building the reachability tree of the net
     and extracting the longest token flow from the initial to the final
-    marking, exactly as §4.2 of the paper prescribes. *)
+    marking, as §4.2 of the paper prescribes. The product's control part
+    is always the chain of the schedule's steps ({!chain}), so synthesis
+    reads E as the schedule length; the tests hold that equal to this
+    net's critical path. *)
 
 type place = {
   p_id : int;
@@ -41,10 +44,6 @@ val make :
 val make_exn :
   places:place list -> transitions:transition list -> initial:int list -> t
 
-val place : t -> int -> place
-val transitions_of : t -> int list
-(** All transition ids, ascending. *)
-
 val final_places : t -> int list
 (** Places with no outgoing transition — token sinks. *)
 
@@ -71,4 +70,12 @@ val chain : ?step_delay:int -> int -> t
     separated by transitions, with an initial zero-delay start place. Its
     execution time is [n * step_delay]. *)
 
-val pp : Format.formatter -> t -> unit
+val control_unrolled : int -> iterations:int -> t
+(** [control_unrolled n ~iterations] is the control net of a looping
+    design whose body is a schedule of [n] steps (e.g. Diffeq's
+    while-loop body), unrolled for a bounded number of iterations: after
+    the last step of each iteration a conditional choice either exits or
+    enters the next iteration's first step — the condition signal of the
+    data path's comparison steers it at run time. Its worst-case
+    execution time is [iterations * n], which the critical-path
+    extraction must find by exploring every branch. *)

@@ -490,6 +490,96 @@ let test_spec_range_check () =
       expect "json" (Engine.spec_of_json (Engine.spec_to_json s)))
     range_cases
 
+(* --- the request decoder on arbitrary JSON ------------------------------- *)
+
+(* Objects shaped like requests: each field of the schema is present or
+   not and holds a plausible value or any JSON value, so most trees get
+   past the first field checks. Such a tree may be a valid request:
+   what the decoder accepts must then re-encode to the same request. *)
+let prop_request_of_json_total =
+  let open QCheck.Gen in
+  let text = string_size ~gen:printable (0 -- 6) in
+  let any =
+    sized_size (0 -- 2)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) float;
+                 map (fun s -> Json.Str s) text;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             oneof
+               [
+                 leaf;
+                 map (fun l -> Json.List l) (list_size (0 -- 3) (self (n - 1)));
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 3) (pair text (self (n - 1))));
+               ])
+  in
+  let obj fields =
+    map
+      (fun l -> Json.Obj (List.filter_map Fun.id l))
+      (flatten_l
+         (List.map
+            (fun (k, v) ->
+              opt ~ratio:0.9 (pair (return k) (frequency [ (9, v); (1, any) ])))
+            fields))
+  in
+  let str words =
+    map (fun s -> Json.Str s) (frequency [ (9, oneofa words); (1, text) ])
+  in
+  let small = map (fun i -> Json.Int i) (int_range (-2) 20) in
+  let real = map (fun f -> Json.Float f) (float_range (-1.0) 4.0) in
+  let params =
+    obj
+      [
+        ("k", small); ("alpha", real); ("beta", real); ("bits", small);
+        ("strategy", str [| "balance"; "connectivity" |]);
+        ("stop", str [| "cost_improving"; "exhaustive" |]);
+        ("latency_factor", real); ("max_iterations", small);
+      ]
+  and atpg =
+    obj
+      [
+        ("seed", small); ("random_lanes", small); ("random_cycles", small);
+        ("random_batches", small); ("max_frames", small);
+        ("max_backtracks", small);
+        ("collapse_gate_inputs", map (fun b -> Json.Bool b) bool);
+      ]
+  in
+  let spec =
+    obj
+      [
+        ("bench", str [| "tseng"; "ex"; "toy" |]);
+        ("approach", str [| "ours"; "camad"; "a1"; "approach2" |]);
+        ("bits", small); ("params", params); ("atpg", atpg);
+      ]
+  in
+  let request =
+    obj
+      [
+        ("op", str [| "synth"; "testability"; "atpg"; "sweep"; "ping" |]);
+        ("spec", spec);
+        ("cells", map (fun l -> Json.List l) (list_size (0 -- 3) spec));
+      ]
+  in
+  QCheck.Test.make ~name:"request_of_json total on random JSON" ~count:1000
+    (QCheck.make ~print:Json.to_string (frequency [ (9, request); (1, any) ]))
+    (fun j ->
+      match Engine.request_of_json j with
+      | Error (_ : string) -> true
+      | Ok req -> (
+        match Engine.request_of_json (Engine.request_to_json req) with
+        | Ok req' -> Engine.request_digest req' = Engine.request_digest req
+        | Error (_ : string) -> false))
+
 let () =
   Alcotest.run "hlts_cache"
     [
@@ -515,6 +605,7 @@ let () =
             test_request_digest_sensitivity;
           Alcotest.test_case "json roundtrip" `Quick test_request_json_roundtrip;
           Alcotest.test_case "spec range check" `Quick test_spec_range_check;
+          QCheck_alcotest.to_alcotest prop_request_of_json_total;
         ] );
       ( "engine",
         [

@@ -39,7 +39,9 @@ let test_execution_time_is_schedule_length () =
     (fun (name, d) ->
       let s = asap d in
       let etpn = Etpn.build_exn d s (Binding.allocate d s) in
-      Alcotest.(check int) name (Schedule.length s) (Etpn.execution_time etpn))
+      Alcotest.(check int) name (Schedule.length s)
+        (Petri.execution_time
+           (Petri.chain (Schedule.length etpn.Etpn.schedule))))
     B.all
 
 let test_default_has_no_muxes () =
@@ -171,22 +173,21 @@ let test_control_unrolled () =
   let d = B.diffeq in
   let s = asap d in
   let etpn = Etpn.build_exn d s (Binding.allocate d s) in
-  let e1 = Etpn.execution_time etpn in
+  let steps = Schedule.length etpn.Etpn.schedule in
+  let e1 = Petri.execution_time (Petri.chain steps) in
   List.iter
     (fun its ->
-      let net = Etpn.control_unrolled etpn ~iterations:its in
+      let net = Petri.control_unrolled steps ~iterations:its in
       Alcotest.(check int)
         (Printf.sprintf "%d iterations" its)
         (its * e1)
-        (Hlts_petri.Petri.execution_time net))
+        (Petri.execution_time net))
     [ 1; 2; 3 ];
   (* the tree explores every exit branch: strictly more nodes than the
      single chain *)
-  let path3 =
-    Hlts_petri.Petri.critical_path (Etpn.control_unrolled etpn ~iterations:3)
-  in
+  let path3 = Petri.critical_path (Petri.control_unrolled steps ~iterations:3) in
   Alcotest.(check bool) "branching explored" true
-    (path3.Hlts_petri.Petri.tree_nodes > 3 * e1)
+    (path3.Petri.tree_nodes > 3 * e1)
 
 let test_observation_point () =
   let d = B.toy in

@@ -235,6 +235,44 @@ let test_errors () =
        "design e is\n input a, b;\n output c;\nbegin\n c := a < b;\nend;");
   expect_error "bad label" (Lang.compile (wrap " X9: q := a + b;"))
 
+let test_out_of_range_literal () =
+  match Lang.compile (wrap " q := a + 99999999999999999999999;") with
+  | Ok _ -> Alcotest.fail "out-of-range literal accepted"
+  | Error msg ->
+    Alcotest.(check string) "line-numbered diagnostic"
+      "line 6: integer literal 99999999999999999999999 out of range" msg
+
+(* --- fuzzing: [compile] returns a result on any input ------------------- *)
+
+let total src = match Lang.compile src with Ok _ | Error _ -> true
+
+let prop_compile_random_bytes =
+  QCheck.Test.make ~name:"compile total on random bytes" ~count:500
+    QCheck.(string_gen_of_size Gen.(0 -- 200) Gen.char)
+    total
+
+(* Token soup from the language's own vocabulary, half of it inside a
+   well-formed header so the parser and elaborator get past line 1. *)
+let token_source =
+  let vocab =
+    [| "design"; "is"; "input"; "output"; "begin"; "end"; ":="; ":"; ";";
+       ","; "("; ")"; "+"; "-"; "*"; "<"; ">"; "<="; ">="; "=="; "!=";
+       "&"; "|"; "^"; "a"; "b"; "q"; "r"; "N5"; "n0"; "x1"; "0"; "7";
+       "4611686018427387903"; "99999999999999999999999"; "-- note\n";
+       "\n" |]
+  in
+  let open QCheck.Gen in
+  let tokens = list_size (0 -- 40) (oneofa vocab) >|= String.concat " " in
+  let with_header =
+    tokens >|= fun body ->
+    "design f is\n input a, b;\n output q;\nbegin\n" ^ body ^ "\nend;"
+  in
+  QCheck.make ~print:Fun.id (oneof [ tokens; with_header ])
+
+let prop_compile_token_streams =
+  QCheck.Test.make ~name:"compile total on token streams" ~count:500
+    token_source total
+
 (* --- diffeq source agrees with the programmatic benchmark ------------- *)
 
 let diffeq_src =
@@ -352,7 +390,14 @@ let () =
           Alcotest.test_case "comments" `Quick test_comments_and_whitespace;
           Alcotest.test_case "conditions" `Quick test_condition_allowed_as_statement;
         ] );
-      ( "errors", [ Alcotest.test_case "rejections" `Quick test_errors ] );
+      ( "errors",
+        [
+          Alcotest.test_case "rejections" `Quick test_errors;
+          Alcotest.test_case "out-of-range literal" `Quick
+            test_out_of_range_literal;
+          QCheck_alcotest.to_alcotest prop_compile_random_bytes;
+          QCheck_alcotest.to_alcotest prop_compile_token_streams;
+        ] );
       ( "agreement",
         [
           Alcotest.test_case "diffeq matches benchmark" `Quick

@@ -400,56 +400,56 @@ let test_metrics_roundtrip () =
     (contains ~needle:"# TYPE hlts_m_gauge gauge" text);
   Alcotest.(check bool) "summary TYPE header" true
     (contains ~needle:"# TYPE hlts_m_sample summary" text);
-  match Obs.Metrics.parse text with
+  match Oracle.Prometheus.parse text with
   | Error e -> Alcotest.failf "exposition does not parse: %s" e
   | Ok samples ->
     let find name =
-      List.filter (fun s -> s.Obs.Metrics.m_name = name) samples
+      List.filter (fun s -> s.Oracle.Prometheus.m_name = name) samples
     in
     (match find "hlts_m_count_total" with
-    | [ s ] -> Alcotest.(check (float 0.0)) "counter value" 5.0 s.Obs.Metrics.m_value
+    | [ s ] -> Alcotest.(check (float 0.0)) "counter value" 5.0 s.Oracle.Prometheus.m_value
     | l -> Alcotest.failf "counter sample count %d" (List.length l));
     (match find "hlts_m_gauge" with
-    | [ s ] -> Alcotest.(check (float 0.0)) "gauge value" 2.5 s.Obs.Metrics.m_value
+    | [ s ] -> Alcotest.(check (float 0.0)) "gauge value" 2.5 s.Oracle.Prometheus.m_value
     | l -> Alcotest.failf "gauge sample count %d" (List.length l));
     (match find "hlts_m_sample" with
     | [ q0; q1 ] ->
       Alcotest.(check (list (pair string string)))
-        "min quantile" [ ("quantile", "0") ] q0.Obs.Metrics.m_labels;
-      Alcotest.(check (float 0.0)) "min" 1.0 q0.Obs.Metrics.m_value;
+        "min quantile" [ ("quantile", "0") ] q0.Oracle.Prometheus.m_labels;
+      Alcotest.(check (float 0.0)) "min" 1.0 q0.Oracle.Prometheus.m_value;
       Alcotest.(check (list (pair string string)))
-        "max quantile" [ ("quantile", "1") ] q1.Obs.Metrics.m_labels;
-      Alcotest.(check (float 0.0)) "max" 3.0 q1.Obs.Metrics.m_value
+        "max quantile" [ ("quantile", "1") ] q1.Oracle.Prometheus.m_labels;
+      Alcotest.(check (float 0.0)) "max" 3.0 q1.Oracle.Prometheus.m_value
     | l -> Alcotest.failf "quantile sample count %d" (List.length l));
     (match find "hlts_m_sample_sum" with
-    | [ s ] -> Alcotest.(check (float 1e-9)) "sum" 4.0 s.Obs.Metrics.m_value
+    | [ s ] -> Alcotest.(check (float 1e-9)) "sum" 4.0 s.Oracle.Prometheus.m_value
     | _ -> Alcotest.fail "no _sum");
     (match find "hlts_m_sample_count" with
-    | [ s ] -> Alcotest.(check (float 0.0)) "count" 2.0 s.Obs.Metrics.m_value
+    | [ s ] -> Alcotest.(check (float 0.0)) "count" 2.0 s.Oracle.Prometheus.m_value
     | _ -> Alcotest.fail "no _count");
     (match find "hlts_phase_self_seconds" with
     | phases ->
       Alcotest.(check bool) "synth phase present" true
         (List.exists
-           (fun s -> s.Obs.Metrics.m_labels = [ ("phase", "synth") ])
+           (fun s -> s.Oracle.Prometheus.m_labels = [ ("phase", "synth") ])
            phases));
     (* exactly one generation of the res gauge: the fresh snapshot, not
        the stale recorded value *)
     (match find "hlts_res_rss_kb" with
     | [ s ] ->
       Alcotest.(check bool) "fresh snapshot won" true
-        (s.Obs.Metrics.m_value <> 123456789.0)
+        (s.Oracle.Prometheus.m_value <> 123456789.0)
     | l -> Alcotest.failf "res gauge appears %d times" (List.length l))
 
 let test_metrics_parse_errors () =
-  (match Obs.Metrics.parse "hlts_x{phase=\"a b\",q=\"1\"} 2.5 1700000000\n# c\n" with
+  (match Oracle.Prometheus.parse "hlts_x{phase=\"a b\",q=\"1\"} 2.5 1700000000\n# c\n" with
   | Ok [ s ] ->
     Alcotest.(check (list (pair string string)))
-      "labels" [ ("phase", "a b"); ("q", "1") ] s.Obs.Metrics.m_labels;
-    Alcotest.(check (float 0.0)) "value before timestamp" 2.5 s.Obs.Metrics.m_value
+      "labels" [ ("phase", "a b"); ("q", "1") ] s.Oracle.Prometheus.m_labels;
+    Alcotest.(check (float 0.0)) "value before timestamp" 2.5 s.Oracle.Prometheus.m_value
   | Ok l -> Alcotest.failf "expected one sample, got %d" (List.length l)
   | Error e -> Alcotest.failf "labelled line rejected: %s" e);
-  match Obs.Metrics.parse "not a metric line at all!\n" with
+  match Oracle.Prometheus.parse "not a metric line at all!\n" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ()
 
@@ -520,12 +520,12 @@ let test_histogram_exposition () =
     (contains ~needle:"# TYPE hlts_lat_seconds histogram" text);
   Alcotest.(check bool) "non-latency sample stays a summary" true
     (contains ~needle:"# TYPE hlts_lat_items summary" text);
-  match Obs.Metrics.parse text with
+  match Oracle.Prometheus.parse text with
   | Error e -> Alcotest.failf "exposition does not parse: %s" e
   | Ok samples ->
     let buckets =
       List.filter
-        (fun s -> s.Obs.Metrics.m_name = "hlts_lat_seconds_bucket")
+        (fun s -> s.Oracle.Prometheus.m_name = "hlts_lat_seconds_bucket")
         samples
     in
     Alcotest.(check int) "one line per ladder bound plus +Inf"
@@ -534,10 +534,10 @@ let test_histogram_exposition () =
     let value le =
       match
         List.find_opt
-          (fun s -> s.Obs.Metrics.m_labels = [ ("le", le) ])
+          (fun s -> s.Oracle.Prometheus.m_labels = [ ("le", le) ])
           buckets
       with
-      | Some s -> s.Obs.Metrics.m_value
+      | Some s -> s.Oracle.Prometheus.m_value
       | None -> Alcotest.failf "no le=%s bucket" le
     in
     Alcotest.(check (float 0.0)) "nothing under 0.5 ms" 0.0 (value "0.0005");
@@ -553,23 +553,23 @@ let test_histogram_exposition () =
       (List.fold_left
          (fun prev b ->
            Alcotest.(check bool) "buckets cumulative" true
-             (b.Obs.Metrics.m_value >= prev);
-           b.Obs.Metrics.m_value)
+             (b.Oracle.Prometheus.m_value >= prev);
+           b.Oracle.Prometheus.m_value)
          0.0 buckets);
     (match
        List.find_opt
-         (fun s -> s.Obs.Metrics.m_name = "hlts_lat_seconds_count")
+         (fun s -> s.Oracle.Prometheus.m_name = "hlts_lat_seconds_count")
          samples
      with
-    | Some s -> Alcotest.(check (float 0.0)) "count" 5.0 s.Obs.Metrics.m_value
+    | Some s -> Alcotest.(check (float 0.0)) "count" 5.0 s.Oracle.Prometheus.m_value
     | None -> Alcotest.fail "no _count");
     match
       List.find_opt
-        (fun s -> s.Obs.Metrics.m_name = "hlts_lat_seconds_sum")
+        (fun s -> s.Oracle.Prometheus.m_name = "hlts_lat_seconds_sum")
         samples
     with
     | Some s ->
-      Alcotest.(check (float 1e-6)) "sum" 112.0067 s.Obs.Metrics.m_value
+      Alcotest.(check (float 1e-6)) "sum" 112.0067 s.Oracle.Prometheus.m_value
     | None -> Alcotest.fail "no _sum"
 
 (* --- trace context -------------------------------------------------------- *)

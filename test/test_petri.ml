@@ -1,7 +1,6 @@
-open Hlts_petri
-
-(* Tests for Hlts_petri: validation, firing semantics, reachability-tree
-   critical path, including choice (conditional) and join structures. *)
+(* Tests for the reference Petri net: validation, firing semantics,
+   reachability-tree critical path, including choice (conditional) and
+   join structures. *)
 
 let pl id ?(delay = 1) name = { Petri.p_id = id; p_name = name; p_delay = delay }
 let tr id name t_in t_out = { Petri.t_id = id; t_name = name; t_in; t_out }

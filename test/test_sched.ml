@@ -1,5 +1,5 @@
 (* Tests for Hlts_sched: schedule container, constraints, ASAP/ALAP,
-   list scheduling, FDS, mobility-path scheduling. *)
+   FDS, mobility-path scheduling. *)
 
 open Hlts_sched
 module Dfg = Hlts_dfg.Dfg
@@ -105,7 +105,7 @@ let test_reachability_matches_oracle () =
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
           let fast = Constraints.reachable !cons ids.(i) ids.(j) in
-          let slow = Constraints.reachable_dfs !cons ids.(i) ids.(j) in
+          let slow = Oracle.reachable_dfs !cons ids.(i) ids.(j) in
           if fast <> slow then
             Alcotest.failf "case %d: reachable N%d N%d: index %b, oracle %b"
               case ids.(i) ids.(j) fast slow
@@ -118,7 +118,7 @@ let test_reachability_matches_oracle () =
       let a = ids.(Hlts_util.Rng.int rng n) in
       let b = ids.(Hlts_util.Rng.int rng n) in
       let closes_cycle = Constraints.would_cycle !cons a b in
-      let oracle = a = b || Constraints.reachable_dfs !cons b a in
+      let oracle = a = b || Oracle.reachable_dfs !cons b a in
       if closes_cycle <> oracle then
         Alcotest.failf "case %d: would_cycle N%d N%d: index %b, oracle %b" case
           a b closes_cycle oracle;
@@ -208,40 +208,6 @@ let test_mobility () =
   (* critical-path ops have zero mobility; all mobilities >= 0 *)
   Alcotest.(check bool) "non-negative" true (List.for_all (fun (_, m) -> m >= 0) mob);
   Alcotest.(check bool) "some zero" true (List.exists (fun (_, m) -> m = 0) mob)
-
-(* --- list scheduling --------------------------------------------------- *)
-
-let test_list_schedule_resources () =
-  (* Ex has 4 multiplications; with one multiplier they serialize. *)
-  let cons = Constraints.of_dfg B.ex in
-  match Basic.list_schedule cons ~resources:[ (Op.Fu_multiplier, 1) ] with
-  | Error msg -> Alcotest.fail msg
-  | Ok s ->
-    Alcotest.(check bool) "respects" true (Schedule.respects B.ex s);
-    let mult_steps =
-      List.filter_map
-        (fun o ->
-          if o.Dfg.kind = Op.Mul then Some (Schedule.step s o.Dfg.id) else None)
-        B.ex.Dfg.ops
-    in
-    Alcotest.(check int) "serialized" 4
-      (List.length (List.sort_uniq compare mult_steps))
-
-let test_list_schedule_two_mults () =
-  let cons = Constraints.of_dfg B.ex in
-  match Basic.list_schedule cons ~resources:[ (Op.Fu_multiplier, 2) ] with
-  | Error msg -> Alcotest.fail msg
-  | Ok s ->
-    let per_step step =
-      List.length
-        (List.filter
-           (fun o ->
-             o.Dfg.kind = Op.Mul && Schedule.step s o.Dfg.id = step)
-           B.ex.Dfg.ops)
-    in
-    for step = 1 to Schedule.length s do
-      Alcotest.(check bool) "at most 2 mults" true (per_step step <= 2)
-    done
 
 (* --- FDS ---------------------------------------------------------------- *)
 
@@ -365,11 +331,6 @@ let () =
           Alcotest.test_case "alap infeasible" `Quick test_alap_infeasible;
           Alcotest.test_case "mobility" `Quick test_mobility;
           QCheck_alcotest.to_alcotest prop_levels_match_oracle;
-        ] );
-      ( "list",
-        [
-          Alcotest.test_case "1 multiplier" `Quick test_list_schedule_resources;
-          Alcotest.test_case "2 multipliers" `Quick test_list_schedule_two_mults;
         ] );
       ( "fds",
         [

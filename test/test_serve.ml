@@ -450,6 +450,87 @@ let test_malformed_escape_survived () =
       Client.close c;
       expect_clean_exit pid)
 
+(* --- the frame decoder on arbitrary bytes --------------------------------- *)
+
+let be32 n =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.to_string b
+
+(* Feeds [stream] to a fresh decoder in pieces of the [cuts] sizes
+   (cycled), draining [next] after each piece; stops at the first
+   [`Error], as the daemon drops the connection there. Returns the
+   frames decoded and whether an error ended the stream. *)
+let decode_in_pieces stream cuts =
+  let d = Wire.decoder () in
+  let frames = ref [] and failed = ref false in
+  let rec drain () =
+    match Wire.next d with
+    | `Frame j -> frames := j :: !frames; drain ()
+    | `Awaiting -> ()
+    | `Error (_ : string) -> failed := true
+  in
+  let n = String.length stream and cuts = Array.of_list cuts in
+  let rec go off k =
+    if off < n && not !failed then begin
+      let len = min cuts.(k mod Array.length cuts) (n - off) in
+      Wire.feed d (Bytes.of_string (String.sub stream off len)) len;
+      drain ();
+      go (off + len) (k + 1)
+    end
+  in
+  go 0 0;
+  (List.rev !frames, !failed)
+
+let prop_decoder_total =
+  let open QCheck.Gen in
+  let json =
+    oneof
+      [
+        map (fun i -> Json.Int i) small_signed_int;
+        map (fun s -> Json.Str s) (string_size ~gen:printable (0 -- 12));
+        map
+          (fun (k, i) -> Json.Obj [ (k, Json.Int i); ("op", Json.Str "ping") ])
+          (pair (string_size ~gen:(char_range 'a' 'z') (1 -- 6)) nat);
+      ]
+  in
+  let segment =
+    frequency
+      [
+        (3, map (fun j -> `Valid j) json);
+        (1, map (fun r -> `Random r) (string_size ~gen:char (0 -- 24)));
+        (1, map (fun r -> `Framed r) (string_size ~gen:char (0 -- 24)));
+      ]
+  in
+  let bytes_of = function
+    | `Valid j ->
+      let p = Json.to_string j in
+      be32 (String.length p) ^ p
+    | `Random r -> r
+    | `Framed r -> be32 (String.length r) ^ r
+  in
+  let gen =
+    triple (list_size (0 -- 8) segment)
+      (list_size (1 -- 6) (1 -- 16))
+      (int_range 1 (1 lsl 30))
+  in
+  QCheck.Test.make ~name:"decoder total on random pieces" ~count:300
+    (QCheck.make gen) (fun (segments, cuts, excess) ->
+      (* arbitrary input: only the three outcomes, never an exception *)
+      let (_ : Json.t list * bool) =
+        decode_in_pieces (String.concat "" (List.map bytes_of segments)) cuts
+      in
+      (* well-formed frames then an oversize prefix: every frame, in
+         order, then [`Error] *)
+      let valid =
+        List.filter_map (function `Valid j -> Some j | _ -> None) segments
+      in
+      let stream =
+        String.concat "" (List.map (fun j -> bytes_of (`Valid j)) valid)
+        ^ be32 (Wire.max_frame + excess)
+      in
+      decode_in_pieces stream cuts = (valid, true))
+
 let () =
   Alcotest.run "hlts_serve"
     [
@@ -462,6 +543,7 @@ let () =
           Alcotest.test_case "sigterm drains" `Quick test_sigterm_drains;
           Alcotest.test_case "malformed escape survived" `Quick
             test_malformed_escape_survived;
+          QCheck_alcotest.to_alcotest prop_decoder_total;
         ] );
       ( "requests",
         [

@@ -96,6 +96,26 @@ let test_read_file_missing () =
   | Error e -> Alcotest.(check bool) "error names the file" true
       (contains ~needle:"heartbeat.jsonl" e)
 
+let test_read_lines_shared () =
+  let check content want =
+    match Top.read_lines (write_file content) with
+    | Error e -> Alcotest.failf "read_lines failed: %s" e
+    | Ok got ->
+      Alcotest.(check (pair (list string) int)) (String.escaped content) want got
+  in
+  check "" ([], 0);
+  check "a\n" ([ "a" ], 0);
+  check "a\n\nb\n{\"c" ([ "a"; ""; "b" ], 1);
+  (* [hlts report]'s reader: a garbage line and a torn tail both count *)
+  (match Hlts_eval.Report.read_file (write_file "not json\n{\"j\":1,\"ev") with
+  | Error e -> Alcotest.failf "report reader failed: %s" e
+  | Ok r -> Alcotest.(check int) "skipped" 2 (Hlts_eval.Report.skipped r));
+  match Hlts_eval.Report.read_file "/nonexistent/journal.jsonl" with
+  | Ok _ -> Alcotest.fail "missing journal did not error"
+  | Error e ->
+    Alcotest.(check bool) "error names the file" true
+      (contains ~needle:"journal.jsonl" e)
+
 (* --- rendering ----------------------------------------------------------- *)
 
 let test_once_renders () =
@@ -275,6 +295,7 @@ let () =
             test_read_file_torn_tail;
           Alcotest.test_case "missing file is clean error" `Quick
             test_read_file_missing;
+          Alcotest.test_case "one line reader" `Quick test_read_lines_shared;
         ] );
       ( "render",
         [
