@@ -1,6 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (DESIGN.md §3) and, with --bechamel, times the synthesis
-   pipelines with Bechamel (one Test.make per table).
+   evaluation (DESIGN.md §3).
 
    Default run: Figure 1, Tables 1-3, Figures 2-3, the extra-benchmark
    table (X1) and both ablations (X2, X3). Deterministic for a fixed
@@ -13,8 +12,8 @@ module Experiments = Hlts_eval.Experiments
 
 let usage =
   "bench/main.exe [--table 1|2|3|extra] [-j N] [--figure 1|2|3] \
-   [--ablation params|balance] [--bechamel] [--trace FILE] [--seed N] [--json FILE] [--json-bench NAMES] \
-   [--json-atpg FILE] [--json-serve FILE] [--all]"
+   [--ablation params|balance] [--trace FILE] [--seed N] [--json FILE] \
+   [--json-bench NAMES] [--json-atpg FILE] [--json-serve FILE] [--all]"
 
 let atpg_config seed = { Hlts_atpg.Atpg.default_config with Hlts_atpg.Atpg.seed }
 
@@ -629,49 +628,6 @@ let run_json_serve seed file =
   close_out oc;
   Printf.printf "wrote %s (%d sweeps)\n%!" file (List.length entries)
 
-(* --- Bechamel timing: one Test.make per table ----------------------- *)
-
-let bechamel_tests =
-  let open Bechamel in
-  let pipeline name dfg =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let o = Flows.synthesize Flows.Ours dfg in
-           ignore (Hlts_netlist.Expand.circuit o.Flows.etpn ~bits:8)))
-  in
-  [
-    pipeline "table1-ex-synthesis" Hlts_dfg.Benchmarks.ex;
-    pipeline "table2-dct-synthesis" Hlts_dfg.Benchmarks.dct;
-    pipeline "table3-diffeq-synthesis" Hlts_dfg.Benchmarks.diffeq;
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "Bechamel: synthesis + expansion cost per table workload\n%!";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name raw ->
-          match
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Instance.monotonic_clock raw
-          with
-          | ols -> (
-            match Analyze.OLS.estimates ols with
-            | Some [ t ] ->
-              Printf.printf "  %-28s %12.1f ns/run (%.2f ms)\n%!" name t
-                (t /. 1e6)
-            | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-          | exception _ -> Printf.printf "  %-28s (failed)\n%!" name)
-        results)
-    bechamel_tests
-
 let () =
   let seed = ref 1 in
   let jobs = ref None in
@@ -708,9 +664,6 @@ let () =
       ( "--ablation",
         Arg.String (fun s -> add (fun () -> run_ablation !seed s)),
         "ABL    run one ablation (params|balance|latency|testpoints|scan|bist)" );
-      ( "--bechamel",
-        Arg.Unit (fun () -> add run_bechamel),
-        "       time the synthesis pipelines with Bechamel" );
       ("--seed", Arg.Set_int seed, "N      ATPG random seed (default 1)");
       ( "--json",
         Arg.String (fun f -> add (fun () -> run_json ~only:!json_only f)),

@@ -46,19 +46,15 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let jsonl_arg =
-  let doc = "Append every observability event to $(docv), one JSON object per line." in
-  Arg.(value & opt (some string) None & info [ "jsonl" ] ~docv:"FILE" ~doc)
-
 let stats_arg =
   let doc = "Print per-phase timing, counters and histograms after the run." in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
 let journal_arg =
   let doc =
-    "Write the decision journal to $(docv): canonical decision lines \
-     (byte-identical for every --jobs count) plus timed events, one \
-     JSON object per line. Render it with $(b,hlts report)."
+    "Write the decision journal to $(docv): decision lines \
+     (byte-identical for every --jobs count) plus every timed event, \
+     one JSON object per line. Render it with $(b,hlts report)."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
@@ -85,7 +81,7 @@ let heartbeat_ms_arg =
    closed on the way out — [Fun.protect] runs the closers even when [f]
    raises mid-span, so trace/journal files are complete documents after
    a crash — and the summary (if any) is printed last. *)
-let with_obs ~stats ~trace ~jsonl ?(journal = None) ?(metrics = None)
+let with_obs ~stats ~trace ?(journal = None) ?(metrics = None)
     ?(heartbeat = None) ?(heartbeat_ms = 100) f =
   let installed = ref [] and closers = ref [] in
   let install sink =
@@ -133,7 +129,6 @@ let with_obs ~stats ~trace ~jsonl ?(journal = None) ?(metrics = None)
       install sink)
     heartbeat;
   Option.iter (open_file Obs.chrome_sink) trace;
-  Option.iter (open_file Obs.jsonl_sink) jsonl;
   Option.iter (open_file Obs.journal_sink) journal;
   Fun.protect
     ~finally:(fun () ->
@@ -215,12 +210,12 @@ let synth_cmd =
     in
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let run bench approach bits jobs stats trace jsonl journal metrics
+  let run bench approach bits jobs stats trace journal metrics
       heartbeat heartbeat_ms =
     with_errors (fun () ->
         let* d = find_bench bench in
         let* a = find_approach approach in
-        with_obs ~stats ~trace ~jsonl ~journal ~metrics ~heartbeat ~heartbeat_ms
+        with_obs ~stats ~trace ~journal ~metrics ~heartbeat ~heartbeat_ms
           (fun () ->
             run_meta ~bench ~approach ~bits ?jobs ();
             let o = Eval.outcome ?jobs a d ~bits in
@@ -237,7 +232,7 @@ let synth_cmd =
     (Cmd.info "synth"
        ~doc:"Synthesize a benchmark and print its schedule and allocation.")
     Term.(const run $ bench_arg $ approach_arg $ bits_arg $ jobs_arg
-          $ stats_arg $ trace_arg $ jsonl_arg $ journal_arg $ metrics_arg
+          $ stats_arg $ trace_arg $ journal_arg $ metrics_arg
           $ heartbeat_arg $ heartbeat_ms_arg)
 
 let testability_cmd =
@@ -284,12 +279,12 @@ let atpg_cmd =
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let run bench approach bits seed collapse_gates jobs stats trace jsonl
-      journal metrics heartbeat heartbeat_ms =
+  let run bench approach bits seed collapse_gates jobs stats trace journal
+      metrics heartbeat heartbeat_ms =
     with_errors (fun () ->
         let* d = find_bench bench in
         let* a = find_approach approach in
-        with_obs ~stats ~trace ~jsonl ~journal ~metrics ~heartbeat ~heartbeat_ms
+        with_obs ~stats ~trace ~journal ~metrics ~heartbeat ~heartbeat_ms
           (fun () ->
             run_meta ~bench ~approach ~bits ();
             let atpg =
@@ -318,7 +313,7 @@ let atpg_cmd =
     (Cmd.info "atpg" ~doc:"Run the full synthesis + test-generation pipeline.")
     Term.(const run $ bench_arg $ approach_arg $ bits_arg $ seed_arg
           $ collapse_gates_arg $ jobs_arg $ stats_arg
-          $ trace_arg $ jsonl_arg $ journal_arg $ metrics_arg $ heartbeat_arg
+          $ trace_arg $ journal_arg $ metrics_arg $ heartbeat_arg
           $ heartbeat_ms_arg)
 
 let table_cmd =
@@ -510,12 +505,12 @@ let compile_cmd =
     Term.(const run $ file $ approach_arg $ bits_arg)
 
 let profile_cmd =
-  let run bench approach bits seed trace jsonl journal =
+  let run bench approach bits seed trace journal =
     with_errors (fun () ->
         let* d = find_bench bench in
         let* a = find_approach approach in
         let summary = Obs.Summary.create () in
-        with_obs ~stats:false ~trace ~jsonl ~journal (fun () ->
+        with_obs ~stats:false ~trace ~journal (fun () ->
             Obs.with_sink (Obs.Summary.sink summary) (fun () ->
                 run_meta ~bench ~approach ~bits ();
                 (* The enclosing span accounts any un-instrumented time
@@ -542,7 +537,7 @@ let profile_cmd =
          "Run the full pipeline and print a per-phase time and counter \
           breakdown (testability, candidates, merge, reschedule, atpg, ...).")
     Term.(const run $ bench_arg $ approach_arg $ bits_arg $ seed_arg
-          $ trace_arg $ jsonl_arg $ journal_arg)
+          $ trace_arg $ journal_arg)
 
 let report_cmd =
   let journal_file =
@@ -601,7 +596,7 @@ let report_cmd =
             Error
               (Printf.sprintf
                  "%s contains no journal decisions; was it written with \
-                  --journal (not --jsonl)?"
+                  --journal?"
                  journal)
           else begin
             write_html out (Hlts_eval.Report.to_html report);

@@ -71,7 +71,7 @@ let diffeq =
 
 let ewf =
   (* Fifth-order elliptic wave filter: 26 additions, 8 multiplications,
-     the canonical deep add-mul-add chains over 7 state variables. *)
+     the classic deep add-mul-add chains over 7 state variables. *)
   Dfg.validate_exn
     {
       Dfg.name = "ewf";

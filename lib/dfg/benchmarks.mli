@@ -15,7 +15,7 @@
       (N30, N34), 2 additions (N25, N36), 1 comparison (N24), matching
       Table 3.
     - {!ewf}: fifth-order elliptic wave filter — 26 additions, 8
-      multiplications, the canonical deep-chain structure.
+      multiplications, the classic deep-chain structure.
     - {!paulin}, {!tseng}: the two remaining benchmarks the paper cites.
 
     Reassignments of behavioral variables are single-assignment-renamed

@@ -312,7 +312,7 @@ let pp_operand ppf = function
   | Const c -> Format.pp_print_int ppf c
   | Op id -> Format.fprintf ppf "@@N%d" id
 
-(* Content digest. The canonical form sorts operations by id, so any
+(* Content digest. The normal form sorts operations by id, so any
    permutation of [ops] that denotes the same DAG — in particular any
    topological re-ordering — digests identically. The [name] is
    excluded: a digest identifies the computation, not what a benchmark

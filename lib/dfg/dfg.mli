@@ -108,7 +108,7 @@ val pp : Format.formatter -> t -> unit
 (** Human-readable listing, one operation per line. *)
 
 val digest : t -> string
-(** MD5 hex over a canonical rendering of the graph: inputs and outputs
+(** MD5 hex over a normalized rendering of the graph: inputs and outputs
     in port order, operations sorted by id. Invariant under any
     re-ordering of [ops] that denotes the same DAG (e.g. a different
     topological sort); sensitive to every structural fact — ids, kinds,

@@ -1,6 +1,6 @@
 (** Two-tier content-addressed cache for engine results.
 
-    Keys are digests (MD5 hex of canonical content — see
+    Keys are digests (MD5 hex of normalized content — see
     {!Engine.request_digest} and {!Hlts_dfg.Dfg.digest}) namespaced by a
     [kind] string; a cache never invalidates by time, only by key: if
     any input byte changes, the digest changes and the old entry is

@@ -190,7 +190,7 @@ let row_to_json (r : Eval.row) =
       ("detect_digest", Json.Str r.Eval.detect_digest);
     ]
 (* The wall-clock fields (tg_seconds and friends) are deliberately
-   absent: the canonical response is deterministic content, and the
+   absent: the digested response is deterministic content, and the
    digest computed over it must match between a cold run and a cache
    hit. *)
 
@@ -291,57 +291,36 @@ let spec_to_json s =
           ] );
     ]
 
-(* Tolerant field readers: the parser returns [Int] for integral floats
-   ("2" round-trips as [Int 2] even when emitted from [Float 2.0]). *)
-let jfloat = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
-let jint = function Json.Int i -> Some i | _ -> None
-let jstr = function Json.Str s -> Some s | _ -> None
-let jbool = function Json.Bool b -> Some b | _ -> None
-
-let field name conv j =
-  match Json.member name j with
-  | Some v -> (
-    match conv v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let field_default name conv ~default j =
-  match Json.member name j with
-  | None -> Ok default
-  | Some v -> (
-    match conv v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-
 let ( let* ) = Result.bind
 
 let spec_of_json j =
-  let* bench = field "bench" jstr j in
-  let* approach_name = field "approach" jstr j in
+  let* bench = Json.field "bench" Json.string j in
+  let* approach_name = Json.field "approach" Json.string j in
   let* approach =
     match Flows.approach_of_string approach_name with
     | Some a -> Ok a
     | None -> Error (Printf.sprintf "unknown approach %S" approach_name)
   in
-  let* bits = field "bits" jint j in
+  let* bits = Json.field "bits" Json.int j in
   let* dfg = B.find_result bench in
   let dp = Eval.params_for_bits bits in
   let* params =
     match Json.member "params" j with
     | None -> Ok dp
     | Some pj ->
-      let* k = field_default "k" jint ~default:dp.Synth.k pj in
-      let* alpha = field_default "alpha" jfloat ~default:dp.Synth.alpha pj in
-      let* beta = field_default "beta" jfloat ~default:dp.Synth.beta pj in
-      let* pbits = field_default "bits" jint ~default:dp.Synth.bits pj in
+      let* k = Json.field_default "k" Json.int ~default:dp.Synth.k pj in
+      let* alpha =
+        Json.field_default "alpha" Json.number ~default:dp.Synth.alpha pj
+      in
+      let* beta =
+        Json.field_default "beta" Json.number ~default:dp.Synth.beta pj
+      in
+      let* pbits =
+        Json.field_default "bits" Json.int ~default:dp.Synth.bits pj
+      in
       let* strategy =
         let* s =
-          field_default "strategy" jstr
+          Json.field_default "strategy" Json.string
             ~default:(strategy_name dp.Synth.strategy) pj
         in
         match s with
@@ -351,7 +330,8 @@ let spec_of_json j =
       in
       let* stop =
         let* s =
-          field_default "stop" jstr ~default:(stop_name dp.Synth.stop) pj
+          Json.field_default "stop" Json.string
+            ~default:(stop_name dp.Synth.stop) pj
         in
         match s with
         | "cost_improving" -> Ok Synth.Cost_improving
@@ -359,12 +339,12 @@ let spec_of_json j =
         | other -> Error (Printf.sprintf "unknown stop rule %S" other)
       in
       let* latency_factor =
-        field_default "latency_factor" jfloat ~default:dp.Synth.latency_factor
-          pj
+        Json.field_default "latency_factor" Json.number
+          ~default:dp.Synth.latency_factor pj
       in
       let* max_iterations =
-        field_default "max_iterations" jint ~default:dp.Synth.max_iterations
-          pj
+        Json.field_default "max_iterations" Json.int
+          ~default:dp.Synth.max_iterations pj
       in
       Ok
         {
@@ -383,24 +363,28 @@ let spec_of_json j =
     match Json.member "atpg" j with
     | None -> Ok da
     | Some aj ->
-      let* seed = field_default "seed" jint ~default:da.Atpg.seed aj in
+      let* seed = Json.field_default "seed" Json.int ~default:da.Atpg.seed aj in
       let* random_lanes =
-        field_default "random_lanes" jint ~default:da.Atpg.random_lanes aj
+        Json.field_default "random_lanes" Json.int
+          ~default:da.Atpg.random_lanes aj
       in
       let* random_cycles =
-        field_default "random_cycles" jint ~default:da.Atpg.random_cycles aj
+        Json.field_default "random_cycles" Json.int
+          ~default:da.Atpg.random_cycles aj
       in
       let* random_batches =
-        field_default "random_batches" jint ~default:da.Atpg.random_batches aj
+        Json.field_default "random_batches" Json.int
+          ~default:da.Atpg.random_batches aj
       in
       let* max_frames =
-        field_default "max_frames" jint ~default:da.Atpg.max_frames aj
+        Json.field_default "max_frames" Json.int ~default:da.Atpg.max_frames aj
       in
       let* max_backtracks =
-        field_default "max_backtracks" jint ~default:da.Atpg.max_backtracks aj
+        Json.field_default "max_backtracks" Json.int
+          ~default:da.Atpg.max_backtracks aj
       in
       let* collapse_gate_inputs =
-        field_default "collapse_gate_inputs" jbool
+        Json.field_default "collapse_gate_inputs" Json.bool
           ~default:da.Atpg.collapse_gate_inputs aj
       in
       Ok
@@ -429,14 +413,10 @@ let request_to_json = function
       ]
 
 let request_of_json j =
-  let* op = field "op" jstr j in
+  let* op = Json.field "op" Json.string j in
   match op with
   | "synth" | "testability" | "atpg" ->
-    let* sj =
-      match Json.member "spec" j with
-      | Some s -> Ok s
-      | None -> Error "missing field \"spec\""
-    in
+    let* sj = Json.field "spec" Option.some j in
     let* s = spec_of_json sj in
     Ok
       (match op with
@@ -507,7 +487,7 @@ let outcome t ?jobs s =
 (* Raw ATPG tier: keyed by the expanded circuit's content, so identical
    gate-level designs reached through different synthesis wrappers
    share fault-simulation work. Netlists are immutable plain data; the
-   [No_sharing] marshalling is their canonical byte form. *)
+   [No_sharing] marshalling is their normal byte form. *)
 let netlist_digest circuit =
   md5 (Marshal.to_string circuit [ Marshal.No_sharing ])
 

@@ -9,7 +9,7 @@
     live on the engine, not in the request). There is one fault-grading
     engine ({!Hlts_sim.Ppsfp}), so no engine choice appears in a
     request, a digest or the wire.
-    {!request_digest} is an MD5 over that canonical content; two
+    {!request_digest} is an MD5 over that normalized content; two
     requests digest equal iff the pipeline is guaranteed to produce
     byte-identical results for them, which is what makes the digest a
     sound cache key.
@@ -131,7 +131,7 @@ val spec_digest : op:string -> ?with_atpg:bool -> spec -> string
 val request_digest : request -> string
 
 val response_digest : response -> string
-(** MD5 over the canonical JSON rendering ({!response_to_json}). *)
+(** MD5 over the normalized JSON rendering ({!response_to_json}). *)
 
 val journal_digest : Hlts_obs.Journal.event list -> string
 
@@ -174,7 +174,7 @@ val fan_out : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     a mismatched name. Decoding applies the {!spec} range check and
     ignores unknown fields (an [engine] field from an older client
     included: every engine gave the same answer). Responses travel as
-    the same canonical JSON the digests are computed over. *)
+    the same normalized JSON the digests are computed over. *)
 
 val spec_to_json : spec -> Hlts_obs.Json.t
 val spec_of_json : Hlts_obs.Json.t -> (spec, string) Stdlib.result

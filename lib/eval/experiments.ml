@@ -33,7 +33,7 @@ let row_exn (r : Engine.result) =
 
 (* One synthesis per approach with the baseline parameters (the paper's
    per-width triples were chosen to reach the same allocation at every
-   width, so one canonical structure per approach is the faithful
+   width, so one standard structure per approach is the faithful
    reading); the structure is then measured at 4, 8 and 16 bits.
 
    The engine shares the synthesized outcome across the three widths of

@@ -112,8 +112,6 @@ let aggregate_gauges entries =
     entries;
   List.rev_map (fun name -> (name, Hashtbl.find tbl name)) !order
 
-let is_res_gauge name = String.length name >= 4 && String.sub name 0 4 = "res."
-
 type capture = {
   mutable c_counts : (string * int) list;
   mutable c_samples : (string * float) list;
@@ -148,7 +146,8 @@ let capture_sink c =
         | Obs.Count { name; delta; _ } -> c.c_counts <- (name, delta) :: c.c_counts
         | Obs.Sample { name; v; _ } -> c.c_samples <- (name, v) :: c.c_samples
         | Obs.Gauge { name; v; _ } ->
-          if not (is_res_gauge name) then c.c_gauges <- (name, v) :: c.c_gauges
+          if not (Obs.Res.is_gauge name) then
+            c.c_gauges <- (name, v) :: c.c_gauges
         | Obs.Decision { d; _ } -> c.c_decisions <- d :: c.c_decisions
         | Obs.Span_end { name; cat; ts_ns; dur_ns; depth; args } ->
           c.c_spans <-

@@ -1,5 +1,6 @@
-module Json = Hlts_obs.Json
-module Journal = Hlts_obs.Journal
+module Obs = Hlts_obs
+module Json = Obs.Json
+module Journal = Obs.Journal
 
 (* --- accumulated model --------------------------------------------------- *)
 
@@ -46,8 +47,7 @@ type worker_lane = {
 type t = {
   mutable meta : (string * string) list;  (** run.meta args, if present *)
   mutable iters : iter_row list;  (** reversed while building *)
-  phase_order : string list ref;
-  phases : (string, float) Hashtbl.t;  (** cat -> self us *)
+  spans : Obs.Summary.t;  (** begin/end lines replayed: the phase table *)
   workers : (int, worker_lane) Hashtbl.t;
   mutable depth_series : (float * float) list;  (** (ts us, queue depth), reversed *)
   res_series : (string, (float * float) list) Hashtbl.t;
@@ -63,8 +63,7 @@ let create () =
   {
     meta = [];
     iters = [];
-    phase_order = ref [];
-    phases = Hashtbl.create 8;
+    spans = Obs.Summary.create ();
     workers = Hashtbl.create 8;
     depth_series = [];
     res_series = Hashtbl.create 16;
@@ -151,23 +150,6 @@ let apply_decision t (d : Journal.event) =
             })
       (current_iter t)
 
-(* Self-time per category, replayed from begin/end lines exactly like
-   Obs.Summary: a stack of child-time accumulators, self = dur - child. *)
-let span_stack : float list ref = ref []
-
-let apply_phase t ~cat ~dur_us =
-  let child, rest =
-    match !span_stack with c :: rest -> (c, rest) | [] -> (0.0, [])
-  in
-  span_stack :=
-    (match rest with c :: tl -> (c +. dur_us) :: tl | [] -> []);
-  let self = Float.max 0.0 (dur_us -. child) in
-  let cat = if cat = "" then "(uncategorized)" else cat in
-  if not (Hashtbl.mem t.phases cat) then
-    t.phase_order := cat :: !(t.phase_order);
-  Hashtbl.replace t.phases cat
-    (self +. Option.value ~default:0.0 (Hashtbl.find_opt t.phases cat))
-
 let worker_lane t index =
   match Hashtbl.find_opt t.workers index with
   | Some w -> w
@@ -185,103 +167,90 @@ let worker_lane t index =
     Hashtbl.add t.workers index w;
     w
 
-let fstr name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> Some s
-  | _ -> None
+let ( let* ) = Result.bind
 
-let fnum name j =
-  match Json.member name j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
+let is_resource name =
+  Obs.Res.is_gauge name
+  || List.exists
+       (fun suffix -> String.ends_with ~suffix name)
+       [ ".workers_rss_kb"; ".workers_cpu_s"; ".workers_tasks" ]
 
-let fint name j =
-  match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
+(* One timed line. Span lines are replayed into [t.spans], so the phase
+   table comes from the same self-time fold as [hlts profile]. *)
+let apply_event t j =
+  Option.iter (see_ts t) (Option.bind (Json.member "ts_us" j) Json.number);
+  let* ev = Json.field "ev" Json.string j in
+  let replay = (Obs.Summary.sink t.spans).Obs.emit in
+  match ev with
+  | "begin" ->
+    replay (Obs.Span_begin { name = ""; cat = ""; ts_ns = 0L; depth = 0 });
+    Ok ()
+  | "end" ->
+    let* name = Json.field "name" Json.string j in
+    let* cat = Json.field_default "cat" Json.string ~default:"" j in
+    let* dur_us = Json.field "dur_us" Json.number j in
+    let dur_ns = Int64.of_float (Float.round (dur_us *. 1000.0)) in
+    replay
+      (Obs.Span_end { name; cat; ts_ns = 0L; dur_ns; depth = 0; args = [] });
+    Ok ()
+  | "gauge" ->
+    let* name = Json.field "name" Json.string j in
+    let* ts = Json.field "ts_us" Json.number j in
+    let* v = Json.field "value" Json.number j in
+    if String.ends_with ~suffix:".queue_depth" name then
+      t.depth_series <- (ts, v) :: t.depth_series
+    else if is_resource name then begin
+      let prev =
+        match Hashtbl.find_opt t.res_series name with
+        | Some pts -> pts
+        | None ->
+          t.res_order <- name :: t.res_order;
+          []
+      in
+      Hashtbl.replace t.res_series name ((ts, v) :: prev)
+    end;
+    Ok ()
+  | "wspan" ->
+    let* index = Json.field "worker" Json.int j in
+    let* dur = Json.field "dur_us" Json.number j in
+    let* ts_end = Json.field "ts_us" Json.number j in
+    let* depth = Json.field "depth" Json.int j in
+    let w = worker_lane t index in
+    w.w_spans <- w.w_spans + 1;
+    (* busy time counts only the lane's outermost spans: nested ones are
+       already inside them *)
+    if depth < w.w_min_depth then begin
+      w.w_min_depth <- depth;
+      w.w_busy_us <- dur
+    end
+    else if depth = w.w_min_depth then w.w_busy_us <- w.w_busy_us +. dur;
+    if ts_end -. dur < w.w_first_us then w.w_first_us <- ts_end -. dur;
+    if ts_end > w.w_last_us then w.w_last_us <- ts_end;
+    Ok ()
+  | "instant" ->
+    (match (Json.member "name" j, Json.member "args" j) with
+    | Some (Json.Str "run.meta"), Some (Json.Obj fields) ->
+      t.meta <-
+        List.map
+          (fun (k, v) ->
+            (k, match v with Json.Str s -> s | other -> Json.to_string other))
+          fields
+    | _ -> ());
+    Ok ()
+  | _ -> Ok ()
 
 let apply_line t line =
   let line = String.trim line in
-  if line = "" then ()
-  else
-    match Json.of_string line with
-    | Error _ -> t.skipped <- t.skipped + 1
-    | Ok j ->
+  if line <> "" then
+    let applied =
+      let* j = Json.of_string line in
       if Journal.is_decision_line line then
-        match Journal.decode j with
-        | Ok d -> apply_decision t d
-        | Error _ -> t.skipped <- t.skipped + 1
-      else begin
-        (match fnum "ts_us" j with Some ts -> see_ts t ts | None -> ());
-        match fstr "ev" j with
-        | Some "begin" -> span_stack := 0.0 :: !span_stack
-        | Some "end" ->
-          let cat = Option.value ~default:"" (fstr "cat" j) in
-          let dur_us = Option.value ~default:0.0 (fnum "dur_us" j) in
-          apply_phase t ~cat ~dur_us
-        | Some "gauge" -> begin
-          let has_suffix ~suffix name =
-            let ls = String.length suffix and l = String.length name in
-            l >= ls && String.sub name (l - ls) ls = suffix
-          in
-          let is_resource name =
-            (String.length name >= 4 && String.sub name 0 4 = "res.")
-            || has_suffix ~suffix:".workers_rss_kb" name
-            || has_suffix ~suffix:".workers_cpu_s" name
-            || has_suffix ~suffix:".workers_tasks" name
-          in
-          match fstr "name" j, fnum "ts_us" j, fnum "value" j with
-          | Some name, Some ts, Some v when has_suffix ~suffix:".queue_depth" name
-            -> t.depth_series <- (ts, v) :: t.depth_series
-          | Some name, Some ts, Some v when is_resource name ->
-            let prev =
-              match Hashtbl.find_opt t.res_series name with
-              | Some pts -> pts
-              | None ->
-                t.res_order <- name :: t.res_order;
-                []
-            in
-            Hashtbl.replace t.res_series name ((ts, v) :: prev)
-          | _ -> ()
-        end
-        | Some "wspan" -> begin
-          match fint "worker" j with
-          | None -> ()
-          | Some index ->
-            let w = worker_lane t index in
-            let dur = Option.value ~default:0.0 (fnum "dur_us" j) in
-            let ts_end = Option.value ~default:0.0 (fnum "ts_us" j) in
-            let depth = Option.value ~default:0 (fint "depth" j) in
-            w.w_spans <- w.w_spans + 1;
-            (* busy time counts only the lane's outermost spans: nested
-               ones are already inside them *)
-            if depth < w.w_min_depth then begin
-              w.w_min_depth <- depth;
-              w.w_busy_us <- dur
-            end
-            else if depth = w.w_min_depth then w.w_busy_us <- w.w_busy_us +. dur;
-            if ts_end -. dur < w.w_first_us then w.w_first_us <- ts_end -. dur;
-            if ts_end > w.w_last_us then w.w_last_us <- ts_end;
-            see_ts t ts_end
-        end
-        | Some "instant" ->
-          if fstr "name" j = Some "run.meta" then begin
-            match Json.member "args" j with
-            | Some (Json.Obj fields) ->
-              t.meta <-
-                List.map
-                  (fun (k, v) ->
-                    ( k,
-                      match v with
-                      | Json.Str s -> s
-                      | other -> Json.to_string other ))
-                  fields
-            | _ -> ()
-          end
-        | _ -> ()
-      end
+        Result.map (apply_decision t) (Journal.decode j)
+      else apply_event t j
+    in
+    if Result.is_error applied then t.skipped <- t.skipped + 1
 
 let parse lines =
-  span_stack := [];
   let t = create () in
   List.iter (apply_line t) lines;
   t.iters <- List.rev t.iters;
@@ -420,28 +389,26 @@ let section_meta buf t =
 
 let section_phases buf t =
   let phases =
-    List.rev_map
-      (fun cat -> (cat, Hashtbl.find t.phases cat))
-      !(t.phase_order)
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    List.sort (fun (_, a) (_, b) -> compare b a) (Obs.Summary.phases t.spans)
   in
   if phases <> [] then begin
-    let total = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phases in
+    let total = Obs.Summary.total_seconds t.spans in
     Buffer.add_string buf
       "<h2>Per-phase time (self time; phases sum to the total)</h2>\n\
        <table><tr><th class=\"l\">phase</th><th>self</th><th>share</th></tr>\n";
     List.iter
-      (fun (cat, us) ->
+      (fun (cat, s) ->
+        let cat = if cat = "" then "(uncategorized)" else cat in
         Buffer.add_string buf
           (Printf.sprintf
              "<tr><td class=\"l\">%s</td><td>%.3f s</td><td>%.1f%%</td></tr>\n"
-             (esc cat) (us /. 1e6)
-             (if total > 0.0 then 100.0 *. us /. total else 0.0)))
+             (esc cat) s
+             (if total > 0.0 then 100.0 *. s /. total else 0.0)))
       phases;
     Buffer.add_string buf
       (Printf.sprintf
          "<tr><th class=\"l\">total</th><th>%.3f s</th><th>100.0%%</th></tr></table>\n"
-         (total /. 1e6))
+         total)
   end
 
 let section_trajectory buf t =
@@ -576,13 +543,7 @@ let section_memory buf t =
           Option.map (fun pts -> (label, color, pts)) (series ~scale name))
         specs
     in
-    let workers_of suffix =
-      List.filter
-        (fun name ->
-          let ls = String.length suffix and l = String.length name in
-          l >= ls && String.sub name (l - ls) ls = suffix)
-        t.res_order
-    in
+    let workers_of suffix = List.filter (String.ends_with ~suffix) t.res_order in
     let mem_series =
       pick
         [

@@ -2,10 +2,11 @@
 
     [hlts report] reads a {!Hlts_obs.journal_sink} JSONL file with
     {!read_file} and writes {!to_html}'s output. The renderer
-    uses only what is in the file — canonical decision lines (the
-    [{"j":...}] prefix) for the merge trajectory and the
-    testability-balance table, span begin/end lines for the per-phase
-    breakdown, [wspan]/[gauge] lines for pool-utilization and
+    uses only what is in the file — decision lines (the [{"j":...}]
+    prefix) for the merge trajectory and the testability-balance
+    table, span begin/end lines (replayed into an {!Hlts_obs.Summary},
+    the self-time fold of [hlts profile]) for the per-phase breakdown,
+    [wspan]/[gauge] lines for pool-utilization and
     queue-depth lanes, ["res.*"] / ["*.workers_*"] gauge lines for the
     memory/GC panel, and the [run.meta] instant for run metadata —
     and the HTML it emits embeds all styling and charts inline (CSS +

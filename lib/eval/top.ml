@@ -11,41 +11,29 @@ type hb = {
   hb_gauges : (string * float) list;
 }
 
-let num = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
+let ( let* ) = Result.bind
 
 let parse_line line =
-  match Json.of_string line with
-  | Error e -> Error e
-  | Ok j -> (
-    match Json.member "hb" j with
-    | Some (Json.Int hb_seq) ->
-      let obj name =
-        match Json.member name j with
-        | Some (Json.Obj fields) -> fields
-        | _ -> []
-      in
-      let floats fields =
-        List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (num v)) fields
-      in
-      let ints fields =
-        List.filter_map
-          (fun (k, v) -> match v with Json.Int i -> Some (k, i) | _ -> None)
-          fields
-      in
-      Ok
-        {
-          hb_seq;
-          hb_t_s =
-            Option.value ~default:0.0 (Option.bind (Json.member "t_s" j) num);
-          hb_final = Json.member "final" j = Some (Json.Bool true);
-          hb_res = floats (obj "res");
-          hb_counters = ints (obj "counters");
-          hb_gauges = floats (obj "gauges");
-        }
-    | _ -> Error "not a heartbeat snapshot")
+  let* j = Json.of_string line in
+  let* hb_seq = Json.field "hb" Json.int j in
+  let* hb_t_s = Json.field_default "t_s" Json.number ~default:0.0 j in
+  let* hb_final = Json.field_default "final" Json.bool ~default:false j in
+  (* members of the wrong type are dropped, not fatal *)
+  let members name conv =
+    match Json.member name j with
+    | Some (Json.Obj fields) ->
+      List.filter_map (fun (k, v) -> Option.map (fun x -> (k, x)) (conv v)) fields
+    | _ -> []
+  in
+  Ok
+    {
+      hb_seq;
+      hb_t_s;
+      hb_final;
+      hb_res = members "res" Json.number;
+      hb_counters = members "counters" Json.int;
+      hb_gauges = members "gauges" Json.number;
+    }
 
 (* The files read here are typically being appended to by a live run:
    a trailing fragment without a newline is a torn write in progress,
@@ -96,10 +84,6 @@ let read_file file =
 
 let mb_of_kb kb = kb /. 1024.0
 let mw_of_w w = w /. 1e6
-
-let ends_with ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
 
 (* Render one snapshot as a fixed-height text panel. [prev] (an earlier
    snapshot) supplies the baseline for rates; without one, rates are
@@ -156,10 +140,12 @@ let render ?prev ~file ~skipped cur =
      out of per-worker resource snapshots. *)
   let gauge_sum suffix =
     List.fold_left
-      (fun acc (n, v) -> if ends_with ~suffix n then acc +. v else acc)
+      (fun acc (n, v) -> if String.ends_with ~suffix n then acc +. v else acc)
       0.0 cur.hb_gauges
   in
-  let has suffix = List.exists (fun (n, _) -> ends_with ~suffix n) cur.hb_gauges in
+  let has suffix =
+    List.exists (fun (n, _) -> String.ends_with ~suffix n) cur.hb_gauges
+  in
   if has ".queue_depth" || has ".workers_tasks" then
     line "pool  queue %3.0f   workers: cpu %6.2fs   rss %7.1f MB   tasks %.0f"
       (gauge_sum ".queue_depth")
@@ -182,10 +168,12 @@ let render ?prev ~file ~skipped cur =
     List.filter
       (fun (n, _) ->
         not
-          (ends_with ~suffix:".queue_depth" n
-          || ends_with ~suffix:".workers_cpu_s" n
-          || ends_with ~suffix:".workers_rss_kb" n
-          || ends_with ~suffix:".workers_tasks" n))
+          (List.exists
+             (fun suffix -> String.ends_with ~suffix n)
+             [
+               ".queue_depth"; ".workers_cpu_s"; ".workers_rss_kb";
+               ".workers_tasks";
+             ]))
       cur.hb_gauges
   in
   if other_gauges <> [] then begin
@@ -239,44 +227,42 @@ type access_line =
   | Lifecycle of { lc_event : string; lc_final : bool }
 
 let parse_access_line line =
-  match Json.of_string line with
-  | Error e -> Error e
-  | Ok j -> (
-    match Json.member "serve" j with
-    | Some (Json.Str lc_event) ->
-      Ok
-        (Lifecycle
-           { lc_event; lc_final = Json.member "final" j = Some (Json.Bool true) })
-    | Some _ -> Error "bad lifecycle line"
-    | None -> (
-      match (Json.member "op" j, Json.member "verdict" j) with
-      | Some (Json.Str ac_op), Some (Json.Str ac_verdict) ->
-        let f name =
-          Option.value ~default:0.0 (Option.bind (Json.member name j) num)
-        in
-        let s name =
-          match Json.member name j with Some (Json.Str v) -> v | _ -> "-"
-        in
-        Ok
-          (Request
-             {
-               ac_t_s = f "t_s";
-               ac_trace = s "trace";
-               ac_op;
-               ac_digest = s "digest";
-               ac_verdict;
-               ac_async = Json.member "async" j = Some (Json.Bool true);
-               ac_bytes_out =
-                 (match Json.member "bytes_out" j with
-                 | Some (Json.Int n) -> n
-                 | _ -> 0);
-               ac_queue_s = f "queue_s";
-               ac_cache_s = f "cache_s";
-               ac_compute_s = f "compute_s";
-               ac_reply_s = f "reply_s";
-               ac_total_s = f "total_s";
-             })
-      | _ -> Error "not an access record"))
+  let* j = Json.of_string line in
+  if Json.member "serve" j <> None then
+    let* lc_event = Json.field "serve" Json.string j in
+    let* lc_final = Json.field_default "final" Json.bool ~default:false j in
+    Ok (Lifecycle { lc_event; lc_final })
+  else
+    let* ac_op = Json.field "op" Json.string j in
+    let* ac_verdict = Json.field "verdict" Json.string j in
+    let seconds name = Json.field_default name Json.number ~default:0.0 j in
+    let text name = Json.field_default name Json.string ~default:"-" j in
+    let* ac_t_s = seconds "t_s" in
+    let* ac_trace = text "trace" in
+    let* ac_digest = text "digest" in
+    let* ac_async = Json.field_default "async" Json.bool ~default:false j in
+    let* ac_bytes_out = Json.field_default "bytes_out" Json.int ~default:0 j in
+    let* ac_queue_s = seconds "queue_s" in
+    let* ac_cache_s = seconds "cache_s" in
+    let* ac_compute_s = seconds "compute_s" in
+    let* ac_reply_s = seconds "reply_s" in
+    let* ac_total_s = seconds "total_s" in
+    Ok
+      (Request
+         {
+           ac_t_s;
+           ac_trace;
+           ac_op;
+           ac_digest;
+           ac_verdict;
+           ac_async;
+           ac_bytes_out;
+           ac_queue_s;
+           ac_cache_s;
+           ac_compute_s;
+           ac_reply_s;
+           ac_total_s;
+         })
 
 (* Same tolerance contract as [read_file]: torn trailing fragment and
    unparseable lines are skipped, never fatal. Returns the request

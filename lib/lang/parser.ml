@@ -69,15 +69,17 @@ and primary st =
 
 let expr st = expr_at st 1
 
+(* Decimal digits only: [int_of_string_opt] alone would also take OCaml
+   literal syntax ("0x1F", "1_0", "0b11"), so two spellings could pin
+   the same op id. *)
 let node_label name =
-  let digits =
-    if String.length name > 1 && (name.[0] = 'N' || name.[0] = 'n') then
-      Some (String.sub name 1 (String.length name - 1))
+  let n = String.length name in
+  if n > 1 && (name.[0] = 'N' || name.[0] = 'n') then
+    let digits = String.sub name 1 (n - 1) in
+    if String.for_all (fun c -> c >= '0' && c <= '9') digits then
+      int_of_string_opt digits
     else None
-  in
-  match digits with
-  | Some d -> int_of_string_opt d
-  | None -> None
+  else None
 
 let stmt st =
   let s_line = line st in

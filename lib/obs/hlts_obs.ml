@@ -7,7 +7,7 @@ module Clock = struct
 end
 
 (* Shortest decimal rendering that round-trips the float exactly, so
-   encodings are canonical and byte-comparable. Shared by the JSON
+   encodings are unique and byte-comparable. Shared by the JSON
    emitter and the Prometheus exposition. *)
 let float_repr f =
   let s = Printf.sprintf "%.12g" f in
@@ -242,7 +242,35 @@ module Json = struct
   let member key = function
     | Obj fields -> List.assoc_opt key fields
     | Null | Bool _ | Int _ | Float _ | Str _ | List _ -> None
+
+  let int = function Int i -> Some i | _ -> None
+
+  (* [to_string] drops the ".0" of integral floats, so the parser hands
+     them back as [Int]: a number takes both. *)
+  let number = function
+    | Float f -> Some f
+    | Int i -> Some (float_of_int i)
+    | _ -> None
+
+  let string = function Str s -> Some s | _ -> None
+  let bool = function Bool b -> Some b | _ -> None
+
+  (* The error strings are built only on the error branch: request
+     decoding in the daemon runs these on every frame. *)
+  let wrong_type name = Error (Printf.sprintf "field %S has the wrong type" name)
+
+  let field name conv j =
+    match member name j with
+    | Some v -> ( match conv v with Some x -> Ok x | None -> wrong_type name)
+    | None -> Error (Printf.sprintf "missing field %S" name)
+
+  let field_default name conv ~default j =
+    match member name j with
+    | Some v -> ( match conv v with Some x -> Ok x | None -> wrong_type name)
+    | None -> Ok default
 end
+
+let ( let* ) = Result.bind
 
 module Journal = struct
   type pair =
@@ -351,39 +379,11 @@ module Journal = struct
           ("sched_len", Json.Int sched_len); ("area_mm2", Json.Float area_mm2);
         ]
 
-  let ( let* ) = Result.bind
-
-  let field name j =
-    match Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-
-  let int_field name j =
-    let* v = field name j in
-    match v with
-    | Json.Int i -> Ok i
-    | _ -> Error (Printf.sprintf "field %S: expected int" name)
-
-  (* %g drops the ".0" of integral floats, so the parser hands them back
-     as Int — coerce. *)
-  let float_field name j =
-    let* v = field name j in
-    match v with
-    | Json.Float f -> Ok f
-    | Json.Int i -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "field %S: expected number" name)
-
-  let str_field name j =
-    let* v = field name j in
-    match v with
-    | Json.Str s -> Ok s
-    | _ -> Error (Printf.sprintf "field %S: expected string" name)
-
   let pair_field name j =
-    let* p = field name j in
-    let* kind = str_field "kind" p in
-    let* a = int_field "a" p in
-    let* b = int_field "b" p in
+    let* p = Json.field name Option.some j in
+    let* kind = Json.field "kind" Json.string p in
+    let* a = Json.field "a" Json.int p in
+    let* b = Json.field "b" Json.int p in
     match kind with
     | "units" -> Ok (Units (a, b))
     | "registers" -> Ok (Registers (a, b))
@@ -410,52 +410,51 @@ module Journal = struct
     | _ -> Error "field \"moved\": expected list"
 
   let decode j =
-    let* ev = str_field "ev" j in
+    let* ev = Json.field "ev" Json.string j in
     match ev with
     | "iter_begin" ->
-      let* iteration = int_field "iteration" j in
-      let* pool = int_field "pool" j in
+      let* iteration = Json.field "iteration" Json.int j in
+      let* pool = Json.field "pool" Json.int j in
       Ok (Iter_begin { iteration; pool })
     | "candidate_scored" ->
       let* pair = pair_field "pair" j in
-      let* delta_e = int_field "delta_e" j in
-      let* delta_h = float_field "delta_h" j in
-      let* sched_len = int_field "sched_len" j in
+      let* delta_e = Json.field "delta_e" Json.int j in
+      let* delta_h = Json.field "delta_h" Json.number j in
+      let* sched_len = Json.field "sched_len" Json.int j in
       Ok (Candidate_scored { pair; delta_e; delta_h; sched_len })
     | "candidate_rejected" ->
       let* pair = pair_field "pair" j in
-      let* reason = str_field "reason" j in
+      let* reason = Json.field "reason" Json.string j in
       let* reason = reject_of_string reason in
       Ok (Candidate_rejected { pair; reason })
     | "merge_committed" ->
-      let* description = str_field "description" j in
-      let* reason = str_field "reason" j in
-      let* delta_e = int_field "delta_e" j in
-      let* delta_h = float_field "delta_h" j in
-      let* cost = float_field "cost" j in
+      let* description = Json.field "description" Json.string j in
+      let* reason = Json.field "reason" Json.string j in
+      let* delta_e = Json.field "delta_e" Json.int j in
+      let* delta_h = Json.field "delta_h" Json.number j in
+      let* cost = Json.field "cost" Json.number j in
       Ok (Merge_committed { description; reason; delta_e; delta_h; cost })
     | "reschedule" ->
-      let* strategy = str_field "strategy" j in
+      let* strategy = Json.field "strategy" Json.string j in
       let* strategy =
         match strategy with
         | "SR1" -> Ok SR1
         | "SR2" -> Ok SR2
         | s -> Error (Printf.sprintf "unknown strategy %S" s)
       in
-      let* moved = field "moved" j in
+      let* moved = Json.field "moved" Option.some j in
       let* moved_ops = moved_of_json moved in
       Ok (Reschedule { strategy; moved_ops })
     | "testability_snapshot" ->
-      let* seq_depth = float_field "seq_depth" j in
-      let* registers = int_field "registers" j in
-      let* units = int_field "units" j in
-      let* sched_len = int_field "sched_len" j in
-      let* area_mm2 = float_field "area_mm2" j in
+      let* seq_depth = Json.field "seq_depth" Json.number j in
+      let* registers = Json.field "registers" Json.int j in
+      let* units = Json.field "units" Json.int j in
+      let* sched_len = Json.field "sched_len" Json.int j in
+      let* area_mm2 = Json.field "area_mm2" Json.number j in
       Ok (Testability_snapshot { seq_depth; registers; units; sched_len; area_mm2 })
     | k -> Error (Printf.sprintf "unknown journal event %S" k)
 
-  let is_decision_line line =
-    String.length line >= 5 && String.sub line 0 5 = "{\"j\":"
+  let is_decision_line line = String.starts_with ~prefix:"{\"j\":" line
 end
 
 type value =
@@ -645,9 +644,8 @@ module Res = struct
       (try
          while true do
            let line = input_line ic in
-           if String.length line >= 6 && String.sub line 0 6 = "VmRSS:" then
-             rss := value_of line
-           else if String.length line >= 6 && String.sub line 0 6 = "VmHWM:" then
+           if String.starts_with ~prefix:"VmRSS:" line then rss := value_of line
+           else if String.starts_with ~prefix:"VmHWM:" line then
              hwm := value_of line
          done
        with End_of_file -> ());
@@ -695,6 +693,8 @@ module Res = struct
      host-dependent by nature, so every digest/determinism gate excludes
      them (and the pool's counter-equality contract never sees them,
      gauges merge by max). *)
+  let is_gauge name = String.starts_with ~prefix:"res." name
+
   let gauges s =
     [
       ("res.utime_s", s.utime_s);
@@ -739,10 +739,7 @@ let latency_buckets =
 
 (* Samples whose names end in "seconds" carry latencies and get
    fixed-bucket histogram treatment; everything else stays a summary. *)
-let is_latency_name name =
-  let suffix = "seconds" in
-  let ln = String.length name and ls = String.length suffix in
-  ln >= ls && String.sub name (ln - ls) ls = suffix
+let is_latency_name name = String.ends_with ~suffix:"seconds" name
 
 module Summary = struct
   type span_stat = {
@@ -1020,12 +1017,9 @@ module Metrics = struct
         header buf m ~help:(Printf.sprintf "Event counter %s." name) ~typ:"counter";
         sample_line buf m (float_of_int v))
       (Summary.counters summary);
-    let is_res name =
-      String.length name >= 4 && String.sub name 0 4 = "res."
-    in
     List.iter
       (fun (name, v) ->
-        if not (res && is_res name) then begin
+        if not (res && Res.is_gauge name) then begin
           let m = "hlts_" ^ metric_name name in
           header buf m ~help:(Printf.sprintf "Gauge %s." name) ~typ:"gauge";
           sample_line buf m v
@@ -1084,13 +1078,12 @@ module Metrics = struct
     Buffer.contents buf
 end
 
-(* ---- JSONL sinks ------------------------------------------------------- *)
+(* ---- journal sink ----------------------------------------------------- *)
 
-(* One renderer serves both line-oriented sinks. [canonical] selects the
-   journal shape for Decision events: a 0-based sequence number and no
-   timestamp, so those lines are byte-identical at every [-j N]. The
-   plain jsonl shape keeps the timestamp for stream consumers. *)
-let make_jsonl ~canonical write =
+(* A Decision line carries a 0-based sequence number and no timestamp,
+   so those lines are byte-identical at every [-j N]; every other line
+   keeps its timestamp for the timing context. *)
+let journal_sink write =
   let seq = ref 0 in
   let line fields =
     write (Json.to_string (Json.Obj fields));
@@ -1137,22 +1130,14 @@ let make_jsonl ~canonical write =
           ("cat", Json.Str cat); ("ts_us", Json.Float (us_of_ns ts_ns));
           ("args", json_of_args args);
         ]
-    | Decision { d; ts_ns } ->
-      if canonical then begin
-        let fields =
-          match Journal.encode d with
-          | Json.Obj fields -> fields
-          | _ -> assert false (* encode always yields an object *)
-        in
-        line (("j", Json.Int !seq) :: fields);
-        incr seq
-      end
-      else
-        line
-          [
-            ("ev", Json.Str "decision");
-            ("ts_us", Json.Float (us_of_ns ts_ns)); ("d", Journal.encode d);
-          ]
+    | Decision { d; _ } ->
+      let fields =
+        match Journal.encode d with
+        | Json.Obj fields -> fields
+        | _ -> assert false (* encode always yields an object *)
+      in
+      line (("j", Json.Int !seq) :: fields);
+      incr seq
     | Worker_span { worker; ticket; span } ->
       line
         [
@@ -1165,9 +1150,6 @@ let make_jsonl ~canonical write =
         ]
   in
   { emit; flush = (fun () -> ()) }
-
-let jsonl_sink write = make_jsonl ~canonical:false write
-let journal_sink write = make_jsonl ~canonical:true write
 
 (* ---- heartbeat sink ----------------------------------------------------- *)
 
@@ -1183,7 +1165,6 @@ let heartbeat_sink ?(interval_ms = 100) write =
   let last = ref 0L in
   let finalized = ref false in
   let interval_ns = Int64.of_int (interval_ms * 1_000_000) in
-  let is_res name = String.length name >= 4 && String.sub name 0 4 = "res." in
   let snapshot ~final () =
     let res =
       Res.gauges (Res.snapshot ())
@@ -1196,7 +1177,7 @@ let heartbeat_sink ?(interval_ms = 100) write =
     in
     let gauges =
       Summary.gauges summary
-      |> List.filter (fun (n, _) -> not (is_res n))
+      |> List.filter (fun (n, _) -> not (Res.is_gauge n))
       |> List.map (fun (n, v) -> (n, Json.Float v))
     in
     let fields =
@@ -1226,107 +1207,6 @@ let heartbeat_sink ?(interval_ms = 100) write =
     if not !finalized then begin
       finalized := true;
       snapshot ~final:true ()
-    end
-  in
-  { emit; flush }
-
-(* ---- Chrome trace_event sink ------------------------------------------- *)
-
-let chrome_sink write =
-  let t0 = Clock.now_ns () in
-  let buf = Buffer.create 4096 in
-  let first = ref true in
-  let flushed = ref false in
-  let totals : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let rel ts = us_of_ns (Int64.sub ts t0) in
-  let record fields =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf (Json.to_string (Json.Obj fields))
-  in
-  (* pid lanes: 1 = the parent process, 2 + w = pool worker w. A
-     process_name metadata record is emitted the first time each lane
-     appears so the trace viewer labels them. *)
-  let seen_pids : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let lane pid label =
-    if not (Hashtbl.mem seen_pids pid) then begin
-      Hashtbl.add seen_pids pid ();
-      record
-        [
-          ("name", Json.Str "process_name"); ("ph", Json.Str "M");
-          ("pid", Json.Int pid); ("tid", Json.Int 1);
-          ("args", Json.Obj [ ("name", Json.Str label) ]);
-        ]
-    end
-  in
-  let common ?(pid = 1) name ph ts =
-    if pid = 1 then lane 1 "hlts (parent)";
-    [
-      ("name", Json.Str name); ("ph", Json.Str ph);
-      ("ts", Json.Float (rel ts)); ("pid", Json.Int pid); ("tid", Json.Int 1);
-    ]
-  in
-  let counter_record name ts v =
-    record (common name "C" ts @ [ ("args", Json.Obj [ ("value", v) ]) ])
-  in
-  let emit = function
-    | Span_begin _ -> ()
-    | Span_end { name; cat; ts_ns; dur_ns; args; _ } ->
-      let cat = if cat = "" then "default" else cat in
-      record
-        (common name "X" (Int64.sub ts_ns dur_ns)
-        @ [
-            ("cat", Json.Str cat); ("dur", Json.Float (us_of_ns dur_ns));
-            ("args", json_of_args args);
-          ])
-    | Count { name; delta; ts_ns } ->
-      let total =
-        float_of_int delta
-        +. Option.value ~default:0.0 (Hashtbl.find_opt totals name)
-      in
-      Hashtbl.replace totals name total;
-      counter_record name ts_ns (Json.Float total)
-    | Gauge { name; v; ts_ns } | Sample { name; v; ts_ns } ->
-      counter_record name ts_ns (Json.Float v)
-    | Instant { name; cat; args; ts_ns } ->
-      let cat = if cat = "" then "default" else cat in
-      record
-        (common name "i" ts_ns
-        @ [ ("cat", Json.Str cat); ("s", Json.Str "t"); ("args", json_of_args args) ])
-    | Decision { d; ts_ns } ->
-      let kind, payload =
-        match Journal.encode d with
-        | Json.Obj (("ev", Json.Str kind) :: rest) -> (kind, rest)
-        | _ -> ("decision", [])
-      in
-      record
-        (common ("journal." ^ kind) "i" ts_ns
-        @ [
-            ("cat", Json.Str "journal"); ("s", Json.Str "t");
-            ("args", Json.Obj payload);
-          ])
-    | Worker_span { worker; ticket; span } ->
-      let pid = 2 + worker in
-      lane pid (Printf.sprintf "pool worker %d" worker);
-      let cat = if span.w_cat = "" then "default" else span.w_cat in
-      record
-        (common ~pid span.w_name "X" (Int64.sub span.w_ts_ns span.w_dur_ns)
-        @ [
-            ("cat", Json.Str cat);
-            ("dur", Json.Float (us_of_ns span.w_dur_ns));
-            ( "args",
-              Json.Obj
-                (("ticket", Json.Int ticket)
-                :: (match json_of_args span.w_args with
-                   | Json.Obj fields -> fields
-                   | _ -> [])) );
-          ])
-  in
-  let flush () =
-    if not !flushed then begin
-      flushed := true;
-      write "{\"traceEvents\":[\n";
-      write (Buffer.contents buf);
-      write "\n],\"displayTimeUnit\":\"ms\"}\n"
     end
   in
   { emit; flush }
@@ -1435,29 +1315,28 @@ module Trace_ctx = struct
     | Json.Null | Json.List _ | Json.Obj _ -> None
 
   let span_of_json j =
-    match
-      ( Json.member "lane" j, Json.member "label" j, Json.member "name" j,
-        Json.member "cat" j, Json.member "ts_ns" j, Json.member "dur_ns" j )
-    with
-    | ( Some (Json.Int sp_lane), Some (Json.Str sp_label),
-        Some (Json.Str sp_name), Some (Json.Str sp_cat),
-        Some (Json.Int ts), Some (Json.Int dur) ) ->
-      let sp_args =
-        match Json.member "args" j with
-        | Some (Json.Obj fields) ->
-          List.filter_map
-            (fun (k, v) -> Option.map (fun v -> (k, v)) (value_of_json v))
-            fields
-        | _ -> []
-      in
-      Some
-        {
-          sp_lane; sp_label; sp_name; sp_cat;
-          sp_ts_ns = Int64.of_int ts;
-          sp_dur_ns = Int64.of_int dur;
-          sp_args;
-        }
-    | _ -> None
+    Result.to_option
+      (let* sp_lane = Json.field "lane" Json.int j in
+       let* sp_label = Json.field "label" Json.string j in
+       let* sp_name = Json.field "name" Json.string j in
+       let* sp_cat = Json.field "cat" Json.string j in
+       let* ts = Json.field "ts_ns" Json.int j in
+       let* dur = Json.field "dur_ns" Json.int j in
+       let sp_args =
+         match Json.member "args" j with
+         | Some (Json.Obj fields) ->
+           List.filter_map
+             (fun (k, v) -> Option.map (fun v -> (k, v)) (value_of_json v))
+             fields
+         | _ -> []
+       in
+       Ok
+         {
+           sp_lane; sp_label; sp_name; sp_cat;
+           sp_ts_ns = Int64.of_int ts;
+           sp_dur_ns = Int64.of_int dur;
+           sp_args;
+         })
 
   (* A capture sink that turns the process's own Span_end events into
      lane [lane] spans and pool Worker_span events into lanes
@@ -1489,46 +1368,130 @@ module Trace_ctx = struct
     in
     ({ emit; flush = (fun () -> ()) }, fun () -> List.rev !acc)
 
-  (* -- merged Chrome trace ------------------------------------------------ *)
+  (* -- the Chrome renderer ------------------------------------------------ *)
+
+  (* One Chrome record before rendering: its lane, its start and the
+     fields that follow name/ph/ts/pid/tid. *)
+  type record = {
+    r_lane : int;
+    r_label : string;
+    r_name : string;
+    r_ph : string;
+    r_ts_ns : int64;
+    r_rest : (string * Json.t) list;
+  }
+
+  let category cat = if cat = "" then "default" else cat
+
+  let record_of_span s =
+    {
+      r_lane = s.sp_lane;
+      r_label = s.sp_label;
+      r_name = s.sp_name;
+      r_ph = "X";
+      r_ts_ns = Int64.sub s.sp_ts_ns s.sp_dur_ns;
+      r_rest =
+        [
+          ("dur", Json.Float (us_of_ns s.sp_dur_ns));
+          ("cat", Json.Str (category s.sp_cat)); ("args", json_of_args s.sp_args);
+        ];
+    }
+
+  (* Hands [f] the trace events in order: timestamps rebased to the
+     earliest record, so every [ts] is >= 0, and each lane's
+     process_name before its first record. *)
+  let render f records =
+    let t0 =
+      List.fold_left (fun acc r -> Int64.min acc r.r_ts_ns) Int64.max_int records
+    in
+    let seen_lanes : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+    List.iter
+      (fun r ->
+        if not (Hashtbl.mem seen_lanes r.r_lane) then begin
+          Hashtbl.add seen_lanes r.r_lane ();
+          f
+            (Json.Obj
+               [
+                 ("name", Json.Str "process_name"); ("ph", Json.Str "M");
+                 ("pid", Json.Int r.r_lane); ("tid", Json.Int 1);
+                 ("args", Json.Obj [ ("name", Json.Str r.r_label) ]);
+               ])
+        end;
+        f
+          (Json.Obj
+             (("name", Json.Str r.r_name) :: ("ph", Json.Str r.r_ph)
+             :: ("ts", Json.Float (us_of_ns (Int64.sub r.r_ts_ns t0)))
+             :: ("pid", Json.Int r.r_lane) :: ("tid", Json.Int 1) :: r.r_rest)))
+      records
 
   let chrome_trace ?(meta = []) spans =
-    let start s = Int64.sub s.sp_ts_ns s.sp_dur_ns in
-    let t0 =
-      List.fold_left (fun acc s -> Int64.min acc (start s)) Int64.max_int spans
-    in
-    let t0 = if t0 = Int64.max_int then 0L else t0 in
-    let records = ref [] in
-    let seen_lanes : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let lane_meta s =
-      if not (Hashtbl.mem seen_lanes s.sp_lane) then begin
-        Hashtbl.add seen_lanes s.sp_lane ();
-        records :=
-          Json.Obj
-            [
-              ("name", Json.Str "process_name"); ("ph", Json.Str "M");
-              ("pid", Json.Int s.sp_lane); ("tid", Json.Int 1);
-              ("args", Json.Obj [ ("name", Json.Str s.sp_label) ]);
-            ]
-          :: !records
-      end
-    in
-    List.iter
-      (fun s ->
-        lane_meta s;
-        let cat = if s.sp_cat = "" then "default" else s.sp_cat in
-        records :=
-          Json.Obj
-            [
-              ("name", Json.Str s.sp_name); ("ph", Json.Str "X");
-              ("ts", Json.Float (us_of_ns (Int64.sub (start s) t0)));
-              ("dur", Json.Float (us_of_ns s.sp_dur_ns));
-              ("pid", Json.Int s.sp_lane); ("tid", Json.Int 1);
-              ("cat", Json.Str cat); ("args", json_of_args s.sp_args);
-            ]
-          :: !records)
-      spans;
+    let events = ref [] in
+    render (fun e -> events := e :: !events) (List.map record_of_span spans);
     Json.Obj
-      (("traceEvents", Json.List (List.rev !records))
+      (("traceEvents", Json.List (List.rev !events))
       :: ("displayTimeUnit", Json.Str "ms")
       :: meta)
 end
+
+(* ---- Chrome trace_event sink ------------------------------------------- *)
+
+(* The collector's capture on lane 1, plus what only a whole-process
+   trace shows: counter tracks and instants, decisions among them. *)
+let chrome_sink write =
+  let lane = 1 and label = "hlts (parent)" in
+  let spans, captured = Trace_ctx.collector ~lane ~label () in
+  let marks = ref [] in
+  let totals : (string, float) Hashtbl.t = Hashtbl.create 16 in
+  let flushed = ref false in
+  let mark name ph ts_ns rest =
+    marks :=
+      { Trace_ctx.r_lane = lane; r_label = label; r_name = name; r_ph = ph;
+        r_ts_ns = ts_ns; r_rest = rest }
+      :: !marks
+  in
+  let counter name ts_ns v =
+    mark name "C" ts_ns [ ("args", Json.Obj [ ("value", Json.Float v) ]) ]
+  in
+  let instant name cat ts_ns args =
+    mark name "i" ts_ns
+      [ ("cat", Json.Str cat); ("s", Json.Str "t"); ("args", args) ]
+  in
+  let emit ev =
+    spans.emit ev;
+    match ev with
+    | Count { name; delta; ts_ns } ->
+      let total =
+        float_of_int delta
+        +. Option.value ~default:0.0 (Hashtbl.find_opt totals name)
+      in
+      Hashtbl.replace totals name total;
+      counter name ts_ns total
+    | Gauge { name; v; ts_ns } | Sample { name; v; ts_ns } -> counter name ts_ns v
+    | Instant { name; cat; args; ts_ns } ->
+      instant name (Trace_ctx.category cat) ts_ns (json_of_args args)
+    | Decision { d; ts_ns } ->
+      let kind, payload =
+        match Journal.encode d with
+        | Json.Obj (("ev", Json.Str kind) :: rest) -> (kind, rest)
+        | _ -> ("decision", [])
+      in
+      instant ("journal." ^ kind) "journal" ts_ns (Json.Obj payload)
+    | Span_begin _ | Span_end _ | Worker_span _ -> ()
+  in
+  (* The document is written one event per line, never built whole: a
+     whole-run trace is large. *)
+  let flush () =
+    if not !flushed then begin
+      flushed := true;
+      let sep = ref "" in
+      write "{\"traceEvents\":[\n";
+      Trace_ctx.render
+        (fun e ->
+          write !sep;
+          write (Json.to_string e);
+          sep := ",\n")
+        (List.map Trace_ctx.record_of_span (captured ()) @ List.rev !marks);
+      write "\n],\"displayTimeUnit\":\"ms\"}\n"
+    end
+  in
+  { emit; flush }

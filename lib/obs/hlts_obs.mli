@@ -9,14 +9,18 @@
     values, ordering) is deterministic for a fixed seed; only the
     timestamp fields vary between runs, so traces diff cleanly.
 
-    Three sinks ship with the library:
+    The sinks that ship with the library:
 
     - {!Summary} — in-memory aggregation (per-span totals and self
       time, counter sums, sample statistics) with a per-phase
-      wall-clock breakdown whose phase times sum to the total;
-    - {!jsonl_sink} — one JSON object per event, one event per line;
+      wall-clock breakdown whose phase times sum to the total; the
+      Prometheus exposition ({!Metrics}) renders it;
+    - {!journal_sink} — the one JSONL event stream: one JSON object
+      per event, decisions as deterministic journal lines;
+    - {!heartbeat_sink} — periodic progress snapshots for [hlts top];
     - {!chrome_sink} — Chrome [trace_event] format, loadable in
-      [chrome://tracing] and Perfetto. *)
+      [chrome://tracing] and Perfetto, drawn by the one renderer
+      behind {!Trace_ctx.chrome_trace}. *)
 
 (** Monotonic wall clock. Every [seconds] field reported anywhere in
     the system (ATPG, BIST, bench [elapsed], profile breakdowns) is
@@ -32,8 +36,8 @@ module Clock : sig
       {!now_ns} reading [t0], in seconds. *)
 end
 
-(** Minimal JSON tree: emission (used by the sinks) and parsing (used
-    by the tests to check well-formedness by round-trip). *)
+(** Minimal JSON tree: emission (used by the sinks), parsing, and the
+    one set of typed field readers every decoder uses. *)
 module Json : sig
   type t =
     | Null
@@ -54,6 +58,25 @@ module Json : sig
 
   val member : string -> t -> t option
   (** Field lookup in an [Obj]; [None] otherwise. *)
+
+  (** Converters for {!field}: [Some] value when the node has the
+      type, [None] otherwise. [number] takes [Int] too, because
+      {!to_string} renders integral floats without a fraction. *)
+
+  val int : t -> int option
+  val number : t -> float option
+  val string : t -> string option
+  val bool : t -> bool option
+
+  val field : string -> (t -> 'a option) -> t -> ('a, string) result
+  (** [field name conv j] is member [name] of [j] through [conv];
+      [Error] names the field when it is missing or of the wrong type.
+      The message is built only on the error branch. *)
+
+  val field_default :
+    string -> (t -> 'a option) -> default:'a -> t -> ('a, string) result
+  (** Like {!field} for an optional member: [Ok default] when it is
+      absent, [Error] when it is present with the wrong type. *)
 end
 
 (** Typed decision journal: the *what* and *why* of an Algorithm-1 run,
@@ -133,8 +156,8 @@ module Journal : sig
   (** Inverse of {!encode} (ignores an extra ["j"] sequence field). *)
 
   val is_decision_line : string -> bool
-  (** True for canonical journal lines (as written by {!journal_sink} —
-      they start with [{"j":]); false for the interleaved timing lines.
+  (** True for decision lines (as written by {!journal_sink} — they
+      start with [{"j":]); false for the interleaved timing lines.
       The determinism contract covers exactly the lines this accepts. *)
 end
 
@@ -182,8 +205,7 @@ type event =
     }
   | Decision of { d : Journal.event; ts_ns : int64 }
       (** A decision-journal event (see {!Journal}). [ts_ns] is when the
-          emitting process recorded it; canonical journal output ignores
-          it. *)
+          emitting process recorded it; journal lines leave it out. *)
   | Worker_span of { worker : int; ticket : int; span : span_rec }
       (** A span completed inside pool worker [worker] while serving
           [ticket], re-stamped into the parent's sinks by the pool
@@ -291,6 +313,10 @@ module Res : sig
       [b - a]; point-in-time fields (rss, peak rss, heap size) are
       [b]'s. *)
 
+  val is_gauge : string -> bool
+  (** True for a name under the reserved ["res."] prefix: the one test
+      every consumer uses to keep host-dependent readings apart. *)
+
   val gauges : snapshot -> (string * float) list
   (** Render as ["res."]-prefixed gauge pairs ([res.utime_s],
       [res.rss_kb], [res.gc.minor_words], ...). *)
@@ -385,20 +411,16 @@ module Metrics : sig
 
 end
 
-val jsonl_sink : (string -> unit) -> sink
-(** [jsonl_sink write] renders each event as one JSON object per line
-    through [write]. Line shapes: [{"ev":"begin"|"end"|"count"|
-    "gauge"|"sample"|"instant"|"decision"|"wspan", "name":..., ...}]
-    with timestamps in microseconds. *)
-
 val journal_sink : (string -> unit) -> sink
-(** [journal_sink write] is the canonical decision-journal sink: each
-    {!Decision} becomes one line [{"j":<seq>, "ev":<kind>, ...}] where
-    [seq] is a 0-based decision counter and the payload carries *no*
-    timestamps — these lines are byte-identical at every [-j N]
-    ({!Journal.is_decision_line} recognizes them). All other events are
-    written too, in the {!jsonl_sink} shapes (with timestamps), so one
-    file carries both the deterministic decision record and the timing
+(** [journal_sink write] is the JSONL event stream: one JSON object per
+    event, one event per line, through [write]. Each {!Decision}
+    becomes [{"j":<seq>, "ev":<kind>, ...}] where [seq] is a 0-based
+    decision counter and the payload carries *no* timestamps — these
+    lines are byte-identical at every [-j N]
+    ({!Journal.is_decision_line} recognizes them). Every other event is
+    [{"ev":"begin"|"end"|"count"|"gauge"|"sample"|"instant"|"wspan",
+    "name":..., ...}] with timestamps in microseconds, so one file
+    carries both the deterministic decision record and the timing
     context; consumers split the two with [is_decision_line]. *)
 
 val heartbeat_sink : ?interval_ms:int -> (string -> unit) -> sink
@@ -413,15 +435,16 @@ val heartbeat_sink : ?interval_ms:int -> (string -> unit) -> sink
     one flagged ["final":true], which tailing readers use to stop. *)
 
 val chrome_sink : (string -> unit) -> sink
-(** [chrome_sink write] buffers Chrome [trace_event] records and emits
-    a complete [{"traceEvents":[...]}] document on [flush]. Spans
-    become ["X"] (complete) events, counters/gauges ["C"] events and
-    instants ["i"] events; timestamps are microseconds relative to
-    sink creation. The parent process renders as pid 1; each
-    {!Worker_span} renders on pid [2 + worker] with a ["process_name"]
-    metadata record, so pool workers appear as separate lanes.
-    {!Decision} events render as instants in the ["journal"]
-    category. *)
+(** [chrome_sink write] captures like
+    [Trace_ctx.collector ~lane:1 ~label:"hlts (parent)"] — spans on
+    lane (pid) 1, each {!Worker_span} on lane [2 + worker] — and also
+    keeps counter tracks (["C"]: a running total per {!Count}, the value
+    for {!Gauge} and {!Sample}), instants (["i"]) and decisions (["i"]
+    named [journal.<kind>] in the ["journal"] category). On [flush] it
+    writes the complete [{"traceEvents":[...]}] document built by the
+    renderer behind {!Trace_ctx.chrome_trace}: timestamps in
+    microseconds from the earliest record, one ["process_name"] record
+    per lane. *)
 
 (** Request-scoped trace context, propagated through the [hlts serve]
     wire protocol: a 128-bit trace id plus a 64-bit span id (both
@@ -491,7 +514,8 @@ module Trace_ctx : sig
 
   val chrome_trace : ?meta:(string * Json.t) list -> span list -> Json.t
   (** Render spans (any mix of lanes) as one complete Chrome
-      [trace_event] document: per-lane ["process_name"] metadata, ["X"]
-      records with microsecond timestamps rebased to the earliest span
-      start. [meta] fields are appended to the top-level object. *)
+      [trace_event] document: one ["process_name"] record per lane,
+      ["X"] records with microsecond timestamps rebased to the earliest
+      span start. [meta] fields are appended to the top-level object.
+      {!chrome_sink} writes its documents with the same renderer. *)
 end

@@ -195,6 +195,30 @@ let test_report_tolerates_garbage () =
   Alcotest.(check bool) "still renders" true
     (contains ~sub:"</html>" (Hlts_eval.Report.to_html r))
 
+(* The phase table is the self-time fold of the begin/end lines: beta
+   nested in alpha is charged to beta alone, and alpha keeps the rest. *)
+let test_report_phase_self_times () =
+  let lines =
+    [
+      {|{"ev":"begin","name":"outer","cat":"alpha","ts_us":0,"depth":0}|};
+      {|{"ev":"begin","name":"inner","cat":"beta","ts_us":10,"depth":1}|};
+      {|{"ev":"end","name":"inner","cat":"beta","ts_us":1250010,"dur_us":1250000,"depth":1,"args":{}}|};
+      {|{"ev":"end","name":"outer","cat":"alpha","ts_us":4000000,"dur_us":4000000,"depth":0,"args":{}}|};
+      {|{"ev":"begin","name":"tail","cat":"beta","ts_us":4000000,"depth":0}|};
+      {|{"ev":"end","name":"tail","cat":"beta","ts_us":4500000,"dur_us":500000.5,"depth":0,"args":{}}|};
+    ]
+  in
+  let r = Hlts_eval.Report.parse lines in
+  Alcotest.(check int) "no skipped lines" 0 (Hlts_eval.Report.skipped r);
+  let html = Hlts_eval.Report.to_html r in
+  List.iter
+    (fun sub -> Alcotest.(check bool) sub true (contains ~sub html))
+    [
+      {|<tr><td class="l">alpha</td><td>2.750 s</td><td>61.1%</td></tr>|};
+      {|<tr><td class="l">beta</td><td>1.750 s</td><td>38.9%</td></tr>|};
+      {|<tr><th class="l">total</th><th>4.500 s</th>|};
+    ]
+
 let () =
   Alcotest.run "journal"
     [
@@ -226,5 +250,7 @@ let () =
           Alcotest.test_case "renders a full report" `Quick test_report_renders;
           Alcotest.test_case "tolerates truncated journals" `Quick
             test_report_tolerates_garbage;
+          Alcotest.test_case "phase table self times" `Quick
+            test_report_phase_self_times;
         ] );
     ]

@@ -242,6 +242,18 @@ let test_out_of_range_literal () =
     Alcotest.(check string) "line-numbered diagnostic"
       "line 6: integer literal 99999999999999999999999 out of range" msg
 
+(* A label's number is decimal digits only, not OCaml literal syntax. *)
+let test_non_decimal_labels () =
+  List.iter
+    (fun label ->
+      match Lang.compile (wrap (Printf.sprintf " %s: q := a + b;" label)) with
+      | Ok _ -> Alcotest.failf "label %s accepted" label
+      | Error msg ->
+        Alcotest.(check string) label
+          (Printf.sprintf "line 6: label %S is not of the form N<number>" label)
+          msg)
+    [ "N0x1F"; "N1_0"; "N0b11" ]
+
 (* --- fuzzing: [compile] returns a result on any input ------------------- *)
 
 let total src = match Lang.compile src with Ok _ | Error _ -> true
@@ -397,6 +409,7 @@ let () =
             test_out_of_range_literal;
           QCheck_alcotest.to_alcotest prop_compile_random_bytes;
           QCheck_alcotest.to_alcotest prop_compile_token_streams;
+          Alcotest.test_case "non-decimal labels" `Quick test_non_decimal_labels;
         ] );
       ( "agreement",
         [

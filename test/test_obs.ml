@@ -165,6 +165,15 @@ let test_json_unicode_escape () =
 
 (* --- file sinks --------------------------------------------------------- *)
 
+let workload_decision =
+  Obs.Journal.Candidate_scored
+    {
+      pair = Obs.Journal.Units (1, 2);
+      delta_e = -1;
+      delta_h = 0.25;
+      sched_len = 4;
+    }
+
 let run_workload () =
   Obs.span ~cat:"synth" "run" (fun sp ->
       Obs.set sp "iteration" (Obs.Int 1);
@@ -174,33 +183,44 @@ let run_workload () =
       Obs.gauge "g" 0.5;
       Obs.sample "h" 2.0;
       Obs.instant ~args:[ ("why", Obs.Str "test") ] "tick";
+      Obs.journal workload_decision;
       Obs.span ~cat:"merge" "iter" (fun _ -> ()))
 
 let test_jsonl_wellformed () =
   let buf = Buffer.create 256 in
-  Obs.with_sink (Obs.jsonl_sink (Buffer.add_string buf)) run_workload;
+  Obs.with_sink (Obs.journal_sink (Buffer.add_string buf)) run_workload;
   let lines =
     String.split_on_char '\n' (Buffer.contents buf)
     |> List.filter (fun l -> l <> "")
   in
-  Alcotest.(check bool) "emitted lines" true (List.length lines >= 8);
-  let kinds =
+  Alcotest.(check bool) "emitted lines" true (List.length lines >= 9);
+  let timed_kinds = [ "begin"; "end"; "count"; "gauge"; "sample"; "instant" ] in
+  let parsed =
     List.map
       (fun line ->
         match Obs.Json.of_string line with
         | Error e -> Alcotest.failf "bad JSONL line %S: %s" line e
         | Ok doc -> (
           match Obs.Json.member "ev" doc with
-          | Some (Obs.Json.Str k) -> k
+          | Some (Obs.Json.Str k) -> (line, doc, k)
           | _ -> Alcotest.failf "line without ev: %S" line))
       lines
   in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) ("known kind " ^ k) true
-        (List.mem k [ "begin"; "end"; "count"; "gauge"; "sample"; "instant" ]))
-    kinds;
-  Alcotest.(check bool) "has span ends" true (List.mem "end" kinds)
+  let timed, decisions =
+    List.partition (fun (_, _, k) -> List.mem k timed_kinds) parsed
+  in
+  (match decisions with
+  | [ (line, doc, _) ] -> (
+    Alcotest.(check bool) "decision line starts {\"j\":" true
+      (String.starts_with ~prefix:"{\"j\":" line);
+    match Obs.Journal.decode doc with
+    | Ok d ->
+      Alcotest.(check bool) "decodes to the emitted event" true
+        (d = workload_decision)
+    | Error e -> Alcotest.failf "decision line %S: %s" line e)
+  | l -> Alcotest.failf "%d decision lines, expected 1" (List.length l));
+  Alcotest.(check bool) "has span ends" true
+    (List.exists (fun (_, _, k) -> k = "end") timed)
 
 let test_chrome_wellformed () =
   let buf = Buffer.create 256 in

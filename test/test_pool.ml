@@ -334,6 +334,77 @@ let test_chrome_span_nesting () =
         xs
     | _ -> Alcotest.fail "no traceEvents")
 
+(* chrome_sink and a parent-lane collector installed on one pooled run
+   draw the same complete spans and lane names: one renderer serves
+   both. Each document is rebased to its own earliest record (the
+   sink's may be a counter), so starts are compared from the first
+   span; record order does not matter. *)
+let test_chrome_sink_matches_collector () =
+  let buf = Buffer.create 4096 in
+  let collector, spans =
+    Obs.Trace_ctx.collector ~lane:1 ~label:"hlts (parent)" ()
+  in
+  Obs.with_sink
+    (Obs.chrome_sink (Buffer.add_string buf))
+    (fun () ->
+      Obs.with_sink collector (fun () -> ignore (Synth.run ~jobs:2 B.tseng)));
+  let events doc =
+    match Obs.Json.member "traceEvents" doc with
+    | Some (Obs.Json.List events) -> events
+    | _ -> Alcotest.fail "no traceEvents"
+  in
+  let completes doc =
+    let xs =
+      List.filter
+        (fun e -> Obs.Json.member "ph" e = Some (Obs.Json.Str "X"))
+        (events doc)
+    in
+    let ts e =
+      match Obs.Json.member "ts" e with
+      | Some (Obs.Json.Float f) -> f
+      | Some (Obs.Json.Int i) -> float_of_int i
+      | _ -> Alcotest.fail "X record without ts"
+    in
+    let t0 = List.fold_left (fun acc e -> Float.min acc (ts e)) infinity xs in
+    List.map
+      (fun e ->
+        match e with
+        | Obs.Json.Obj fields ->
+          let rest = List.filter (fun (k, _) -> k <> "ts") fields in
+          (Obs.Json.to_string (Obs.Json.Obj (List.sort compare rest)), ts e -. t0)
+        | _ -> Alcotest.fail "X record is not an object")
+      xs
+    |> List.sort compare
+  in
+  let lanes doc =
+    List.filter_map
+      (fun e ->
+        match Obs.Json.member "name" e with
+        | Some (Obs.Json.Str "process_name") ->
+          Some (Obs.Json.to_string e)
+        | _ -> None)
+      (events doc)
+    |> List.sort compare
+  in
+  let sink_doc =
+    match Obs.Json.of_string (Buffer.contents buf) with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "trace does not parse: %s" e
+  in
+  let trace_doc = Obs.Trace_ctx.chrome_trace (spans ()) in
+  let from_sink = completes sink_doc and from_trace = completes trace_doc in
+  Alcotest.(check bool) "worker lanes present" true
+    (List.length (lanes trace_doc) >= 2);
+  Alcotest.(check int) "same number of X records" (List.length from_trace)
+    (List.length from_sink);
+  List.iter2
+    (fun (a, ta) (b, tb) ->
+      Alcotest.(check string) "X record" b a;
+      if Float.abs (ta -. tb) > 0.01 then
+        Alcotest.failf "%s starts at %g us, %g us in chrome_trace" a ta tb)
+    from_sink from_trace;
+  Alcotest.(check (list string)) "lane names" (lanes trace_doc) (lanes sink_doc)
+
 (* --- resource telemetry and gauge merging -------------------------------- *)
 
 let tally_of_gauges gauges =
@@ -650,6 +721,8 @@ let () =
             test_worker_resources_spawned;
           Alcotest.test_case "passive pool skips snapshots" `Quick
             test_worker_resources_passive_spawned;
+          Alcotest.test_case "chrome sink = collector trace" `Quick
+            test_chrome_sink_matches_collector;
         ] );
       ( "resources",
         [
