@@ -291,9 +291,13 @@ let atpg_cmd =
               { (atpg_config seed) with
                 Hlts_atpg.Atpg.collapse_gate_inputs = collapse_gates }
             in
-            let row = Eval.evaluate ~atpg ~jobs a d ~bits in
+            let params = Eval.params_for_bits bits in
+            let row = Eval.evaluate ~params ~atpg ~jobs a d ~bits in
+            let table = Hlts_synth.Synth.default_params in
             Printf.printf
               "%s / %s / %d bit (%d job%s):\n\
+              \  synthesis: alpha=%g beta=%g at %d bit; the paper tables use \
+               Synth.default_params (alpha=%g beta=%g) at %d-bit structure\n\
               \  gates: %d   fault coverage: %.2f%%   tg effort: %d (%.2fs)\n\
               \  random phase: %.3fs   det phase: %.3fs\n\
               \  test cycles: %d   area: %.3f mm2   seq depth: %.1f\n\
@@ -302,6 +306,9 @@ let atpg_cmd =
               (Flows.approach_name a)
               bits jobs
               (if jobs = 1 then "" else "s")
+              params.Hlts_synth.Synth.alpha params.Hlts_synth.Synth.beta
+              params.Hlts_synth.Synth.bits table.Hlts_synth.Synth.alpha
+              table.Hlts_synth.Synth.beta table.Hlts_synth.Synth.bits
               row.Eval.gate_count row.Eval.fault_coverage_pct
               row.Eval.tg_effort row.Eval.tg_seconds
               row.Eval.tg_random_seconds row.Eval.tg_det_seconds

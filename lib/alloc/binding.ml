@@ -145,71 +145,94 @@ let fu_of_op t id = List.find (fun fu -> List.mem id fu.fu_ops) t.fus
 
 let validate dfg sched t =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in
-  let values = Dfg.values dfg in
-  (* Validation runs on every merge attempt, so membership counts and
-     lifetime intervals are tabulated in one pass each instead of
-     scanning the partition (resp. the op list) per value. *)
-  let tally count keys =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun holder ->
+  (* Runs on every merge attempt, so everything is tabulated by
+     position (values in [Dfg.values] order, ops in [ops] order) in int
+     arrays, and the checks stop at the first error. *)
+  let n_ops = List.length dfg.Dfg.ops in
+  let steps = Array.make n_ops 0 in
+  List.iteri (fun i o -> steps.(i) <- Schedule.step sched o.Dfg.id) dfg.Dfg.ops;
+  let lifetimes = Lifetime.of_steps dfg ~length:(Schedule.length sched) steps in
+  (* holders of each position, a holder naming a key twice counted once *)
+  let tally n holders keys pos =
+    let count = Array.make n 0 and last = Array.make n (-1) in
+    List.iteri
+      (fun h holder ->
         List.iter
           (fun k ->
-            Hashtbl.replace tbl k
-              (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-          (List.sort_uniq compare (keys holder)))
-      count;
-    fun k -> Option.value ~default:0 (Hashtbl.find_opt tbl k)
+            let p = pos k in
+            if p >= 0 && last.(p) <> h then begin
+              last.(p) <- h;
+              count.(p) <- count.(p) + 1
+            end)
+          (keys holder))
+      holders;
+    count
   in
-  let reg_count = tally t.registers (fun r -> r.reg_values) in
-  let fu_count = tally t.fus (fun fu -> fu.fu_ops) in
-  let interval_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (v, iv) -> Hashtbl.replace interval_tbl v iv)
-    (Lifetime.of_schedule dfg sched);
-  let check_value v =
-    match reg_count v with
-    | 1 -> Ok ()
-    | n -> err "value %s in %d registers" (Dfg.value_name dfg v) n
+  let reg_count =
+    tally (Array.length lifetimes) t.registers (fun r -> r.reg_values)
+      (Dfg.value_pos dfg)
   in
-  let check_op o =
-    match fu_count o.Dfg.id with
-    | 1 -> Ok ()
-    | n -> err "op N%d in %d units" o.Dfg.id n
+  let fu_count = tally n_ops t.fus (fun fu -> fu.fu_ops) (Dfg.op_pos dfg) in
+  let first_bad count =
+    let rec go p =
+      if p = Array.length count then -1 else if count.(p) <> 1 then p else go (p + 1)
+    in
+    go 0
+  in
+  let interval v =
+    let p = Dfg.value_pos dfg v in
+    if p >= 0 then lifetimes.(p) else Lifetime.interval_of dfg sched v
+  in
+  (* pairwise, as [Lifetime.disjoint_set] decides it: no interval is
+     empty *)
+  let rec disjoint = function
+    | [] -> true
+    | v :: rest ->
+      let a = interval v in
+      List.for_all (fun w -> not (Lifetime.overlap a (interval w))) rest
+      && disjoint rest
   in
   let check_register reg =
-    let intervals =
-      List.map
-        (fun v ->
-          match Hashtbl.find_opt interval_tbl v with
-          | Some iv -> iv
-          | None -> Lifetime.interval_of dfg sched v)
-        reg.reg_values
-    in
-    if Lifetime.disjoint_set intervals then Ok ()
+    if disjoint reg.reg_values then Ok ()
     else err "register %d holds overlapping lifetimes" reg.reg_id
   in
+  let step id =
+    let p = Dfg.op_pos dfg id in
+    if p < 0 then raise Not_found else steps.(p)
+  in
+  let rec distinct_steps = function
+    | [] -> true
+    | id :: rest ->
+      let s = step id in
+      List.for_all (fun id' -> step id' <> s) rest && distinct_steps rest
+  in
   let check_fu fu =
-    let kinds = List.map (fun id -> (Dfg.op_by_id dfg id).Dfg.kind) fu.fu_ops in
-    if not (List.for_all (Op.supports fu.fu_class) kinds) then
-      err "unit %d class does not support all its operations" fu.fu_id
-    else begin
-      let steps = List.map (Schedule.step sched) fu.fu_ops in
-      if List.length (List.sort_uniq compare steps) <> List.length steps then
-        err "unit %d runs two operations in one step" fu.fu_id
-      else Ok ()
-    end
+    if
+      not
+        (List.for_all
+           (fun id -> Op.supports fu.fu_class (Dfg.op_by_id dfg id).Dfg.kind)
+           fu.fu_ops)
+    then err "unit %d class does not support all its operations" fu.fu_id
+    else if not (distinct_steps fu.fu_ops) then
+      err "unit %d runs two operations in one step" fu.fu_id
+    else Ok ()
   in
-  let rec first_error = function
+  let rec first_error check = function
     | [] -> Ok ()
-    | Ok () :: rest -> first_error rest
-    | (Error _ as e) :: _ -> e
+    | x :: rest -> (
+      match check x with Ok () -> first_error check rest | Error _ as e -> e)
   in
-  first_error
-    (List.map check_value values
-    @ List.map check_op dfg.Dfg.ops
-    @ List.map check_register t.registers
-    @ List.map check_fu t.fus)
+  let bad_value = first_bad reg_count and bad_op = first_bad fu_count in
+  if bad_value >= 0 then
+    err "value %s in %d registers"
+      (Dfg.value_name dfg (List.nth (Dfg.values dfg) bad_value))
+      reg_count.(bad_value)
+  else if bad_op >= 0 then
+    err "op N%d in %d units" (List.nth dfg.Dfg.ops bad_op).Dfg.id fu_count.(bad_op)
+  else
+    match first_error check_register t.registers with
+    | Error _ as e -> e
+    | Ok () -> first_error check_fu t.fus
 
 let pp dfg ppf t =
   Format.fprintf ppf "@[<v>";

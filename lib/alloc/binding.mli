@@ -57,7 +57,8 @@ val validate :
 (** Checks the partition laws and the sharing constraints of §4.1: every
     value in exactly one register with pairwise-disjoint lifetimes; every
     operation in exactly one unit whose class supports all its operations,
-    scheduled in pairwise-distinct steps. *)
+    scheduled in pairwise-distinct steps. The first failing check, in
+    that order (values, operations, registers, units), is the error. *)
 
 val pp : Hlts_dfg.Dfg.t -> Format.formatter -> t -> unit
 (** Paper-style listing: "(+): N25, N36 / R: u, u1, e". *)

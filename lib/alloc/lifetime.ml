@@ -43,17 +43,23 @@ let of_schedule dfg sched =
   let values = Dfg.values dfg in
   List.combine values (intervals_of dfg sched values)
 
+(* The interval of one value row when the op at position [i] runs at
+   step [steps.(i)]. *)
+let of_row ~length steps (row : Dfg.value_row) =
+  let reads = row.reader_pos in
+  interval ~length
+    ~def:(if row.def_pos < 0 then -1 else steps.(row.def_pos))
+    ~first_read:(List.fold_left (fun acc p -> min acc steps.(p)) max_int reads)
+    ~last_read:(List.fold_left (fun acc p -> max acc steps.(p)) 0 reads)
+    ~output:row.output
+
+let of_steps dfg ~length steps =
+  Array.of_list (List.map (of_row ~length steps) (Dfg.value_rows dfg))
+
 let occupancy dfg steps =
   let length = Array.fold_left Int.max 0 steps in
-  let add total (row : Dfg.value_row) =
-    let reads = row.reader_pos in
-    let iv =
-      interval ~length
-        ~def:(if row.def_pos < 0 then -1 else steps.(row.def_pos))
-        ~first_read:(List.fold_left (fun acc p -> min acc steps.(p)) max_int reads)
-        ~last_read:(List.fold_left (fun acc p -> max acc steps.(p)) 0 reads)
-        ~output:row.output
-    in
+  let add total row =
+    let iv = of_row ~length steps row in
     total + (iv.death - iv.birth)
   in
   (List.fold_left add 0 (Dfg.value_rows dfg), length)

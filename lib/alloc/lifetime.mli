@@ -43,6 +43,12 @@ val occupancy : Hlts_dfg.Dfg.t -> int array -> int * int
     schedule, and [length] is the highest step. One pass over the value
     rows. *)
 
+val of_steps : Hlts_dfg.Dfg.t -> length:int -> int array -> interval array
+(** [of_steps dfg ~length steps] is the lifetime of every value, in
+    {!Hlts_dfg.Dfg.values} order, when the op at position [i] of
+    [dfg.ops] runs at step [steps.(i)] and the schedule is [length]
+    steps long: {!of_schedule}'s intervals, read off one array. *)
+
 val overlap : interval -> interval -> bool
 
 val disjoint_set : interval list -> bool

@@ -27,6 +27,9 @@ type value_row = {
   output : bool;
 }
 
+module Itbl = Hlts_util.Itbl
+module Stbl = Hashtbl.Make (String)
+
 (* Lookups by op id, by value and by output name are on the hot path
    of every merger, scheduler and lifetime query. DFG values are
    immutable, so one index keyed on the *physical* record (a DFG is
@@ -34,18 +37,24 @@ type value_row = {
    O(ops) list scans. A short MRU list rather than a single entry:
    evaluation pipelines interleave a handful of designs. *)
 type index = {
-  by_id : (int, operation) Hashtbl.t;
+  by_id : operation Itbl.t;
   readers : (value, int list) Hashtbl.t;
       (* ids of the ops reading a value, in op order, each op once even
          when both operands name the value *)
-  output_names : (string, unit) Hashtbl.t;
+  output_names : unit Stbl.t;
   rows : value_row list;
+  op_pos : int Itbl.t;  (* op id -> position in [ops] *)
+  input_pos : int Stbl.t;  (* input name -> its first position in [values] *)
+  by_result : operation Stbl.t;  (* result name -> the first op naming it *)
+  op_value_pos : int array;
+      (* op position -> position of its value in [values], -1 for a
+         comparison *)
 }
 
 let make_index t =
   let n = List.length t.ops in
-  let by_id = Hashtbl.create (2 * n) in
-  List.iter (fun o -> Hashtbl.replace by_id o.id o) t.ops;
+  let by_id = Itbl.create (2 * n) in
+  List.iter (fun o -> Itbl.replace by_id o.id o) t.ops;
   let readers = Hashtbl.create (2 * n) in
   let note v id =
     Hashtbl.replace readers v
@@ -66,19 +75,36 @@ let make_index t =
         Option.iter (fun v -> note v o.id) va;
         Option.iter (fun v -> note v o.id) vb)
     (List.rev t.ops);
-  let output_names = Hashtbl.create (List.length t.outputs) in
-  List.iter (fun name -> Hashtbl.replace output_names name ()) t.outputs;
+  let output_names = Stbl.create (List.length t.outputs) in
+  List.iter (fun name -> Stbl.replace output_names name ()) t.outputs;
   (* The same facts by position, for the passes that run per trial
      schedule: [values] order, op positions in [ops] order. *)
-  let pos = Hashtbl.create (2 * n) in
-  List.iteri (fun i o -> Hashtbl.replace pos o.id i) t.ops;
+  let op_pos = Itbl.create (2 * n) in
+  List.iteri (fun i o -> Itbl.replace op_pos o.id i) t.ops;
+  let input_pos = Stbl.create 16 in
+  List.iteri
+    (fun i name -> if not (Stbl.mem input_pos name) then Stbl.add input_pos name i)
+    t.inputs;
+  let by_result = Stbl.create (2 * n) in
+  List.iter
+    (fun o -> if not (Stbl.mem by_result o.result) then Stbl.add by_result o.result o)
+    t.ops;
+  let op_value_pos = Array.make n (-1) in
+  let next = ref (List.length t.inputs) in
+  List.iteri
+    (fun i o ->
+      if not (Op.is_comparison o.kind) then begin
+        op_value_pos.(i) <- !next;
+        incr next
+      end)
+    t.ops;
   let row v def_pos name =
     {
       def_pos;
       reader_pos =
-        List.map (Hashtbl.find pos)
+        List.map (Itbl.find op_pos)
           (Option.value ~default:[] (Hashtbl.find_opt readers v));
-      output = Hashtbl.mem output_names name;
+      output = Stbl.mem output_names name;
     }
   in
   let rows =
@@ -86,10 +112,19 @@ let make_index t =
     @ List.filter_map
         (fun o ->
           if Op.is_comparison o.kind then None
-          else Some (row (V_op o.id) (Hashtbl.find pos o.id) o.result))
+          else Some (row (V_op o.id) (Itbl.find op_pos o.id) o.result))
         t.ops
   in
-  { by_id; readers; output_names; rows }
+  {
+    by_id;
+    readers;
+    output_names;
+    rows;
+    op_pos;
+    input_pos;
+    by_result;
+    op_value_pos;
+  }
 
 let index =
   (* Atomic, not a plain ref: domain workers index shared DFGs
@@ -97,10 +132,14 @@ let index =
      Hashtbl has no happens-before edge. CAS publishes a fully built
      index; a lost race merely rebuilds a duplicate (both are valid). *)
   let cache : (t * index) list Atomic.t = Atomic.make [] in
+  let rec find t = function
+    | [] -> raise Not_found
+    | (key, index) :: rest -> if key == t then index else find t rest
+  in
   fun t ->
-    match List.find_opt (fun (key, _) -> key == t) (Atomic.get cache) with
-    | Some (_, index) -> index
-    | None ->
+    match find t (Atomic.get cache) with
+    | index -> index
+    | exception Not_found ->
       let index = make_index t in
       let keep = function a :: b :: c :: _ -> [ a; b; c ] | l -> l in
       let rec publish () =
@@ -111,7 +150,7 @@ let index =
       publish ();
       index
 
-let op_by_id t id = Hashtbl.find (index t).by_id id
+let op_by_id t id = Itbl.find (index t).by_id id
 
 let op_by_result t name = List.find_opt (fun o -> o.result = name) t.ops
 
@@ -120,11 +159,12 @@ let value_name t = function
   | V_op id -> (op_by_id t id).result
 
 let value_of_name t name =
-  if List.mem name t.inputs then Some (V_input name)
+  let ix = index t in
+  if Stbl.mem ix.input_pos name then Some (V_input name)
   else
-    match op_by_result t name with
-    | Some o -> Some (V_op o.id)
-    | None -> None
+    match Stbl.find ix.by_result name with
+    | o -> Some (V_op o.id)
+    | exception Not_found -> None
 
 let pred_ids o =
   let of_arg = function Op id -> [ id ] | Input _ | Const _ -> [] in
@@ -259,7 +299,20 @@ let uses_of_value t v =
 
 let value_rows t = (index t).rows
 
-let is_output t v = Hashtbl.mem (index t).output_names (value_name t v)
+let op_pos t id =
+  match Itbl.find (index t).op_pos id with p -> p | exception Not_found -> -1
+
+let value_pos t v =
+  let ix = index t in
+  match v with
+  | V_input name -> (
+    match Stbl.find ix.input_pos name with p -> p | exception Not_found -> -1)
+  | V_op id -> (
+    match Itbl.find ix.op_pos id with
+    | p -> ix.op_value_pos.(p)
+    | exception Not_found -> -1)
+
+let is_output t v = Stbl.mem (index t).output_names (value_name t v)
 
 let data_op_count t =
   List.length (List.filter (fun o -> not (Op.is_comparison o.kind)) t.ops)

@@ -36,6 +36,9 @@ val value_name : t -> value -> string
 (** Display name of a value ([result] for op values). *)
 
 val value_of_name : t -> string -> value option
+(** The input of that name, else the first op whose [result] it is
+    (a comparison's too). A table lookup in the index of
+    {!uses_of_value}. *)
 
 val validate : t -> (unit, string) result
 (** Checks: ids and result names unique and disjoint from inputs; every
@@ -92,6 +95,15 @@ type value_row = {
 val value_rows : t -> value_row list
 (** One row per value, in {!values} order. Built with, and cached in,
     the same index as {!uses_of_value}. *)
+
+val value_pos : t -> value -> int
+(** Position of the value in {!values} (and {!value_rows}): the first,
+    should an input name repeat; [-1] for no storage value of the DFG,
+    such as a comparison result. O(1), from the same index. *)
+
+val op_pos : t -> int -> int
+(** Position in [ops] of the operation with the id, [-1] for none.
+    O(1), from the same index. *)
 
 val data_op_count : t -> int
 (** Operations excluding comparisons. *)

@@ -1,6 +1,7 @@
 module Dfg = Hlts_dfg.Dfg
 module Op = Hlts_dfg.Op
 module Binding = Hlts_alloc.Binding
+module Itbl = Hlts_util.Itbl
 
 type port =
   | P_left
@@ -76,33 +77,48 @@ let build dfg binding =
     nodes := n :: !nodes;
     id
   in
-  (* value -> register node and op id -> unit node, first holder wins *)
-  let reg_node = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      let id = fresh (Reg r) in
-      List.iter
-        (fun v -> if not (Hashtbl.mem reg_node v) then Hashtbl.add reg_node v id)
-        r.Binding.reg_values)
-    binding.Binding.registers;
-  let fu_node = Hashtbl.create 64 in
-  List.iter
-    (fun fu ->
-      let id = fresh (Fu fu) in
-      List.iter
-        (fun op -> if not (Hashtbl.mem fu_node op) then Hashtbl.add fu_node op id)
-        fu.Binding.fu_ops)
-    binding.Binding.fus;
-  let const_node = Hashtbl.create 8 in
+  (* value -> register node and op -> unit node by DFG position, first
+     holder wins *)
+  let holders n holders keys pos node =
+    let tbl = Array.make n (-1) in
+    List.iter
+      (fun h ->
+        let id = fresh (node h) in
+        List.iter
+          (fun k ->
+            let p = pos k in
+            if p >= 0 && tbl.(p) < 0 then tbl.(p) <- id)
+          (keys h))
+      holders;
+    tbl
+  in
+  let reg_node =
+    holders
+      (List.length (Dfg.value_rows dfg))
+      binding.Binding.registers
+      (fun r -> r.Binding.reg_values)
+      (Dfg.value_pos dfg)
+      (fun r -> Reg r)
+  in
+  let fu_node =
+    holders (List.length dfg.Dfg.ops) binding.Binding.fus
+      (fun fu -> fu.Binding.fu_ops)
+      (Dfg.op_pos dfg)
+      (fun fu -> Fu fu)
+  in
+  let const_node = Itbl.create 8 in
   let const_id c =
-    match Hashtbl.find_opt const_node c with
+    match Itbl.find_opt const_node c with
     | Some id -> id
     | None ->
       let id = fresh (Const c) in
-      Hashtbl.replace const_node c id;
+      Itbl.replace const_node c id;
       id
   in
-  let reg_of_value v = Hashtbl.find reg_node v in
+  let reg_of_value v =
+    let p = Dfg.value_pos dfg v in
+    if p < 0 || reg_node.(p) < 0 then raise Not_found else reg_node.(p)
+  in
   (* Raw transfers, newest first; grouped into arcs afterwards. *)
   let raw = ref [] in
   let arc src dst port why = raw := (src, dst, port, why) :: !raw in
@@ -116,9 +132,9 @@ let build dfg binding =
     | Dfg.Input name -> reg_of_value (Dfg.V_input name)
     | Dfg.Op id -> reg_of_value (Dfg.V_op id)
   in
-  List.iter
-    (fun o ->
-      let fu = Hashtbl.find fu_node o.Dfg.id in
+  List.iteri
+    (fun pos o ->
+      let fu = if fu_node.(pos) < 0 then raise Not_found else fu_node.(pos) in
       let a, b = o.Dfg.args in
       let why = Exec o.Dfg.id in
       arc (operand_src a) fu (Some P_left) why;
@@ -134,17 +150,17 @@ let build dfg binding =
     dfg.Dfg.outputs;
   (* One arc per distinct (src, dst, port), in the order the keys first
      appear in [raw] ([Listx.group_by]'s order), keyed by one int. *)
-  let groups = Hashtbl.create 128 in
+  let groups = Itbl.create 128 in
   let order = ref [] in
   List.iter
     (fun (src, dst, port, why) ->
       let p = match port with None -> 0 | Some P_left -> 1 | Some P_right -> 2 in
       let key = (((src lsl 30) lor dst) lsl 2) lor p in
-      match Hashtbl.find_opt groups key with
+      match Itbl.find_opt groups key with
       | Some whys -> whys := why :: !whys
       | None ->
         let whys = ref [ why ] in
-        Hashtbl.add groups key whys;
+        Itbl.add groups key whys;
         order := (src, dst, port, whys) :: !order)
     !raw;
   let arcs =
@@ -173,10 +189,6 @@ let node_id_of_fu t fu_id = node_of t.fu_nodes fu_id
 let arcs_at tbl id = try by_id tbl id with Not_found -> []
 let in_arcs t id = arcs_at t.ins id
 let out_arcs t id = arcs_at t.outs id
-
-let interconnect t =
-  let normalize a = (min a.a_src a.a_dst, max a.a_src a.a_dst) in
-  List.sort_uniq compare (List.map normalize t.arcs)
 
 let add_observation_point t ~reg_id =
   let src = node_id_of_reg t reg_id in

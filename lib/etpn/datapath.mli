@@ -70,10 +70,6 @@ val node_id_of_reg : t -> int -> int
 
 val node_id_of_fu : t -> int -> int
 
-val interconnect : t -> (int * int) list
-(** Undirected connectivity between nodes: [(a, b)] with [a <= b], one
-    entry per connected pair, ascending. *)
-
 val add_observation_point : t -> reg_id:int -> t
 (** Adds an output port ["tp_r<reg_id>"] fed by the register, carrying
     an {!constructor-Always} transfer: the next node id and the last

@@ -154,8 +154,6 @@ let stats t =
     n_arcs = List.length t.arcs;
   }
 
-let interconnect t = Datapath.interconnect t.datapath
-
 let add_observation_point t ~reg_id =
   assemble t.dfg t.schedule t.binding
     (Datapath.add_observation_point t.datapath ~reg_id)

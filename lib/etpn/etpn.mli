@@ -95,9 +95,6 @@ type stats = {
 
 val stats : t -> stats
 
-val interconnect : t -> (int * int) list
-(** {!Datapath.interconnect} of the data path. *)
-
 val add_observation_point : t -> reg_id:int -> t
 (** Adds a dedicated output port observing a register — a test point.
     The new port is named ["tp_r<k>"] and is active in every control

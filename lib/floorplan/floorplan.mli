@@ -19,12 +19,17 @@ type result = {
 
 val plan : Hlts_etpn.Datapath.t -> bits:int -> result
 (** Reads only the schedule-free data-path view: nodes, in-arc ports
-    and (src, dst) pairs. Placement keeps the free cells next to placed
-    blocks as an ordered set, updated in O(log n) per placement, and
-    picks each block's cell by one pass over that set (ties go to the
-    least cell). With [n] blocks, [f] frontier cells (at most [2n + 2])
-    and average degree [d], a plan costs O(n (f d + log n)) plus
-    sorting the interconnect. *)
+    and arc endpoints. Blocks go most-connected first (ties by id), each
+    to the frontier cell (a free cell next to a placed block) with the
+    least Manhattan wire length to its placed neighbours; ties go to
+    the least cell [(i, j)]. The frontier is an unordered int array
+    scanned once per block, and a block with one placed neighbour takes
+    the least free cell next to it without a scan. Cells are kept in an
+    open-addressing table of at most [3n + 2] entries, so a plan of [n]
+    blocks uses O(n) memory whatever shape it grows, and costs
+    O(n f + a) for [f] frontier cells (at most [2n + 2]) and [a] arcs.
+    The working arrays are reused per domain, so concurrent plans in
+    different domains do not share them. *)
 
 val area : Hlts_etpn.Datapath.t -> bits:int -> float
-(** [total] of {!plan}. *)
+(** [total] of {!plan}, without building the placement. *)

@@ -236,7 +236,9 @@ module Builder = struct
   type b = {
     mutable next_net : int;
     mutable gates : gate list;
+    mutable n_gates : int;  (* [List.length gates], the next gate id *)
     mutable dffs : dff list;
+    mutable n_dffs : int;  (* [List.length dffs], the next flip-flop id *)
     mutable pis : (string * int list) list;
     mutable pos : (string * int list) list;
     b_const0 : int;
@@ -244,8 +246,8 @@ module Builder = struct
   }
 
   let create () =
-    { next_net = 2; gates = []; dffs = []; pis = []; pos = [];
-      b_const0 = 0; b_const1 = 1 }
+    { next_net = 2; gates = []; n_gates = 0; dffs = []; n_dffs = 0; pis = [];
+      pos = []; b_const0 = 0; b_const1 = 1 }
 
   let fresh b =
     let n = b.next_net in
@@ -257,16 +259,24 @@ module Builder = struct
   let const0 b = b.b_const0
   let const1 b = b.b_const1
 
+  let add_gate b kind inputs output =
+    b.gates <- { g_id = b.n_gates; kind; inputs; output } :: b.gates;
+    b.n_gates <- b.n_gates + 1
+
+  let add_dff b d_input q_output =
+    b.dffs <- { d_id = b.n_dffs; d_input; q_output } :: b.dffs;
+    b.n_dffs <- b.n_dffs + 1
+
   let gate b kind inputs =
     if List.length inputs <> arity kind then
       invalid_arg "Netlist.Builder.gate: arity";
     let output = fresh b in
-    b.gates <- { g_id = List.length b.gates; kind; inputs; output } :: b.gates;
+    add_gate b kind inputs output;
     output
 
   let dff b d =
     let q = fresh b in
-    b.dffs <- { d_id = List.length b.dffs; d_input = d; q_output = q } :: b.dffs;
+    add_dff b d q;
     q
 
   let input b name width =
@@ -276,10 +286,7 @@ module Builder = struct
 
   let declare_input b name bus = b.pis <- (name, bus) :: b.pis
 
-  let drive b ~dst ~src =
-    b.gates <-
-      { g_id = List.length b.gates; kind = G_buf; inputs = [ src ]; output = dst }
-      :: b.gates
+  let drive b ~dst ~src = add_gate b G_buf [ src ] dst
 
   let output b name bus = b.pos <- (name, bus) :: b.pos
 
@@ -388,8 +395,7 @@ module Builder = struct
       List.map
         (fun feed ->
           let q = fresh b in
-          b.dffs <- { d_id = List.length b.dffs; d_input = feed; q_output = q }
-                    :: b.dffs;
+          add_dff b feed q;
           q)
         feeds
     in
@@ -398,9 +404,7 @@ module Builder = struct
       (fun (feed, q) d ->
         let m = gate b G_mux2 [ enable; q; d ] in
         (* single-driver discipline: feed is driven by a buffer from m *)
-        b.gates <-
-          { g_id = List.length b.gates; kind = G_buf; inputs = [ m ]; output = feed }
-          :: b.gates)
+        drive b ~dst:feed ~src:m)
       (List.combine feeds qs) ds;
     qs
 end

@@ -3,7 +3,8 @@
    ({!Hlts_sim.Ppsfp}), the lookup-per-lane test packing behind
    [Atpg.pack_tests], PODEM's full-sweep steps, the list-scan
    definitions behind the indexed DFG, ETPN and floorplan views, the
-   ETPN builder and hashtable testability analysis behind the
+   hashtable binding validator, the ETPN builder and hashtable
+   testability analysis behind the
    schedule-free data-path view, the id-keyed ASAP behind the
    constraint set's dense levels, the per-query DFS behind its
    reachability index, and the Prometheus reader that round-trips the
@@ -287,6 +288,79 @@ module Op = Hlts_dfg.Op
 module Schedule = Hlts_sched.Schedule
 module Lifetime = Hlts_alloc.Lifetime
 module Testability = Hlts_testability.Testability
+
+(* --- binding validation by hashtable ------------------------------------ *)
+
+(* [Binding.validate] before it counted holders by position: holder
+   counts in polymorphic hashtables over sorted, deduplicated keys, and
+   lifetimes from [Lifetime.of_schedule], one [uses_of_value] and
+   [is_output] per value. Every check runs; the first error wins. *)
+let binding_validate dfg sched t =
+  let err fmt = Format.kasprintf (fun m -> Error m) fmt in
+  let values = Dfg.values dfg in
+  let tally count keys =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun holder ->
+        List.iter
+          (fun k ->
+            Hashtbl.replace tbl k
+              (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+          (List.sort_uniq compare (keys holder)))
+      count;
+    fun k -> Option.value ~default:0 (Hashtbl.find_opt tbl k)
+  in
+  let reg_count = tally t.Binding.registers (fun r -> r.Binding.reg_values) in
+  let fu_count = tally t.Binding.fus (fun fu -> fu.Binding.fu_ops) in
+  let interval_tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (v, iv) -> Hashtbl.replace interval_tbl v iv)
+    (Lifetime.of_schedule dfg sched);
+  let check_value v =
+    match reg_count v with
+    | 1 -> Ok ()
+    | n -> err "value %s in %d registers" (Dfg.value_name dfg v) n
+  in
+  let check_op o =
+    match fu_count o.Dfg.id with
+    | 1 -> Ok ()
+    | n -> err "op N%d in %d units" o.Dfg.id n
+  in
+  let check_register reg =
+    let intervals =
+      List.map
+        (fun v ->
+          match Hashtbl.find_opt interval_tbl v with
+          | Some iv -> iv
+          | None -> Lifetime.interval_of dfg sched v)
+        reg.Binding.reg_values
+    in
+    if Lifetime.disjoint_set intervals then Ok ()
+    else err "register %d holds overlapping lifetimes" reg.Binding.reg_id
+  in
+  let check_fu fu =
+    let kinds =
+      List.map (fun id -> (Dfg.op_by_id dfg id).Dfg.kind) fu.Binding.fu_ops
+    in
+    if not (List.for_all (Op.supports fu.Binding.fu_class) kinds) then
+      err "unit %d class does not support all its operations" fu.Binding.fu_id
+    else begin
+      let steps = List.map (Schedule.step sched) fu.Binding.fu_ops in
+      if List.length (List.sort_uniq compare steps) <> List.length steps then
+        err "unit %d runs two operations in one step" fu.Binding.fu_id
+      else Ok ()
+    end
+  in
+  let rec first_error = function
+    | [] -> Ok ()
+    | Ok () :: rest -> first_error rest
+    | (Error _ as e) :: _ -> e
+  in
+  first_error
+    (List.map check_value values
+    @ List.map check_op dfg.Dfg.ops
+    @ List.map check_register t.Binding.registers
+    @ List.map check_fu t.Binding.fus)
 
 (* An ETPN's nodes and guarded arcs, without the control net. *)
 type design = {

@@ -261,6 +261,83 @@ let test_validate_rejects_same_step_sharing () =
   | Error (_ : string) -> ()
   | Ok () -> Alcotest.fail "same-step sharing accepted"
 
+(* --- validate against its hashtable oracle ------------------------------ *)
+
+module Rng = Hlts_util.Rng
+
+(* One random edit of [b], mostly one that breaks it: a value or an
+   operation dropped from its holder or copied into another (held by 0
+   or 2), two registers or two units merged (overlapping lifetimes, two
+   operations in one step), a unit's class replaced, or a value or an
+   operation listed twice by one holder. *)
+let mutate rng d (b : Binding.t) =
+  let regs = Array.of_list b.Binding.registers
+  and fus = Array.of_list b.Binding.fus in
+  let nr = Array.length regs and nf = Array.length fus in
+  let reg i f = regs.(i) <- { (regs.(i)) with Binding.reg_values = f regs.(i).Binding.reg_values } in
+  let fu i f = fus.(i) <- { (fus.(i)) with Binding.fu_ops = f fus.(i).Binding.fu_ops } in
+  let twice = function x :: _ as l -> l @ [ x ] | [] -> [] in
+  (match Rng.int rng 9 with
+  | 0 when nr > 0 -> reg (Rng.int rng nr) (function _ :: l -> l | [] -> [])
+  | 1 when nr > 0 ->
+    let v = Rng.pick rng (Array.of_list (Dfg.values d)) in
+    reg (Rng.int rng nr) (fun l -> l @ [ v ])
+  | 2 when nr > 1 ->
+    let i = Rng.int rng nr and j = Rng.int rng nr in
+    if i <> j then begin
+      reg i (fun l -> l @ regs.(j).Binding.reg_values);
+      reg j (fun _ -> [])
+    end
+  | 3 when nf > 1 ->
+    let i = Rng.int rng nf and j = Rng.int rng nf in
+    if i <> j then begin
+      let ops = fus.(j).Binding.fu_ops in
+      fu i (fun l -> l @ ops);
+      fus.(j) <- { (fus.(j)) with Binding.fu_ops = [] }
+    end
+  | 4 when nf > 0 ->
+    let i = Rng.int rng nf in
+    fus.(i) <-
+      {
+        (fus.(i)) with
+        Binding.fu_class =
+          Rng.pick rng
+            [| Op.Fu_adder; Op.Fu_subtractor; Op.Fu_alu; Op.Fu_multiplier;
+               Op.Fu_comparator; Op.Fu_logic |];
+      }
+  | 5 when nr > 0 -> reg (Rng.int rng nr) twice
+  | 6 when nf > 0 -> fu (Rng.int rng nf) twice
+  | 7 when nf > 0 -> fu (Rng.int rng nf) (function _ :: l -> l | [] -> [])
+  | 8 when nf > 0 ->
+    let o = Rng.pick rng (Array.of_list d.Dfg.ops) in
+    fu (Rng.int rng nf) (fun l -> l @ [ o.Dfg.id ])
+  | _ -> ());
+  (* emptied holders leave the binding *)
+  {
+    Binding.registers =
+      List.filter (fun r -> r.Binding.reg_values <> []) (Array.to_list regs);
+    fus = List.filter (fun f -> f.Binding.fu_ops <> []) (Array.to_list fus);
+  }
+
+let prop_validate_matches_oracle =
+  QCheck.Test.make ~name:"validate = oracle" ~count:300
+    QCheck.(triple (int_bound 1_000_000) bool (int_bound 4))
+    (fun (seed, asap_steps, edits) ->
+      let rng = Rng.create seed in
+      let d = Random_dfg.make seed in
+      let s =
+        if asap_steps then asap d
+        else
+          Schedule.of_assoc
+            (List.map (fun o -> (o.Dfg.id, 1 + Rng.int rng 4)) d.Dfg.ops)
+      in
+      let b = if Rng.bool rng then Binding.allocate d s else Binding.default d in
+      let rec edit b k = if k = 0 then b else edit (mutate rng d b) (k - 1) in
+      let b = edit b edits in
+      let run f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e) in
+      run (fun () -> Binding.validate d s b)
+      = run (fun () -> Oracle.binding_validate d s b))
+
 let () =
   Alcotest.run "hlts_alloc"
     [
@@ -292,5 +369,6 @@ let () =
           Alcotest.test_case "rejects bad class" `Quick test_validate_rejects_bad_class;
           Alcotest.test_case "rejects same-step" `Quick
             test_validate_rejects_same_step_sharing;
+          QCheck_alcotest.to_alcotest prop_validate_matches_oracle;
         ] );
     ]

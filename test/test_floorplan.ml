@@ -17,6 +17,8 @@ let build d =
   let s = asap d in
   Etpn.build_exn d s (Binding.allocate d s)
 
+let build_default d = Etpn.build_exn d (asap d) (Binding.default d)
+
 let test_library_scaling () =
   (* areas grow with bit width; the multiplier grows fastest *)
   List.iter
@@ -120,14 +122,91 @@ let plan_matches_oracle etpn ~bits =
 let random_trajectory rng d steps =
   List.hd (List.rev (Random_dfg.trajectory rng d steps))
 
+(* [taps] observation points on registers picked by [rng]: each adds a
+   port and an arc after the view's last ones. *)
+let with_taps rng etpn taps =
+  let regs = Array.of_list etpn.Etpn.binding.Binding.registers in
+  let rec go etpn k =
+    if k = 0 then etpn
+    else
+      let reg = Rng.pick rng regs in
+      go (Etpn.add_observation_point etpn ~reg_id:reg.Binding.reg_id) (k - 1)
+  in
+  go etpn taps
+
 let prop_plan_matches_oracle =
   QCheck.Test.make ~name:"plan = O(n^2) reference planner" ~count:60
-    QCheck.(triple (int_bound 1_000_000) (int_range 2 40) (int_bound 12))
-    (fun (seed, ops, steps) ->
+    QCheck.(quad (int_bound 1_000_000) (int_range 2 60) (int_bound 12) (int_bound 3))
+    (fun (seed, ops, steps, taps) ->
       let rng = Rng.create seed in
       let d = B.random ~seed ~ops in
-      let etpn = State.etpn (random_trajectory rng d steps) in
+      let etpn = with_taps rng (State.etpn (random_trajectory rng d steps)) taps in
       List.for_all (fun bits -> plan_matches_oracle etpn ~bits) [ 4; 8; 16 ])
+
+(* [v_k := v_(k-1) + k]: a path of units and registers, each unit with a
+   constant of its own, so no block is a hub. *)
+let chain ops =
+  let operand k = if k = 1 then Hlts_dfg.Dfg.Input "a" else Hlts_dfg.Dfg.Op (k - 1) in
+  Hlts_dfg.Dfg.validate_exn
+    {
+      Hlts_dfg.Dfg.name = "chain";
+      inputs = [ "a" ];
+      ops =
+        List.init ops (fun i ->
+            let k = i + 1 in
+            {
+              Hlts_dfg.Dfg.id = k;
+              kind = Op.Add;
+              args = (operand k, Hlts_dfg.Dfg.Const k);
+              result = Printf.sprintf "v%d" k;
+            });
+      outputs = [ Printf.sprintf "v%d" ops ];
+    }
+
+let test_chain_spreads () =
+  (* The units go first and have no placed neighbour when they do, so
+     each takes the least free cell: they form a line, and registers and
+     constants line up beside it. The plan is a band [ops] cells long,
+     not a compact blob, and the cell table must follow it exactly. *)
+  let ops = 120 in
+  let etpn = build_default (chain ops) in
+  List.iter
+    (fun bits ->
+      Alcotest.(check bool)
+        (Printf.sprintf "chain@%d = reference" bits)
+        true (plan_matches_oracle etpn ~bits))
+    [ 4; 8 ];
+  let r = Floorplan.plan (Etpn.datapath etpn) ~bits:8 in
+  let xs = List.map (fun (_, (x, _)) -> x) r.Floorplan.placement
+  and ys = List.map (fun (_, (_, y)) -> y) r.Floorplan.placement in
+  let extent l = List.fold_left max neg_infinity l -. List.fold_left min infinity l in
+  let pitch =
+    sqrt (r.Floorplan.cell_area /. float_of_int (List.length r.Floorplan.placement))
+  in
+  Alcotest.(check bool) "extent spans the chain" true
+    (extent xs +. extent ys >= float_of_int (ops - 1) *. pitch)
+
+let test_large_view () =
+  (* the initial view of a 2000-operation graph: 4.5k blocks *)
+  let d = B.random ~seed:1 ~ops:2000 in
+  let h = Floorplan.area (State.datapath (State.init d)) ~bits:8 in
+  Alcotest.(check bool) "finite positive" true (Float.is_finite h && h > 0.0)
+
+let test_domains_agree () =
+  (* Each domain plans on its own scratch: two domains planning the
+     same views at once, in opposite orders, read the sequential H. *)
+  let rng = Rng.create 11 in
+  let views =
+    List.concat_map
+      (fun (_, d) -> List.map State.datapath (Random_dfg.trajectory rng d 6))
+      B.all
+  in
+  let areas views = List.map (fun dp -> Printf.sprintf "%h" (Floorplan.area dp ~bits:8)) views in
+  let expected = areas views in
+  let rev = Domain.spawn (fun () -> List.rev (areas (List.rev views))) in
+  let fwd = Domain.spawn (fun () -> areas views) in
+  Alcotest.(check (list string)) "forward" expected (Domain.join fwd);
+  Alcotest.(check (list string)) "reverse" expected (Domain.join rev)
 
 let test_plan_matches_oracle_benchmarks () =
   List.iter
@@ -162,5 +241,8 @@ let () =
           Alcotest.test_case "benchmarks = reference" `Quick
             test_plan_matches_oracle_benchmarks;
           QCheck_alcotest.to_alcotest prop_plan_matches_oracle;
+          Alcotest.test_case "chain = reference" `Quick test_chain_spreads;
+          Alcotest.test_case "2000 operations" `Quick test_large_view;
+          Alcotest.test_case "two domains = sequential" `Quick test_domains_agree;
         ] );
     ]
