@@ -41,6 +41,7 @@ type workspace = {
   n : int;                       (* nets per frame *)
   ops : Sim.ops;
   is_pi : Bytes.t;               (* net -> '\001' iff a primary input *)
+  po_mult : int array;           (* net -> times it is listed as a PO *)
   driver : int array;            (* net -> levelized driver gate, or -1 *)
   dff_of_q : int array;          (* net -> dff id whose Q it is, or -1 *)
   fan_idx : int array;
@@ -55,6 +56,7 @@ type workspace = {
   (* per-dff double-buffered bitmasks: flip-flops whose D net changed in
      the frame being processed, seeding the next frame's Q loads; empty
      between sweeps *)
+  words : int;                   (* gate words per frame: length of [pend] *)
   mutable cap : int;             (* frames the planes below can hold *)
   mutable gv : int array;        (* cap * n: good values *)
   mutable fv : int array;        (* cap * n: faulty values *)
@@ -64,6 +66,9 @@ type workspace = {
   mutable gx : int array;
   (* cap * n: the good plane with no input assigned, the same for every
      fault and depth; each context's first sweep starts from it *)
+  mutable dfr : int array;
+  (* cap * words: the D-frontier, one gate bitmask per frame laid out
+     like [pend]; the sweeps keep it, [dfrontier] reads it *)
 }
 
 let workspace sim =
@@ -73,28 +78,34 @@ let workspace sim =
   Array.iter (fun net -> Bytes.set is_pi net '\001') (Sim.pi_nets sim);
   let fan_idx, fan_gates = Sim.fanout_gates sim in
   let dfan_idx, dfan_dffs = Sim.fanout_dffs sim in
+  let po_mult = Array.make n 0 in
+  Array.iter (fun net -> po_mult.(net) <- po_mult.(net) + 1) (Sim.po_nets sim);
   let n_gates = Array.length c.Netlist.gates in
   let n_dffs = Array.length c.Netlist.dffs in
+  let words = (n_gates + 31) / 32 in
   {
     sim;
     c;
     n;
     ops = Sim.ops sim;
     is_pi;
+    po_mult;
     driver = Sim.driver_index sim;
     dff_of_q = Sim.dff_of_q sim;
     fan_idx;
     fan_gates;
     dfan_idx;
     dfan_dffs;
-    pend = Array.make ((n_gates + 31) / 32) 0;
+    pend = Array.make words 0;
     dffp_a = Array.make ((n_dffs + 31) / 32) 0;
     dffp_b = Array.make ((n_dffs + 31) / 32) 0;
+    words;
     cap = 0;
     gv = [||];
     fv = [||];
     asg = [||];
     gx = [||];
+    dfr = [||];
   }
 
 (* Frame [f] of the unrolling with no input assigned, written into [gv]
@@ -145,11 +156,12 @@ let grow (ws : workspace) frames =
   ws.gv <- Array.make len x;
   ws.fv <- Array.make len x;
   ws.asg <- Array.make len x;
+  ws.dfr <- Array.make (frames * ws.words) 0;
   ws.cap <- frames
 
 (* The search state of one fault at one unrolling depth. The planes are
-   the workspace's, of which only the first [frames * n] entries are
-   this context's. *)
+   the workspace's, of which only the first [frames * n] entries (and
+   [frames * words] of [dfr]) are this context's. *)
 type ctx = {
   ws : workspace;
   n : int;
@@ -157,6 +169,7 @@ type ctx = {
   gv : int array;
   fv : int array;
   asg : int array;
+  dfr : int array;
   site : int;
   sv : int;                      (* stuck value, 0 or 1 *)
   guard : int;                   (* backtrace step bound *)
@@ -164,12 +177,21 @@ type ctx = {
   mutable backtracks : int;
   (* the faulty value can differ from the good one only inside the
      site's sequential output cone, so [fv] is swept over the cone's
-     gates only (outside it holds the good values), and the D-frontier
-     and detection scans are restricted to cone gates / cone POs *)
+     gates only (outside it holds the good values); only a cone gate
+     can read a D, so only cone gates enter the D-frontier *)
   cone_gates : int array;
   cone_pos : int array;
   cone_bits : Bytes.t;
-  cone_qs : int array;           (* Q nets of the cone's flip-flops *)
+  cone_dffs : int array;         (* ids of the cone's flip-flops *)
+  wlo : int;
+  whi : int;
+  (* the [dfr] words of a frame that a cone gate falls in *)
+  mutable det : int;
+  (* (frame, PO list entry) pairs carrying a D or D-bar *)
+  mutable act : int;
+  (* frames whose good site value is the opposite of the stuck value:
+     the faulty site value is the stuck value in every frame, so these
+     are the frames that activate the fault *)
   mutable pending : int list;
   (* plane indexes ([frame * n + net]) of the PI assignments touched
      since the last sweep; the event-driven resweep seeds exactly
@@ -179,14 +201,17 @@ type ctx = {
 
 (* A context at depth [frames]: grows the planes when this is the
    deepest depth the workspace has seen, and resets the [frames * n]
-   prefix of [asg] to X (nothing reads past the prefix). [gv] and [fv]
-   need no reset: the context's first sweep writes every net of the
-   prefix that anything reads (every read net has a driver). *)
-let make_ctx (ws : workspace) fault cone cone_qs frames =
+   prefix of [asg] to X (nothing reads past the prefix). [gv], [fv] and
+   [dfr] need no reset: the context's first sweep writes every net of
+   the prefix that anything reads (every read net has a driver) and
+   clears the prefix of [dfr]. *)
+let make_ctx (ws : workspace) fault cone frames =
   let n = ws.n in
   let len = frames * n in
   if ws.cap < frames then grow ws frames
   else Array.fill ws.asg 0 len x;
+  let cone_gates = Sim.cone_gates cone in
+  let last = Array.length cone_gates - 1 in
   {
     ws;
     n;
@@ -194,15 +219,20 @@ let make_ctx (ws : workspace) fault cone cone_qs frames =
     gv = ws.gv;
     fv = ws.fv;
     asg = ws.asg;
+    dfr = ws.dfr;
     site = fault.Fault.f_net;
     sv = (match fault.Fault.f_stuck with Fault.Stuck_at_0 -> 0 | Fault.Stuck_at_1 -> 1);
     guard = frames * (ws.ops.Sim.n_gates + n) + 16;
     implications = 0;
     backtracks = 0;
-    cone_gates = Sim.cone_gates cone;
+    cone_gates;
     cone_pos = Sim.cone_pos cone;
     cone_bits = Sim.cone_bits cone;
-    cone_qs;
+    cone_dffs = Sim.cone_dffs cone;
+    wlo = (if last < 0 then 0 else cone_gates.(0) lsr 5);
+    whi = (if last < 0 then -1 else cone_gates.(last) lsr 5);
+    det = 0;
+    act = 0;
     pending = [];
     swept = false;
   }
@@ -210,18 +240,48 @@ let make_ctx (ws : workspace) fault cone cone_qs frames =
 let bit_set b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
+(* a two-input gate of kind [k] (0-5) on three-valued inputs *)
+let[@inline] t_bin k a b =
+  match k with
+  | 0 -> t_and a b
+  | 1 -> t_or a b
+  | 2 -> t_not (t_and a b)
+  | 3 -> t_not (t_or a b)
+  | 4 -> t_xor a b
+  | _ -> t_not (t_xor a b)
+
+(* D or D-bar: both planes defined and different; on 0/1/x=2 values
+   that is exactly a sum of 1 *)
+let carries_d gv fv i = Array.unsafe_get gv i + Array.unsafe_get fv i = 1
+
+(* The D-frontier rule of one gate from the values an evaluation read:
+   its output X in either plane and a D on some input. Sets or clears
+   bit [gi land 31] of word [w] of [dfr]. *)
+let[@inline] set_frontier dfr w gi ~d_in go fo =
+  let bit = 1 lsl (gi land 31) in
+  let m = Array.unsafe_get dfr w in
+  Array.unsafe_set dfr w
+    (if d_in && (go lor fo) land 2 <> 0 then m lor bit else m land lnot bit)
+
 (* The first sweep of a context: no input is assigned yet, so the good
    plane is the workspace's unassigned unrolling, copied wholesale. The
    faulty plane starts as the same copy, so every net outside the cone
    holds its provably-equal good value, then the cone is overwritten
-   frame by frame: cone DFF Qs read the previous frame's faulty plane,
-   the site is forced and the cone gates are swept, non-cone inputs
-   reading the copied good values. *)
+   frame by frame: cone DFF Qs read the previous frame's faulty plane
+   (a non-cone DFF's D net is outside the cone, so its copied Q is
+   already right), the site is forced and the cone gates are swept,
+   non-cone inputs reading the copied good values. Each cone gate's
+   frontier bit is set from the values its evaluation read (its inputs
+   are final: the order is levelized), and the detection and
+   activation counts are taken frame by frame. *)
 let first_sweep ctx =
   let ws = ctx.ws in
   let { Sim.kind; in0; in1; in2; out; _ } = ws.ops in
-  let gv = ctx.gv and fv = ctx.fv in
-  let len = ctx.frames * ctx.n in
+  let gv = ctx.gv and fv = ctx.fv and dfr = ctx.dfr in
+  let n = ctx.n and words = ws.words in
+  let site = ctx.site and sv = ctx.sv in
+  let dffs = ws.c.Netlist.dffs in
+  let len = ctx.frames * n in
   (* a typed loop, not [Array.blit]: the planes live in the major heap,
      where a blit pays a write barrier per element *)
   let gx = ws.gx in
@@ -230,37 +290,51 @@ let first_sweep ctx =
     Array.unsafe_set gv i v;
     Array.unsafe_set fv i v
   done;
+  Array.fill dfr 0 (ctx.frames * words) 0;
+  ctx.det <- 0;
+  ctx.act <- 0;
   for f = 0 to ctx.frames - 1 do
-    let base = f * ctx.n in
+    let base = f * n and fw = f * words in
     Array.iter
-      (fun (d : Netlist.dff) ->
-        let q = d.Netlist.q_output in
-        fv.(base + q) <-
-          (if f = 0 then x else fv.((f - 1) * ctx.n + d.Netlist.d_input)))
-      ws.c.Netlist.dffs;
-    fv.(base + ctx.site) <- ctx.sv;
+      (fun di ->
+        let d = dffs.(di) in
+        fv.(base + d.Netlist.q_output) <-
+          (if f = 0 then x else fv.(((f - 1) * n) + d.Netlist.d_input)))
+      ctx.cone_dffs;
+    fv.(base + site) <- sv;
+    if gv.(base + site) = 1 - sv then ctx.act <- ctx.act + 1;
     let cg = ctx.cone_gates in
     for k = 0 to Array.length cg - 1 do
       let gi = Array.unsafe_get cg k in
       let o = Array.unsafe_get out gi in
-      let a = Array.unsafe_get fv (base + Array.unsafe_get in0 gi) in
-      let value =
-        match Array.unsafe_get kind gi with
-        | 0 -> t_and a (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
-        | 1 -> t_or a (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
-        | 2 -> t_not (t_and a (Array.unsafe_get fv (base + Array.unsafe_get in1 gi)))
-        | 3 -> t_not (t_or a (Array.unsafe_get fv (base + Array.unsafe_get in1 gi)))
-        | 4 -> t_xor a (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
-        | 5 -> t_not (t_xor a (Array.unsafe_get fv (base + Array.unsafe_get in1 gi)))
-        | 6 -> t_not a
-        | 7 -> a
-        | _ ->
-          t_mux a
-            (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
-            (Array.unsafe_get fv (base + Array.unsafe_get in2 gi))
-      in
-      Array.unsafe_set fv (base + o) (if o = ctx.site then ctx.sv else value)
-    done
+      let i0 = base + Array.unsafe_get in0 gi in
+      let ga = Array.unsafe_get gv i0 and fa = Array.unsafe_get fv i0 in
+      let kd = Array.unsafe_get kind gi in
+      let fvalue = ref 0 and d_in = ref (ga + fa = 1) in
+      if kd < 6 then begin
+        let i1 = base + Array.unsafe_get in1 gi in
+        let fb = Array.unsafe_get fv i1 in
+        if Array.unsafe_get gv i1 + fb = 1 then d_in := true;
+        fvalue := t_bin kd fa fb
+      end
+      else if kd = 6 then fvalue := t_not fa
+      else if kd = 7 then fvalue := fa
+      else begin
+        let i1 = base + Array.unsafe_get in1 gi
+        and i2 = base + Array.unsafe_get in2 gi in
+        let fb = Array.unsafe_get fv i1 and fc = Array.unsafe_get fv i2 in
+        if Array.unsafe_get gv i1 + fb = 1 || Array.unsafe_get gv i2 + fc = 1
+        then d_in := true;
+        fvalue := t_mux fa fb fc
+      end;
+      let fvalue = if o = site then sv else !fvalue in
+      Array.unsafe_set fv (base + o) fvalue;
+      set_frontier dfr (fw + (gi lsr 5)) gi ~d_in:!d_in
+        (Array.unsafe_get gv (base + o)) fvalue
+    done;
+    Array.iter
+      (fun p -> if carries_d gv fv (base + p) then ctx.det <- ctx.det + 1)
+      ctx.cone_pos
   done
 
 (* de Bruijn index of the lowest set bit of a non-zero 32-bit word *)
@@ -269,6 +343,15 @@ let db32 =
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
 let ctz32 m = db32.((((m land (-m)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* index of the highest set bit of a non-zero 32-bit word *)
+let msb32 m =
+  let m = m lor (m lsr 1) in
+  let m = m lor (m lsr 2) in
+  let m = m lor (m lsr 4) in
+  let m = m lor (m lsr 8) in
+  let m = m lor (m lsr 16) in
+  ctz32 ((m lsr 1) + 1)
 
 (* A net of the frame being swept changed: schedule its reader gates
    (always later in the levelized order) and mark the flip-flops it
@@ -286,6 +369,20 @@ let touch ws nxt net =
     Array.unsafe_set nxt w (Array.unsafe_get nxt w lor (1 lsl (di land 31)))
   done
 
+(* One frame's entry of [net] goes from good/faulty [og]/[off] to
+   [g]/[fl]: keep the detection count (a PO entry's D comes or goes)
+   and the activation count (the site's good value comes to or leaves
+   [1 - sv]). *)
+let[@inline] account ctx net og off g fl =
+  let m = Array.unsafe_get ctx.ws.po_mult net in
+  if m > 0 then
+    ctx.det <-
+      ctx.det + (m * (Bool.to_int (g + fl = 1) - Bool.to_int (og + off = 1)));
+  if net = ctx.site then begin
+    let on = 1 - ctx.sv in
+    ctx.act <- ctx.act + Bool.to_int (g = on) - Bool.to_int (og = on)
+  end
+
 let rec first_pending_frame n acc = function
   | [] -> acc
   | i :: rest -> first_pending_frame n (min acc (i / n)) rest
@@ -296,10 +393,13 @@ let rec seed_pending ctx nxt base = function
   | i :: rest ->
     if i >= base && i < base + ctx.n then begin
       let v = ctx.asg.(i) in
-      if ctx.gv.(i) <> v then begin
-        ctx.gv.(i) <- v;
+      let og = ctx.gv.(i) in
+      if og <> v then begin
+        let off = ctx.fv.(i) in
         let pn = i - base in
+        ctx.gv.(i) <- v;
         if pn <> ctx.site then ctx.fv.(i) <- v;
+        account ctx pn og off v ctx.fv.(i);
         touch ctx.ws nxt pn
       end
     end;
@@ -311,12 +411,16 @@ let rec seed_pending ctx nxt base = function
    changed in either plane, and frame boundaries are crossed only
    through flip-flops whose D net changed. Values are a pure function
    of the assignment, so the touched entries end up exactly as a full
-   resweep would leave them and the untouched ones are already right. *)
+   resweep would leave them and the untouched ones are already right.
+   A gate's frontier bit depends only on its inputs and output, and any
+   change to them schedules it, so the bit of every re-evaluated cone
+   gate is recomputed, whether or not its output moved; the counts
+   follow every write to a PO or the site. *)
 let sweep_events ctx =
   let ws = ctx.ws in
   let { Sim.kind; in0; in1; in2; out; _ } = ws.ops in
-  let gv = ctx.gv and fv = ctx.fv in
-  let n = ctx.n in
+  let gv = ctx.gv and fv = ctx.fv and dfr = ctx.dfr in
+  let n = ctx.n and words = ws.words in
   let dffs = ws.c.Netlist.dffs in
   let site = ctx.site and sv = ctx.sv in
   let sbits = ctx.cone_bits in
@@ -324,7 +428,7 @@ let sweep_events ctx =
   let cur = ref ws.dffp_a and nxt = ref ws.dffp_b in
   let fa = first_pending_frame n ctx.frames ctx.pending in
   for f = fa to ctx.frames - 1 do
-    let base = f * n in
+    let base = f * n and fw = f * words in
     seed_pending ctx !nxt base ctx.pending;
     (* seed flip-flops whose D net changed in the previous frame *)
     if f > fa then begin
@@ -342,10 +446,13 @@ let sweep_events ctx =
             else if bit_set sbits q then fv.(prev + d.Netlist.d_input)
             else gq
           in
-          let changed = gv.(base + q) <> gq || fv.(base + q) <> fq in
-          gv.(base + q) <- gq;
-          fv.(base + q) <- fq;
-          if changed then touch ws !nxt q
+          let og = gv.(base + q) and off = fv.(base + q) in
+          if og <> gq || off <> fq then begin
+            account ctx q og off gq fq;
+            gv.(base + q) <- gq;
+            fv.(base + q) <- fq;
+            touch ws !nxt q
+          end
         done
       done
     end;
@@ -357,48 +464,72 @@ let sweep_events ctx =
         let gi = (w lsl 5) lor ctz32 pw in
         Array.unsafe_set pend w (pw land (pw - 1));
         let o = Array.unsafe_get out gi in
-        let ga = Array.unsafe_get gv (base + Array.unsafe_get in0 gi) in
-        let gvalue =
-          match Array.unsafe_get kind gi with
-          | 0 -> t_and ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
-          | 1 -> t_or ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
-          | 2 -> t_not (t_and ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
-          | 3 -> t_not (t_or ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
-          | 4 -> t_xor ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
-          | 5 -> t_not (t_xor ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
-          | 6 -> t_not ga
-          | 7 -> ga
-          | _ ->
-            t_mux ga
-              (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
-              (Array.unsafe_get gv (base + Array.unsafe_get in2 gi))
-        in
-        let fvalue =
-          if o = site then sv
-          else if bit_set sbits o then begin
-            let fa' = Array.unsafe_get fv (base + Array.unsafe_get in0 gi) in
-            match Array.unsafe_get kind gi with
-            | 0 -> t_and fa' (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
-            | 1 -> t_or fa' (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
-            | 2 -> t_not (t_and fa' (Array.unsafe_get fv (base + Array.unsafe_get in1 gi)))
-            | 3 -> t_not (t_or fa' (Array.unsafe_get fv (base + Array.unsafe_get in1 gi)))
-            | 4 -> t_xor fa' (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
-            | 5 -> t_not (t_xor fa' (Array.unsafe_get fv (base + Array.unsafe_get in1 gi)))
-            | 6 -> t_not fa'
-            | 7 -> fa'
-            | _ ->
-              t_mux fa'
-                (Array.unsafe_get fv (base + Array.unsafe_get in1 gi))
-                (Array.unsafe_get fv (base + Array.unsafe_get in2 gi))
+        let i0 = base + Array.unsafe_get in0 gi in
+        let ga = Array.unsafe_get gv i0 in
+        if bit_set sbits o then begin
+          (* a cone gate (or the site's driver): both planes, and the
+             frontier rule from the same reads *)
+          let fa' = Array.unsafe_get fv i0 in
+          let k = Array.unsafe_get kind gi in
+          let gvalue = ref 0 and fvalue = ref 0 and d_in = ref (ga + fa' = 1) in
+          if k < 6 then begin
+            let i1 = base + Array.unsafe_get in1 gi in
+            let gb = Array.unsafe_get gv i1 and fb = Array.unsafe_get fv i1 in
+            if gb + fb = 1 then d_in := true;
+            gvalue := t_bin k ga gb;
+            fvalue := t_bin k fa' fb
           end
-          else gvalue
-        in
-        let og = Array.unsafe_get gv (base + o)
-        and off = Array.unsafe_get fv (base + o) in
-        if og <> gvalue || off <> fvalue then begin
-          Array.unsafe_set gv (base + o) gvalue;
-          Array.unsafe_set fv (base + o) fvalue;
-          touch ws !nxt o
+          else if k = 6 then begin
+            gvalue := t_not ga;
+            fvalue := t_not fa'
+          end
+          else if k = 7 then begin
+            gvalue := ga;
+            fvalue := fa'
+          end
+          else begin
+            let i1 = base + Array.unsafe_get in1 gi
+            and i2 = base + Array.unsafe_get in2 gi in
+            let gb = Array.unsafe_get gv i1 and fb = Array.unsafe_get fv i1 in
+            let gc = Array.unsafe_get gv i2 and fc = Array.unsafe_get fv i2 in
+            if gb + fb = 1 || gc + fc = 1 then d_in := true;
+            gvalue := t_mux ga gb gc;
+            fvalue := t_mux fa' fb fc
+          end;
+          let gvalue = !gvalue and fvalue = if o = site then sv else !fvalue in
+          let j = base + o in
+          let og = Array.unsafe_get gv j and off = Array.unsafe_get fv j in
+          if og <> gvalue || off <> fvalue then begin
+            account ctx o og off gvalue fvalue;
+            Array.unsafe_set gv j gvalue;
+            Array.unsafe_set fv j fvalue;
+            touch ws !nxt o
+          end;
+          set_frontier dfr (fw + w) gi ~d_in:!d_in gvalue fvalue
+        end
+        else begin
+          (* outside the cone the faulty plane is the good one *)
+          let gvalue =
+            match Array.unsafe_get kind gi with
+            | 0 -> t_and ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
+            | 1 -> t_or ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
+            | 2 -> t_not (t_and ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
+            | 3 -> t_not (t_or ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
+            | 4 -> t_xor ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
+            | 5 -> t_not (t_xor ga (Array.unsafe_get gv (base + Array.unsafe_get in1 gi)))
+            | 6 -> t_not ga
+            | 7 -> ga
+            | _ ->
+              t_mux ga
+                (Array.unsafe_get gv (base + Array.unsafe_get in1 gi))
+                (Array.unsafe_get gv (base + Array.unsafe_get in2 gi))
+          in
+          let j = base + o in
+          if Array.unsafe_get gv j <> gvalue then begin
+            Array.unsafe_set gv j gvalue;
+            Array.unsafe_set fv j gvalue;
+            touch ws !nxt o
+          end
         end
       done
     done;
@@ -419,16 +550,7 @@ let sweep ctx =
    else sweep_events ctx);
   ctx.pending <- []
 
-let rec detected_in ctx f i =
-  if f >= ctx.frames then false
-  else if i >= Array.length ctx.cone_pos then detected_in ctx (f + 1) 0
-  else begin
-    let j = (f * ctx.n) + Array.unsafe_get ctx.cone_pos i in
-    let g = ctx.gv.(j) and fl = ctx.fv.(j) in
-    (g <> x && fl <> x && g <> fl) || detected_in ctx f (i + 1)
-  end
-
-let detected ctx = detected_in ctx 0 0
+let detected ctx = ctx.det > 0
 
 (* A decision — primary input [net] of frame [f] set to [v] — is encoded
    as [((f * n + net) lsl 1) lor v], -1 meaning none; an objective inside
@@ -506,10 +628,6 @@ let extract_test ctx stack =
   List.iter (fun (f, net, v, _) -> frames.(f) <- (net, v) :: frames.(f)) stack;
   { t_frames = Array.map (List.sort compare) frames }
 
-(* D or D-bar: both planes defined and different; on 0/1/x=2 values
-   that is exactly a sum of 1 *)
-let carries_d gv fv i = Array.unsafe_get gv i + Array.unsafe_get fv i = 1
-
 let first_x_of2 gv a b =
   if Array.unsafe_get gv a = x then a
   else if Array.unsafe_get gv b = x then b
@@ -541,65 +659,40 @@ let dfrontier_objective kind gi gv fv base a b c =
     else if s = 1 && Array.unsafe_get gv c = x then objective base c 0
     else -1
 
-let rec any_d gv fv base nets i =
-  i >= 0
-  && (carries_d gv fv (base + Array.unsafe_get nets i)
-     || any_d gv fv base nets (i - 1))
-
-(* Does the frame at [base] carry a D anywhere in the cone? Every D of a
-   frame descends from the site or from a cone flip-flop's Q. *)
-let frame_has_d ctx base =
-  carries_d ctx.gv ctx.fv (base + ctx.site)
-  || any_d ctx.gv ctx.fv base ctx.cone_qs (Array.length ctx.cone_qs - 1)
-
-(* D-frontier scan fused with the backtrace: candidates are tried in the
-   order a whole-circuit objective list would be consumed — latest frame
-   first, deepest cone gate first (the restriction to the cone is exact:
-   a non-cone gate reads no cone net, so never sees a D; so is skipping
-   a frame with no D) — and the scan stops at the first candidate whose
-   backtrace reaches an unassigned PI. *)
+(* D-frontier walk fused with the backtrace: the frontier bits are
+   walked latest frame first, highest gate first — the order a
+   whole-circuit objective list would be consumed, since the levelized
+   gate index is the evaluation order — and the walk stops at the first
+   gate whose objective backtraces to an unassigned PI. *)
 let dfrontier ctx =
-  let { Sim.kind; in0; in1; in2; out; _ } = ctx.ws.ops in
-  let gv = ctx.gv and fv = ctx.fv and cg = ctx.cone_gates in
+  let { Sim.kind; in0; in1; in2; _ } = ctx.ws.ops in
+  let gv = ctx.gv and fv = ctx.fv and dfr = ctx.dfr in
+  let words = ctx.ws.words in
   let found = ref (-1) in
   let f = ref (ctx.frames - 1) in
   while !found < 0 && !f >= 0 do
-    let base = !f * ctx.n in
-    if frame_has_d ctx base then begin
-      let k = ref (Array.length cg - 1) in
-      while !found < 0 && !k >= 0 do
-        let gi = Array.unsafe_get cg !k in
-        let o = base + Array.unsafe_get out gi in
-        if (Array.unsafe_get gv o lor Array.unsafe_get fv o) land 2 <> 0 then begin
-          let a = base + Array.unsafe_get in0 gi in
-          let b = Array.unsafe_get in1 gi and c = Array.unsafe_get in2 gi in
-          let b = if b < 0 then -1 else base + b
-          and c = if c < 0 then -1 else base + c in
-          if
-            carries_d gv fv a
-            || (b >= 0 && carries_d gv fv b)
-            || (c >= 0 && carries_d gv fv c)
-          then begin
-            let obj = dfrontier_objective kind gi gv fv base a b c in
-            if obj >= 0 then found := backtrace ctx !f (obj lsr 1) (obj land 1)
-          end
-        end;
-        decr k
-      done
-    end;
+    let base = !f * ctx.n and fw = !f * words in
+    let w = ref ctx.whi in
+    while !found < 0 && !w >= ctx.wlo do
+      let m = ref (Array.unsafe_get dfr (fw + !w)) in
+      while !found < 0 && !m <> 0 do
+        let top = msb32 !m in
+        m := !m lxor (1 lsl top);
+        let gi = (!w lsl 5) lor top in
+        let a = base + Array.unsafe_get in0 gi in
+        let b = Array.unsafe_get in1 gi and c = Array.unsafe_get in2 gi in
+        let b = if b < 0 then -1 else base + b
+        and c = if c < 0 then -1 else base + c in
+        let obj = dfrontier_objective kind gi gv fv base a b c in
+        if obj >= 0 then found := backtrace ctx !f (obj lsr 1) (obj land 1)
+      done;
+      decr w
+    done;
     decr f
   done;
   !found
 
-(* activation: does some frame carry D at the fault site? *)
-let activated ctx =
-  let rec scan f =
-    f < ctx.frames
-    && (let i = (f * ctx.n) + ctx.site in
-        (ctx.gv.(i) <> x && ctx.gv.(i) <> ctx.sv && ctx.fv.(i) = ctx.sv)
-        || scan (f + 1))
-  in
-  scan 0
+let activated ctx = ctx.act > 0
 
 (* Not yet activated: drive the site to the opposite of its stuck value,
    earliest frame first among those where its good value is still X. *)
@@ -611,19 +704,26 @@ let rec activate ctx f =
   end
   else activate ctx (f + 1)
 
-(* The steps the search delegates: the cone-restricted ones above in
-   {!generate}, a caller's in {!Test_hook.generate}. *)
+(* The steps the search delegates: the sweep and the state it keeps
+   above in {!generate}, a caller's in {!Test_hook.generate}. *)
 type ctx_steps = {
   sweep_planes : ctx -> unit;
   detect_po : ctx -> bool;
+  activated_step : ctx -> bool;
   dfrontier_step : ctx -> int;
 }
 
 let cone_steps =
-  { sweep_planes = sweep; detect_po = detected; dfrontier_step = dfrontier }
+  {
+    sweep_planes = sweep;
+    detect_po = detected;
+    activated_step = activated;
+    dfrontier_step = dfrontier;
+  }
 
 let decide steps ctx =
-  if not (activated ctx) then activate ctx 0 else steps.dfrontier_step ctx
+  if not (steps.activated_step ctx) then activate ctx 0
+  else steps.dfrontier_step ctx
 
 let set_input ctx f net v =
   let i = (f * ctx.n) + net in
@@ -682,16 +782,6 @@ let search steps ctx ~max_backtracks ~implication_limit =
   in
   loop ()
 
-(* The Q nets of the cone's flip-flops: with the site, the only sources
-   a D can start from in any frame. *)
-let cone_qs (ws : workspace) cone =
-  let bits = Sim.cone_bits cone in
-  Array.to_list ws.c.Netlist.dffs
-  |> List.filter_map (fun (d : Netlist.dff) ->
-         if bit_set bits d.Netlist.q_output then Some d.Netlist.q_output
-         else None)
-  |> Array.of_list
-
 let run steps ws ~max_frames ~max_backtracks fault =
   let implications = ref 0 and backtracks = ref 0 in
   let any_abort = ref false in
@@ -701,7 +791,6 @@ let run steps ws ~max_frames ~max_backtracks fault =
   if max_frames < 1 then (No_test_in_frames, stats 0)
   else begin
     let cone = Sim.cone ws.sim fault.Fault.f_net in
-    let cone_qs = cone_qs ws cone in
     (* Each unrolling depth gets its own backtrack budget (an exhausted
        search at a shallow depth says nothing about deeper ones, where
        the extra frames make state controllable); the implication budget
@@ -711,7 +800,7 @@ let run steps ws ~max_frames ~max_backtracks fault =
       if k > max_frames then
         ((if !any_abort then Aborted else No_test_in_frames), stats max_frames)
       else begin
-        let ctx = make_ctx ws fault cone cone_qs k in
+        let ctx = make_ctx ws fault cone k in
         let outcome =
           search steps ctx ~max_backtracks
             ~implication_limit:(max 1 (implication_budget - !implications))
@@ -746,7 +835,15 @@ module Test_hook = struct
   type steps = {
     sweep : view -> unit;
     detect : view -> bool;
+    activated : view -> bool;
     dfrontier : view -> backtrace:(int -> int -> int -> int) -> int;
+  }
+
+  type state = {
+    planes : view;
+    frontier : int -> int -> bool;
+    detections : int;
+    activations : int;
   }
 
   let view (ctx : ctx) =
@@ -768,8 +865,31 @@ module Test_hook = struct
             s.sweep (view ctx);
             ctx.pending <- []);
         detect_po = (fun ctx -> s.detect (view ctx));
+        activated_step = (fun ctx -> s.activated (view ctx));
         dfrontier_step =
           (fun ctx -> s.dfrontier (view ctx) ~backtrace:(backtrace ctx));
+      }
+      ws ~max_frames ~max_backtracks fault
+
+  let state (ctx : ctx) =
+    let dfr = ctx.dfr and words = ctx.ws.words in
+    {
+      planes = view ctx;
+      frontier =
+        (fun f gi ->
+          dfr.((f * words) + (gi lsr 5)) land (1 lsl (gi land 31)) <> 0);
+      detections = ctx.det;
+      activations = ctx.act;
+    }
+
+  let observe check ws ~max_frames ~max_backtracks fault =
+    run
+      {
+        cone_steps with
+        sweep_planes =
+          (fun ctx ->
+            sweep ctx;
+            check (state ctx));
       }
       ws ~max_frames ~max_backtracks fault
 end

@@ -17,22 +17,30 @@
     visibly more effort, which is exactly the behaviour the paper's
     sequential-depth argument predicts.
 
-    There is one engine: the faulty plane is swept, and the D-frontier
-    and detection scans run, only inside the fault site's sequential
-    output cone ({!Hlts_sim.Sim.cone}); everything outside it provably
-    carries the good value. The one other entry point,
-    {!Test_hook}, exists for the test suite alone: it lets a full-sweep
-    reference replace those three cone-restricted steps and keep the
-    rest of the search, so that tests can check the restriction
-    bit-for-bit.
+    There is one engine: the faulty plane is swept only inside the
+    fault site's sequential output cone ({!Hlts_sim.Sim.cone});
+    everything outside it provably carries the good value. The sweeps
+    also keep the state the search reads between implications, so no
+    step rescans the unrolling: the D-frontier (one gate bitmask per
+    frame, each re-evaluated cone gate's bit recomputed from the values
+    its evaluation read), the number of primary-output entries carrying
+    a D or D-bar (detection) and the number of frames whose site value
+    activates the fault. A decision therefore costs the gates its
+    implication changed plus the frontier gates its objective walk
+    visits. The one other entry point, {!Test_hook}, exists for the
+    test suite alone: it lets a full-sweep reference replace the sweep
+    and the three steps that read its state and keep the rest of the
+    search, so that tests can check the engine bit-for-bit, and it
+    exposes the kept state read-only.
 
     All searches of one ATPG run share one {!workspace}: it reads the
     circuit through the tables {!Hlts_sim.Sim.compile} already built
     (driver, flip-flop and primary-input indexes, fanout CSRs, the
     compact gate encoding) and owns the scratch every fault reuses —
-    the good, faulty and assignment planes, grown on demand to the
-    deepest unrolling depth tried (the assignment plane is reset per
-    depth over the prefix that depth uses), the good plane of the
+    the good, faulty and assignment planes and the D-frontier bitmasks,
+    grown on demand to the deepest unrolling depth tried (the
+    assignment plane is reset per depth over the prefix that depth
+    uses), the good plane of the
     unrolling with no input assigned, from which every depth's first
     sweep starts, and the event-driven sweep's schedule masks. A
     workspace is mutable and not thread-safe: give each concurrent run
@@ -83,11 +91,13 @@ val generate :
 
     Not for product code: the test suite's full-sweep reference PODEM
     plugs in here. {!Test_hook.generate} runs the very search
-    {!generate} runs — contexts, activation, backtrace, backtracking,
-    the depth loop, the budgets and the stats — with the three steps
-    that {!generate} restricts to the fault site's output cone
-    ({!Hlts_sim.Sim.cone}) supplied by the caller. Comparing the two
-    therefore checks exactly the cone restriction. *)
+    {!generate} runs — contexts, the activation objective, backtrace,
+    backtracking, the depth loop, the budgets and the stats — with the
+    sweep and the three steps that read what {!generate}'s sweep keeps
+    (detection, activation, the D-frontier) supplied by the caller.
+    Comparing the two therefore checks exactly the cone restriction and
+    the kept state. {!Test_hook.observe} runs {!generate} itself and
+    shows the kept state after every sweep. *)
 
 module Test_hook : sig
   type view = {
@@ -114,6 +124,10 @@ module Test_hook : sig
     detect : view -> bool;
         (** does some frame's primary output carry a D or D-bar (both
             planes defined and different)? *)
+    activated : view -> bool;
+        (** is the fault activated: does some frame carry a D or D-bar
+            at the site? When not, the search drives the site to the
+            opposite of its stuck value. *)
     dfrontier : view -> backtrace:(int -> int -> int -> int) -> int;
         (** the D-frontier step once the fault is activated.
             [backtrace f net v] walks the objective "[net] of frame [f]
@@ -130,4 +144,29 @@ module Test_hook : sig
     max_backtracks:int ->
     Hlts_fault.Fault.t ->
     verdict * stats
+
+  type state = {
+    planes : view;
+    frontier : int -> int -> bool;
+        (** [frontier f gi]: is levelized gate [gi]
+            ({!Hlts_sim.Sim.ops}) in frame [f]'s D-frontier (output X
+            in either plane, a D or D-bar on some input)? *)
+    detections : int;
+        (** (frame, primary-output list entry) pairs carrying a D or
+            D-bar, an output listed twice counting twice *)
+    activations : int;
+        (** frames whose good site value is the opposite of [sv] *)
+  }
+  (** What {!generate}'s sweep keeps, after one sweep. Read-only, and
+      valid only during the callback that receives it. *)
+
+  val observe :
+    (state -> unit) ->
+    workspace ->
+    max_frames:int ->
+    max_backtracks:int ->
+    Hlts_fault.Fault.t ->
+    verdict * stats
+  (** [observe check] is {!generate} with [check] called on the kept
+      state after every sweep, before the search reads it. *)
 end

@@ -300,17 +300,28 @@ let all =
     ("toy", toy);
   ]
 
+(* The seeded synthetic family is addressable by its own name, so CLIs
+   and CI scripts can reference generated designs uniformly. *)
+let is_synthetic name =
+  String.length name >= 4 && String.lowercase_ascii (String.sub name 0 4) = "rnd-"
+
+let synthetic name =
+  if not (is_synthetic name) then None
+  else
+    try
+      Scanf.sscanf (String.lowercase_ascii name) "rnd-s%d-n%d%!"
+        (fun seed ops -> Some (seed, ops))
+    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
+let synthetic_ops name = Option.map snd (synthetic name)
+
 let find name =
-  let name = String.lowercase_ascii name in
-  match List.assoc_opt name all with
+  match List.assoc_opt (String.lowercase_ascii name) all with
   | Some dfg -> Some dfg
   | None -> (
-    (* The seeded synthetic family is addressable by its own name, so
-       CLIs and CI scripts can reference generated designs uniformly. *)
-    try
-      Scanf.sscanf name "rnd-s%d-n%d%!" (fun seed ops ->
-          if ops < 1 then None else Some (random ~seed ~ops))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+    match synthetic name with
+    | Some (seed, ops) when ops >= 1 -> Some (random ~seed ~ops)
+    | _ -> None)
 
 let names = List.map fst all
 
@@ -318,12 +329,8 @@ let find_result name =
   match find name with
   | Some dfg -> Ok dfg
   | None ->
-    let is_rnd =
-      String.length name >= 4
-      && String.lowercase_ascii (String.sub name 0 4) = "rnd-"
-    in
     Error
-      (if is_rnd then
+      (if is_synthetic name then
          Printf.sprintf
            "unknown benchmark %S: synthetic names are rnd-s<seed>-n<ops> \
             with ops >= 1 (e.g. rnd-s11-n100)"

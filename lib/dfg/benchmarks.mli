@@ -55,6 +55,11 @@ val find : string -> Dfg.t option
 (** Case-insensitive lookup in {!all}; also resolves the seeded
     synthetic family by name ([rnd-s<seed>-n<ops>]). *)
 
+val synthetic_ops : string -> int option
+(** [Some ops] when the name is in the [rnd-s<seed>-n<ops>] family
+    (case-insensitive), read off the name without generating the
+    design, so a caller can refuse an oversized one first. *)
+
 val names : string list
 (** The names {!find} resolves directly (the keys of {!all}), in listing
     order — not including the open-ended [rnd-s<seed>-n<ops>] family. *)

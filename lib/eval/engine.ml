@@ -31,33 +31,56 @@ type spec = {
    use 5. *)
 let max_frames_limit = 64
 
+(* Synthesis builds a dense transitive-closure row per operation
+   ([Constraints.of_dfg], n^2/8 bytes): 20000 operations took 4.7 s and
+   about 50 MB before synthesis started, so rnd-s1-n100000 would need
+   about 1.25 GB. The largest design the repository synthesizes is
+   rnd-b, 170 operations; this admits six times that, at 128 KB of
+   closure. *)
+let max_ops_limit = 1024
+
+(* Expansion and ATPG grow with the width, array multipliers with its
+   square. The paper implements 4, 8 and 16 bit; this leaves one
+   doubling above. *)
+let max_bits_limit = 32
+
+let range_error name v lo hi =
+  if hi = max_int then Printf.sprintf "field %S is %d, must be >= %d" name v lo
+  else Printf.sprintf "field %S is %d, must be in %d..%d" name v lo hi
+
 (* The one range check every spec passes, built here or decoded from the
    wire: an out-of-range budget would otherwise either escape as a raw
    [Invalid_argument] from deep in the ATPG or alias an in-range spec
-   under a second digest. *)
+   under a second digest, and an oversized design would stall the
+   single-threaded daemon for every caller. *)
 let check s =
   let a = s.atpg in
   let ranges =
     [
-      ("bits", s.bits, 1, max_int);
+      ("bits", s.bits, 1, max_bits_limit);
       ("random_lanes", a.Atpg.random_lanes, 1, 64);
       ("random_cycles", a.Atpg.random_cycles, 0, max_int);
       ("random_batches", a.Atpg.random_batches, 0, max_int);
       ("max_frames", a.Atpg.max_frames, 0, max_frames_limit);
       ("max_backtracks", a.Atpg.max_backtracks, 0, max_int);
+      ("ops", List.length s.dfg.Dfg.ops, 0, max_ops_limit);
     ]
   in
   match List.find_opt (fun (_, v, lo, hi) -> v < lo || v > hi) ranges with
   | None -> Ok s
-  | Some (name, v, lo, hi) ->
-    Error
-      (if hi = max_int then
-         Printf.sprintf "field %S is %d, must be >= %d" name v lo
-       else Printf.sprintf "field %S is %d, must be in %d..%d" name v lo hi)
+  | Some (name, v, lo, hi) -> Error (range_error name v lo hi)
+
+(* A benchmark by name; a synthetic name over the operation bound is
+   refused before its design is generated. *)
+let find_bench name =
+  match B.synthetic_ops name with
+  | Some ops when ops > max_ops_limit ->
+    Error (range_error "ops" ops 0 max_ops_limit)
+  | _ -> B.find_result name
 
 let spec ?params ?atpg ?dfg ~bench ~approach ~bits () =
   match
-    match dfg with Some d -> Ok d | None -> B.find_result bench
+    match dfg with Some d -> Ok d | None -> find_bench bench
   with
   | Error _ as e -> e
   | Ok dfg ->
@@ -302,7 +325,7 @@ let spec_of_json j =
     | None -> Error (Printf.sprintf "unknown approach %S" approach_name)
   in
   let* bits = Json.field "bits" Json.int j in
-  let* dfg = B.find_result bench in
+  let* dfg = find_bench bench in
   let dp = Eval.params_for_bits bits in
   let* params =
     match Json.member "params" j with

@@ -60,9 +60,12 @@ val spec :
     case is its message).
 
     The spec is range-checked — the same check {!spec_of_json} applies:
-    [bits >= 1], [1 <= random_lanes <= 64], [0 <= max_frames <= 64],
-    and [random_cycles], [random_batches] and [max_backtracks] all
-    [>= 0]. A violation is an [Error] naming the field. *)
+    [1 <= bits <= 32], [1 <= random_lanes <= 64], [0 <= max_frames <= 64],
+    [random_cycles], [random_batches] and [max_backtracks] all [>= 0],
+    and at most 1024 operations in the design (a field named ["ops"]).
+    A violation is an [Error] naming the field. A synthetic
+    [rnd-s<seed>-n<ops>] name over the operation bound is refused
+    before its design is generated. *)
 
 type request =
   | Synth of spec  (** synthesis only: schedule/allocation/area *)

@@ -31,6 +31,7 @@ type cone = {
   cn_gates : int array;    (* indexes into the levelized order, ascending *)
   cn_pos : int array;      (* the PO nets of the cone, in po_nets order *)
   cn_bits : Bytes.t;       (* bitset over nets: can this net carry a fault effect? *)
+  cn_dffs : int array;     (* ids of the flip-flops whose Q is in the cone, ascending *)
 }
 
 type t = {
@@ -228,8 +229,14 @@ let build_cone t net =
     if gate_mark.(gi) then gates := gi :: !gates
   done;
   let pos = Array.of_list (List.filter (bit_mem bits) (Array.to_list t.po_nets)) in
+  let dffs =
+    Array.to_list t.c.Netlist.dffs
+    |> List.filter (fun (d : Netlist.dff) -> bit_mem bits d.Netlist.q_output)
+    |> List.map (fun (d : Netlist.dff) -> d.Netlist.d_id)
+    |> Array.of_list
+  in
   let cone =
-    { cn_gates = Array.of_list !gates; cn_pos = pos; cn_bits = bits }
+    { cn_gates = Array.of_list !gates; cn_pos = pos; cn_bits = bits; cn_dffs = dffs }
   in
   Obs.sample "sim.cone_gates" (float_of_int (Array.length cone.cn_gates));
   cone
@@ -245,6 +252,7 @@ let cone t net =
 let cone_bits c = c.cn_bits
 let cone_gates c = c.cn_gates
 let cone_pos c = c.cn_pos
+let cone_dffs c = c.cn_dffs
 
 (* --- machines ---------------------------------------------------------- *)
 

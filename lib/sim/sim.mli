@@ -99,6 +99,11 @@ val cone_bits : cone -> Bytes.t
     net carry the fault effect? (the site itself, a cone DFF's Q, or a
     cone gate's output). Do not mutate. *)
 
+val cone_dffs : cone -> int array
+(** The flip-flops whose Q net is in the cone, by id, ascending: with
+    the site, the only sources a fault effect can start from in a
+    clock cycle. *)
+
 type machine = {
   values : int64 array;       (** current net words, indexed by net id *)
   state : int64 array;        (** DFF state, indexed by dff id *)

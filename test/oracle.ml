@@ -1,7 +1,8 @@
 (* Reference implementations the property tests hold product code
    against: the per-fault fault simulation behind the product grader
    ({!Hlts_sim.Ppsfp}), the lookup-per-lane test packing behind
-   [Atpg.pack_tests], PODEM's full-sweep steps, the list-scan
+   [Atpg.pack_tests], PODEM's full-sweep steps and the rescans of the
+   search state its sweeps keep, the list-scan
    definitions behind the indexed DFG, ETPN and floorplan views, the
    hashtable binding validator, the ETPN builder and hashtable
    testability analysis behind the
@@ -96,6 +97,37 @@ let t_xor a b = if a = x || b = x then x else a lxor b
 let t_mux s a b =
   if s = 0 then a else if s = 1 then b else if a = b && a <> x then a else x
 
+(* D or D-bar at plane entry [i]: both planes defined and different *)
+let carries_d (v : Hook.view) i =
+  v.Hook.gv.(i) <> x && v.Hook.fv.(i) <> x && v.Hook.gv.(i) <> v.Hook.fv.(i)
+
+(* From-scratch scans of the state PODEM's sweeps keep, over the planes
+   of one view: is levelized gate [gi] of frame [f] in the D-frontier
+   (output X in either plane, a D on some input)? how many (frame, PO
+   list entry) pairs carry a D? in how many frames is the good site
+   value the opposite of the stuck value? *)
+let podem_frontier sim (v : Hook.view) f gi =
+  let g = (Sim.levelized sim).(gi) in
+  let base = f * v.Hook.n in
+  let out = base + g.Netlist.output in
+  (v.Hook.gv.(out) = x || v.Hook.fv.(out) = x)
+  && List.exists (fun net -> carries_d v (base + net)) g.Netlist.inputs
+
+let podem_detections sim (v : Hook.view) =
+  let count = ref 0 in
+  for f = 0 to v.Hook.frames - 1 do
+    Array.iter
+      (fun po -> if carries_d v ((f * v.Hook.n) + po) then incr count)
+      (Sim.po_nets sim)
+  done;
+  !count
+
+let podem_activations (v : Hook.view) =
+  List.length
+    (List.filter
+       (fun f -> v.Hook.gv.((f * v.Hook.n) + v.Hook.site) = 1 - v.Hook.sv)
+       (List.init v.Hook.frames Fun.id))
+
 (* Full-sweep steps for [Podem.Test_hook.generate]: both planes are
    recomputed over every gate of every frame, every PO of every frame is
    scanned, and the D-frontier is collected over the whole circuit
@@ -104,7 +136,7 @@ let t_mux s a b =
 let podem_full_steps sim : Hook.steps =
   let c = Sim.circuit sim in
   let order = Sim.levelized sim in
-  let pis = Sim.pi_nets sim and pos = Sim.po_nets sim in
+  let pis = Sim.pi_nets sim in
   let sweep (v : Hook.view) =
     let gv = v.Hook.gv and fv = v.Hook.fv in
     for f = 0 to v.Hook.frames - 1 do
@@ -151,14 +183,7 @@ let podem_full_steps sim : Hook.steps =
         order
     done
   in
-  let carries_d (v : Hook.view) i =
-    v.Hook.gv.(i) <> x && v.Hook.fv.(i) <> x && v.Hook.gv.(i) <> v.Hook.fv.(i)
-  in
-  let detect (v : Hook.view) =
-    List.exists
-      (fun f -> Array.exists (fun po -> carries_d v ((f * v.Hook.n) + po)) pos)
-      (List.init v.Hook.frames Fun.id)
-  in
+  let detect v = podem_detections sim v > 0 in
   (* D-frontier objectives, best first: gates with a D on an input and
      X on their output, latest frame and deepest level first; each asks
      for its non-controlling value on its first X input (mux: the
@@ -168,12 +193,10 @@ let podem_full_steps sim : Hook.steps =
     let acc = ref [] in
     for f = 0 to v.Hook.frames - 1 do
       let base = f * v.Hook.n in
-      Array.iter
-        (fun (g : Netlist.gate) ->
-          let out = base + g.Netlist.output in
+      Array.iteri
+        (fun gi (g : Netlist.gate) ->
           let d net = carries_d v (base + net) in
-          if (gv.(out) = x || v.Hook.fv.(out) = x) && List.exists d g.Netlist.inputs
-          then begin
+          if podem_frontier sim v f gi then begin
             let first_x value =
               List.find_opt (fun net -> gv.(base + net) = x) g.Netlist.inputs
               |> Option.map (fun net -> (net, value))
@@ -207,7 +230,12 @@ let podem_full_steps sim : Hook.steps =
     in
     first (objectives v)
   in
-  { Hook.sweep; detect; dfrontier }
+  let activated (v : Hook.view) =
+    List.exists
+      (fun f -> carries_d v ((f * v.Hook.n) + v.Hook.site))
+      (List.init v.Hook.frames Fun.id)
+  in
+  { Hook.sweep; detect; activated; dfrontier }
 
 (* --- list-scan definitions of the indexed design views ---------------- *)
 

@@ -294,6 +294,48 @@ let test_bist_longer_session_helps () =
   Alcotest.(check bool) "monotone-ish" true
     (long.Hlts_atpg.Bist.coverage >= short.Hlts_atpg.Bist.coverage)
 
+(* --- golden table cells --------------------------------------------------- *)
+
+(* The 24 cells of Tables 1-3 at 4 and 8 bit as the tables build them:
+   [Synth.default_params] at 8-bit structure, expanded at the cell's
+   width, ATPG seed 1. One line per cell with its deterministic ATPG
+   outputs. *)
+let table_cell_lines () =
+  let params = { Hlts_synth.Synth.default_params with Hlts_synth.Synth.bits = 8 } in
+  let config = { Atpg.default_config with Atpg.seed = 1 } in
+  List.concat_map
+    (fun (name, dfg) ->
+      List.concat_map
+        (fun approach ->
+          let o = Hlts_synth.Flows.synthesize ~params approach dfg in
+          List.map
+            (fun bits ->
+              let c = Hlts_netlist.Expand.circuit o.Hlts_synth.Flows.etpn ~bits in
+              let r = Atpg.run ~config c in
+              Printf.sprintf
+                "%s %s %d total_faults=%d detected_random=%d detected_det=%d \
+                 undetected=%d test_cycles=%d effort=%d evals=%d \
+                 detect_digest=%s"
+                name
+                (Hlts_synth.Flows.approach_name approach)
+                bits r.Atpg.total_faults r.Atpg.detected_random
+                r.Atpg.detected_det r.Atpg.undetected r.Atpg.test_cycles
+                r.Atpg.effort r.Atpg.evals r.Atpg.detect_digest)
+            [ 4; 8 ])
+        Hlts_eval.Experiments.approaches)
+    Hlts_dfg.Benchmarks.[ ("ex", ex); ("dct", dct); ("diffeq", diffeq) ]
+
+(* Pinned at the commit before the PODEM sweeps kept their own state: no
+   change to the engine may move any of these outputs. *)
+let test_table_cells_golden () =
+  let golden =
+    In_channel.with_open_text "golden/atpg_table_cells.txt" In_channel.input_all
+  in
+  Alcotest.(check (list string))
+    "every table cell's ATPG outputs"
+    (String.split_on_char '\n' (String.trim golden))
+    (table_cell_lines ())
+
 let () =
   Alcotest.run "hlts_atpg"
     [
@@ -328,6 +370,7 @@ let () =
           Alcotest.test_case "seeds" `Quick test_atpg_seed_sensitivity;
           Alcotest.test_case "budget monotone" `Quick test_atpg_more_random_helps;
           Alcotest.test_case "lane masking" `Quick test_atpg_lane_masking;
+          Alcotest.test_case "table cells golden" `Quick test_table_cells_golden;
         ] );
       ( "bist",
         [

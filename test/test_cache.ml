@@ -445,12 +445,16 @@ let range_cases =
     ("max_backtracks", -1, false);
     ("bits", -4, false);
     ("bits", 0, false);
+    ("bits", 33, false);
+    ("bits", 1000, false);
     ("random_lanes", 1, true);
     ("random_lanes", 64, true);
     ("random_cycles", 0, true);
     ("max_frames", 0, true);
     ("max_frames", 64, true);
     ("max_backtracks", 0, true);
+    ("bits", 1, true);
+    ("bits", 32, true);
   ]
 
 let test_spec_range_check () =

@@ -88,6 +88,53 @@ let prop_podem_matches_oracle =
           true)
         (List.init 3 (fun _ -> random_fault st c)))
 
+(* --- kept search state against a rescan ----------------------------------- *)
+
+(* After every sweep of the product search, the state the sweeps keep
+   against a from-scratch scan of the same planes: every gate's
+   D-frontier bit in every frame, the detection count and the
+   activation count. The first disagreement, if any. *)
+let kept_state_disagreement sim ws ~max_frames ~max_backtracks fault =
+  let n_gates = (Sim.ops sim).Sim.n_gates in
+  let first = ref None in
+  let check (st : Podem.Test_hook.state) =
+    let v = st.Podem.Test_hook.planes in
+    let fail what = if !first = None then first := Some what in
+    for f = 0 to v.Podem.Test_hook.frames - 1 do
+      for gi = 0 to n_gates - 1 do
+        if st.Podem.Test_hook.frontier f gi <> Oracle.podem_frontier sim v f gi
+        then fail (Printf.sprintf "frontier bit of gate %d in frame %d" gi f)
+      done
+    done;
+    if st.Podem.Test_hook.detections <> Oracle.podem_detections sim v then
+      fail "detection count";
+    if st.Podem.Test_hook.activations <> Oracle.podem_activations v then
+      fail "activation count"
+  in
+  ignore (Podem.Test_hook.observe check ws ~max_frames ~max_backtracks fault);
+  !first
+
+let prop_kept_state_matches_scan =
+  QCheck.Test.make ~name:"kept PODEM state = rescan"
+    ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let c = random_netlist st in
+      let sim = Sim.compile c in
+      let ws = Podem.workspace sim in
+      List.for_all
+        (fun fault ->
+          match
+            kept_state_disagreement sim ws ~max_frames:3 ~max_backtracks:10
+              fault
+          with
+          | None -> true
+          | Some what ->
+            QCheck.Test.fail_reportf "seed %d %s: %s differs from the rescan"
+              seed (F.to_string fault) what)
+        (F.universe c))
+
 (* --- Detected tests against binary replay -------------------------------- *)
 
 (* The power-up state word of flip-flop [d] when lane [j] holds state
@@ -239,6 +286,7 @@ let () =
           Alcotest.test_case "toy datapath@4" `Quick test_podem_datapath;
           Alcotest.test_case "Detected holds from every power-up state" `Quick
             test_detected_every_state;
+          QCheck_alcotest.to_alcotest prop_kept_state_matches_scan;
         ] );
       ( "workspace",
         [

@@ -190,6 +190,38 @@ let test_cold_warm_identity () =
       shutdown c;
       Client.close c)
 
+(* A synthetic design far over the operation bound is refused before
+   it is generated — promptly, with the range check's error naming the
+   field — and the daemon keeps answering. *)
+let test_oversized_design_refused () =
+  with_daemon (fun ~pid:_ ~addr ~sock:_ ~dir:_ ->
+      let c = Result.get_ok (Client.connect addr) in
+      let req =
+        Json.Obj
+          [
+            ("op", Json.Str "atpg");
+            ( "spec",
+              Json.Obj
+                [
+                  ("bench", Json.Str "rnd-s1-n100000");
+                  ("approach", Json.Str "ours");
+                  ("bits", Json.Int 4);
+                ] );
+          ]
+      in
+      let t0 = Unix.gettimeofday () in
+      let reply = rpc_exn c req in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "refused" false (jbool "ok" reply);
+      let e = jstr "error" reply in
+      if not (String.starts_with ~prefix:"field \"ops\" is 100000" e) then
+        Alcotest.failf "error %S does not name the operation count" e;
+      if dt > 1.0 then Alcotest.failf "refusal took %.2f s" dt;
+      let pong = rpc_exn c (Json.Obj [ ("op", Json.Str "ping") ]) in
+      Alcotest.(check bool) "pong after refusal" true (jbool "ok" pong);
+      shutdown c;
+      Client.close c)
+
 let test_concurrent_clients () =
   with_daemon (fun ~pid:_ ~addr ~sock:_ ~dir:_ ->
       let clients =
@@ -550,6 +582,8 @@ let () =
           Alcotest.test_case "cold = warm" `Quick test_cold_warm_identity;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
+          Alcotest.test_case "oversized design refused" `Quick
+            test_oversized_design_refused;
         ] );
       ( "queue",
         [
