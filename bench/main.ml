@@ -12,8 +12,7 @@ module Experiments = Hlts_eval.Experiments
 
 let usage =
   "bench/main.exe [--table 1|2|3|extra] [-j N] [--figure 1|2|3] \
-   [--ablation params|balance] [--trace FILE] [--seed N] [--json FILE] \
-   [--json-bench NAMES] [--json-atpg FILE] [--json-serve FILE] [--all]"
+   [--ablation NAME] [--trace FILE] [--seed N] [--json-serve FILE] [--all]"
 
 let atpg_config seed = { Hlts_atpg.Atpg.default_config with Hlts_atpg.Atpg.seed }
 
@@ -48,7 +47,7 @@ let run_table ?jobs seed which =
               ~title:(Printf.sprintf "Extra (X1): %s benchmark at 8 bit" name)
               rows)
           (Experiments.extra_rows ~atpg ?jobs ()))
-  | other -> Printf.eprintf "unknown table %S\n" other
+  | other -> invalid_arg ("unknown table " ^ other)
 
 let run_figure which =
   (* same canonical parameters as the tables *)
@@ -66,7 +65,7 @@ let run_figure which =
     Printf.printf "Figure 3: the schedules for Dct and Diffeq\n";
     show Hlts_dfg.Benchmarks.dct;
     show Hlts_dfg.Benchmarks.diffeq
-  | other -> Printf.eprintf "unknown figure %S\n" other
+  | other -> invalid_arg ("unknown figure " ^ other)
 
 let run_ablation seed which =
   let atpg = atpg_config seed in
@@ -142,314 +141,7 @@ let run_ablation seed which =
               base.Eval.test_cycles tapped.Eval.test_cycles base.Eval.tg_effort
               tapped.Eval.tg_effort)
           (Experiments.test_points ~atpg ()))
-  | other -> Printf.eprintf "unknown ablation %S\n" other
-
-(* --- JSON perf trajectory (BENCH_synth.json) ------------------------ *)
-
-(* Machine-readable synthesis benchmark: for every paper benchmark at
-   4/8/16 bits, one [Synth.run] under a Summary sink, reporting wall
-   time, iteration count, the hlts_obs counters (so the numbers are
-   self-consistent with [hlts profile]) and the final E/H. The
-   [records_digest] is an MD5 over the full iteration record sequence
-   (description, dE, dH, cost, seq-depth — floats rendered as hex so
-   the digest is bit-exact); two runs produce the same digest iff the
-   merge trajectories are identical. Everything except [wall_s] is
-   deterministic. *)
-
-module Synth = Hlts_synth.Synth
-module State = Hlts_synth.State
-
-let json_benchmarks = [ "ex"; "dct"; "diffeq"; "ewf"; "paulin"; "tseng" ]
-
-let json_widths = [ 4; 8; 16 ]
-
-(* Synthetic workloads (seeded, ~3x and ~5x EWF) for measuring the
-   parallel candidate evaluation: the paper benchmarks top out around
-   half a second, too short for wall-clock speedup to mean much. Run at
-   one width, once per jobs setting; the digests must agree across
-   jobs. Wall times and the speedup are machine facts, not asserted —
-   on a single-core host the pooled run is strictly slower (DESIGN.md
-   §6.3); everything else in the entry is deterministic. *)
-let json_synthetics =
-  [
-    ("rnd-a", Hlts_dfg.Benchmarks.random ~seed:11 ~ops:100);
-    ("rnd-b", Hlts_dfg.Benchmarks.random ~seed:23 ~ops:170);
-  ]
-
-let synthetic_bits = 8
-
-let synthetic_jobs = [ 1; 4 ]
-
-(* Host metadata stamped into both BENCH documents: the wall-clock
-   fields are only meaningful relative to the machine and toolchain
-   that produced them. Everything deterministic is elsewhere. *)
-let nproc =
-  lazy
-    (try
-       let ic = Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" in
-       let n = try int_of_string (String.trim (input_line ic)) with _ -> 0 in
-       ignore (Unix.close_process_in ic);
-       max n 1
-     with _ -> 1)
-
-let host_json ~jobs =
-  Hlts_obs.Json.(
-    Obj
-      ([
-         ("nproc", Int (Lazy.force nproc));
-         ("ocaml", Str Sys.ocaml_version);
-         ("os_type", Str Sys.os_type);
-         ("word_size", Int Sys.word_size);
-       ]
-      @
-      match jobs with
-      | [] -> []
-      | js -> [ ("jobs", List (Stdlib.List.map (fun j -> Int j) js)) ]))
-
-(* Resource usage of the benchmark process, stamped next to [host] when
-   the document is written (so it covers the whole run). Informational
-   and host-dependent, like the wall times: every drift gate keys on an
-   explicit field list, so nothing here is ever asserted. *)
-let res_json () =
-  let s = Hlts_obs.Res.snapshot () in
-  Hlts_obs.Json.(
-    Obj
-      [
-        ("max_rss_kb", Int s.Hlts_obs.Res.max_rss_kb);
-        ("utime_s", Float s.Hlts_obs.Res.utime_s);
-        ("stime_s", Float s.Hlts_obs.Res.stime_s);
-        ("gc_minor_words", Float s.Hlts_obs.Res.minor_words);
-        ("gc_major_words", Float s.Hlts_obs.Res.major_words);
-        ("gc_minor_collections", Int s.Hlts_obs.Res.minor_collections);
-        ("gc_major_collections", Int s.Hlts_obs.Res.major_collections);
-      ])
-
-let records_digest records =
-  let line r =
-    Printf.sprintf "%d|%s|%d|%h|%h|%h" r.Synth.iteration r.Synth.description
-      r.Synth.delta_e r.Synth.delta_h r.Synth.cost r.Synth.seq_depth
-  in
-  Digest.to_hex (Digest.string (String.concat "\n" (List.map line records)))
-
-(* What a wall time measures: the serial path at [-j 1]; at [-j N] a
-   speedup only when the host has N cores, otherwise the pool's
-   overhead on too few cores. *)
-let wall_kind ~jobs =
-  if jobs <= 1 then "serial"
-  else if Lazy.force nproc < jobs then "overhead"
-  else "parallel"
-
-let json_entry ?(jobs = 1) name dfg bits =
-  let summary = Hlts_obs.Summary.create () in
-  let params = { Synth.default_params with Synth.bits } in
-  let t0 = Hlts_obs.Clock.now_ns () in
-  let r =
-    Hlts_obs.with_sink (Hlts_obs.Summary.sink summary) (fun () ->
-        Synth.run ~params ~jobs dfg)
-  in
-  let wall_s = Hlts_obs.Clock.seconds_since t0 in
-  let counter = Hlts_obs.Summary.counter summary in
-  let digest = records_digest r.Synth.records in
-  let open Hlts_obs.Json in
-  ( Obj
-      [
-        ("name", Str name);
-        ("bits", Int bits);
-        ("jobs", Int jobs);
-        ("wall_s", Float wall_s);
-        ("wall_kind", Str (wall_kind ~jobs));
-        ("iterations", Int r.Synth.iterations);
-        ("merge_attempts", Int (counter "synth.merge_attempts"));
-        ("reschedule_attempts", Int (counter "sched.reschedule_attempts"));
-        ("testability_analyses", Int (counter "testability.analyses"));
-        ("scans_widened", Int (counter "synth.scans_widened"));
-        ("commits", Int (counter "synth.commits"));
-        ("final_e", Int (State.execution_time r.Synth.final));
-        ("final_h", Float (State.area r.Synth.final ~bits));
-        ( "schedule_length",
-          Int (Hlts_sched.Schedule.length r.Synth.final.State.schedule) );
-        ("records_digest", Str digest);
-      ],
-    digest,
-    wall_s )
-
-(* The names of [only] that a JSON mode can run, in [valid] order; the
-   whole set when [only] is empty. A name the mode cannot run is a
-   usage error: it is reported with the valid names and the harness
-   exits 1 rather than writing a BENCH file without it. *)
-let select_names ~mode ~valid only =
-  match List.filter (fun n -> not (List.mem n valid)) only with
-  | [] -> if only = [] then valid else List.filter (fun n -> List.mem n only) valid
-  | unknown ->
-    Printf.eprintf "error: %s cannot run %s (available: %s)\n" mode
-      (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
-      (String.concat ", " valid);
-    exit 1
-
-let run_json ~only file =
-  let selected =
-    select_names ~mode:"--json"
-      ~valid:(json_benchmarks @ List.map fst json_synthetics)
-      only
-  in
-  let selected_syn =
-    List.filter (fun (n, _) -> List.mem n selected) json_synthetics
-  in
-  let paper_entries =
-    List.concat_map
-      (fun name ->
-        let dfg = List.assoc name Hlts_dfg.Benchmarks.all in
-        List.map
-          (fun bits ->
-            Printf.printf "json: %s @ %d bit...%!" name bits;
-            let e, _, _ = json_entry name dfg bits in
-            Printf.printf " done\n%!";
-            e)
-          json_widths)
-      (List.filter (fun n -> List.mem n json_benchmarks) selected)
-  in
-  (* One entry per (synthetic, jobs); the merge trajectory must not
-     depend on the worker count, so a digest disagreement aborts the
-     benchmark rather than committing an invalid file. *)
-  let synthetic_entries =
-    let serial_digest = Hashtbl.create 4 and serial_wall = Hashtbl.create 4 in
-    List.concat_map
-      (fun jobs ->
-        List.map
-          (fun (name, dfg) ->
-            Printf.printf "json: %s @ %d bit -j %d...%!" name synthetic_bits
-              jobs;
-            let e, digest, wall = json_entry ~jobs name dfg synthetic_bits in
-            Printf.printf " done [%.1fs]\n%!" wall;
-            (match Hashtbl.find_opt serial_digest name with
-            | None ->
-              Hashtbl.add serial_digest name digest;
-              Hashtbl.add serial_wall name wall
-            | Some d0 ->
-              if digest <> d0 then
-                failwith
-                  (Printf.sprintf "%s: -j %d digest %s differs from -j 1 digest %s"
-                     name jobs digest d0);
-              Printf.printf "json: %s speedup at -j %d (%s): %.2fx\n%!" name
-                jobs (wall_kind ~jobs)
-                (Hashtbl.find serial_wall name /. wall));
-            e)
-          selected_syn)
-      synthetic_jobs
-  in
-  let entries = paper_entries @ synthetic_entries in
-  let doc =
-    Hlts_obs.Json.(
-      Obj
-        [
-          ("schema", Str "hlts-bench-synth/6");
-          ("host", host_json ~jobs:synthetic_jobs);
-          ("res", res_json ());
-          ("benchmarks", List entries);
-        ])
-  in
-  let oc = open_out file in
-  output_string oc (Hlts_obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d entries)\n%!" file (List.length entries)
-
-(* --- JSON ATPG perf trajectory (BENCH_atpg.json) -------------------- *)
-
-(* Machine-readable fault-simulation benchmark: for every paper
-   benchmark at the selected bit widths (--json-atpg-widths, default
-   4/8/16), synthesize with "Ours" (the canonical 8-bit structure, as
-   in the tables), expand at [bits] and run the full ATPG pipeline.
-   Everything except the wall-time and throughput fields is
-   deterministic; [detect_digest] pins the exact detection events, so a
-   drift in fault grading or PODEM shows up even when the coverage
-   happens to stay the same. *)
-
-module Atpg = Hlts_atpg.Atpg
-
-let atpg_json_entry seed name dfg bits =
-  let params = { Synth.default_params with Synth.bits = 8 } in
-  let o = Eval.outcome ~params Flows.Ours dfg ~bits:8 in
-  let circuit = Hlts_netlist.Expand.circuit o.Flows.etpn ~bits in
-  let config = atpg_config seed in
-  let summary = Hlts_obs.Summary.create () in
-  let t0 = Hlts_obs.Clock.now_ns () in
-  let r =
-    Hlts_obs.with_sink (Hlts_obs.Summary.sink summary) (fun () ->
-        Atpg.run ~config circuit)
-  in
-  let wall_s = Hlts_obs.Clock.seconds_since t0 in
-  let per_s faults seconds =
-    if seconds > 0.0 then float_of_int faults /. seconds else 0.0
-  in
-  let sample_mean key =
-    match List.assoc_opt key (Hlts_obs.Summary.samples summary) with
-    | Some s when s.Hlts_obs.Summary.n > 0 ->
-      s.Hlts_obs.Summary.sum /. float_of_int s.Hlts_obs.Summary.n
-    | Some _ | None -> 0.0
-  in
-  let open Hlts_obs.Json in
-  Obj
-    [
-      ("name", Str name);
-      ("bits", Int bits);
-      ("wall_s", Float wall_s);
-      ("random_s", Float r.Atpg.random_seconds);
-      ("det_s", Float r.Atpg.det_seconds);
-      ("gates", Int r.Atpg.gate_count);
-      ("dffs", Int r.Atpg.dff_count);
-      ("total_faults", Int r.Atpg.total_faults);
-      ("detected_random", Int r.Atpg.detected_random);
-      ("detected_det", Int r.Atpg.detected_det);
-      ("undetected", Int r.Atpg.undetected);
-      ("coverage", Float r.Atpg.coverage);
-      ("test_cycles", Int r.Atpg.test_cycles);
-      ("effort", Int r.Atpg.effort);
-      ("evals", Int r.Atpg.evals);
-      ("detect_digest", Str r.Atpg.detect_digest);
-      ( "random_faults_per_s",
-        Float (per_s r.Atpg.total_faults r.Atpg.random_seconds) );
-      ( "det_faults_per_s",
-        Float
-          (per_s
-             (r.Atpg.total_faults - r.Atpg.detected_random)
-             r.Atpg.det_seconds) );
-      ( "words_simulated",
-        Int (Hlts_obs.Summary.counter summary "sim.words_simulated") );
-      ("mean_faults_per_word", Float (sample_mean "sim.faults_per_word"));
-      ("mean_cone_gates", Float (sample_mean "sim.cone_gates"));
-    ]
-
-let run_json_atpg ~only ~widths seed file =
-  let selected = select_names ~mode:"--json-atpg" ~valid:json_benchmarks only in
-  let entries =
-    List.concat_map
-      (fun name ->
-        let dfg = List.assoc name Hlts_dfg.Benchmarks.all in
-        List.map
-          (fun bits ->
-            Printf.printf "json-atpg: %s @ %d bit...%!" name bits;
-            let e = atpg_json_entry seed name dfg bits in
-            Printf.printf " done\n%!";
-            e)
-          widths)
-      selected
-  in
-  let doc =
-    Hlts_obs.Json.(
-      Obj
-        [
-          ("schema", Str "hlts-bench-atpg/5");
-          ("host", host_json ~jobs:[]);
-          ("res", res_json ());
-          ("benchmarks", List entries);
-        ])
-  in
-  let oc = open_out file in
-  output_string oc (Hlts_obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d entries)\n%!" file (List.length entries)
+  | other -> invalid_arg ("unknown ablation " ^ other)
 
 (* --- JSON serve-cache benchmark (BENCH_serve.json) ------------------ *)
 
@@ -465,8 +157,48 @@ let run_json_atpg ~only ~widths seed file =
    machine facts recorded for the drift gate (which asserts the >= 5x
    floor in CI). *)
 
+module Synth = Hlts_synth.Synth
 module Engine = Hlts_eval.Engine
 module Cache = Hlts_eval.Cache
+
+(* Host metadata stamped into the BENCH document: the wall-clock fields
+   are only meaningful relative to the machine and toolchain that
+   produced them. *)
+let host_json () =
+  let nproc =
+    try
+      let ic = Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" in
+      let n = try int_of_string (String.trim (input_line ic)) with _ -> 0 in
+      ignore (Unix.close_process_in ic);
+      max n 1
+    with _ -> 1
+  in
+  Hlts_obs.Json.(
+    Obj
+      [
+        ("nproc", Int nproc);
+        ("ocaml", Str Sys.ocaml_version);
+        ("os_type", Str Sys.os_type);
+        ("word_size", Int Sys.word_size);
+      ])
+
+(* Resource usage of the benchmark process, stamped next to [host] when
+   the document is written (so it covers the whole run). Informational
+   and host-dependent, like the wall times: the drift gate keys on an
+   explicit field list, so nothing here is ever asserted. *)
+let res_json () =
+  let s = Hlts_obs.Res.snapshot () in
+  Hlts_obs.Json.(
+    Obj
+      [
+        ("max_rss_kb", Int s.Hlts_obs.Res.max_rss_kb);
+        ("utime_s", Float s.Hlts_obs.Res.utime_s);
+        ("stime_s", Float s.Hlts_obs.Res.stime_s);
+        ("gc_minor_words", Float s.Hlts_obs.Res.minor_words);
+        ("gc_major_words", Float s.Hlts_obs.Res.major_words);
+        ("gc_minor_collections", Int s.Hlts_obs.Res.minor_collections);
+        ("gc_major_collections", Int s.Hlts_obs.Res.major_collections);
+      ])
 
 let serve_sweeps seed =
   let atpg = atpg_config seed in
@@ -604,7 +336,7 @@ let run_json_serve seed file =
       Obj
         [
           ("schema", Str "hlts-bench-serve/2");
-          ("host", host_json ~jobs:[]);
+          ("host", host_json ());
           ("res", res_json ());
           ("seed", Int seed);
           ("wall_cold_s", Float cold_s);
@@ -628,11 +360,15 @@ let run_json_serve seed file =
   close_out oc;
   Printf.printf "wrote %s (%d sweeps)\n%!" file (List.length entries)
 
+let tables = [ "1"; "2"; "3"; "extra" ]
+
+let figures = [ "1"; "2"; "3" ]
+
+let ablations = [ "params"; "balance"; "latency"; "testpoints"; "scan"; "bist" ]
+
 let () =
   let seed = ref 1 in
   let jobs = ref None in
-  let json_only = ref [] in
-  let atpg_widths = ref json_widths in
   let trace = ref None in
   let actions : (unit -> unit) list ref = ref [] in
   let add f = actions := f :: !actions in
@@ -648,46 +384,28 @@ let () =
     run_ablation seed "scan";
     run_ablation seed "bist"
   in
+  (* Arg.Symbol refuses a name outside its list and prints the valid
+     ones, so a mistyped invocation exits 1 before anything runs. *)
   let spec =
     [
       ( "--table",
-        Arg.String
-          (fun s ->
-            add (fun () -> run_table ?jobs:!jobs !seed s)),
-        "TABLE  regenerate one table (1|2|3|extra)" );
+        Arg.Symbol
+          (tables, fun s -> add (fun () -> run_table ?jobs:!jobs !seed s)),
+        "  regenerate one table" );
       ( "-j",
         Arg.Int (fun n -> jobs := Some n),
         "N      run N pool workers for the table ATPG cells (also: HLTS_JOBS)" );
       ( "--figure",
-        Arg.String (fun s -> add (fun () -> run_figure s)),
-        "FIG    regenerate one figure (1|2|3)" );
+        Arg.Symbol (figures, fun s -> add (fun () -> run_figure s)),
+        "  regenerate one figure" );
       ( "--ablation",
-        Arg.String (fun s -> add (fun () -> run_ablation !seed s)),
-        "ABL    run one ablation (params|balance|latency|testpoints|scan|bist)" );
+        Arg.Symbol (ablations, fun s -> add (fun () -> run_ablation !seed s)),
+        "  run one ablation" );
       ("--seed", Arg.Set_int seed, "N      ATPG random seed (default 1)");
-      ( "--json",
-        Arg.String (fun f -> add (fun () -> run_json ~only:!json_only f)),
-        "FILE   write the synthesis perf trajectory (BENCH_synth.json)" );
-      ( "--json-bench",
-        Arg.String
-          (fun s -> json_only := String.split_on_char ',' s),
-        "NAMES  restrict --json to a comma-separated benchmark subset" );
-      ( "--json-atpg",
-        Arg.String
-          (fun f ->
-            add (fun () ->
-                run_json_atpg ~only:!json_only ~widths:!atpg_widths !seed f)),
-        "FILE   write the fault-simulation perf trajectory (BENCH_atpg.json)" );
       ( "--json-serve",
         Arg.String (fun f -> add (fun () -> run_json_serve !seed f)),
         "FILE   write the cold-vs-warm serve-cache benchmark \
          (BENCH_serve.json); asserts byte-identical digests" );
-      ( "--json-atpg-widths",
-        Arg.String
-          (fun s ->
-            atpg_widths :=
-              List.map int_of_string (String.split_on_char ',' s)),
-        "W,..   bit widths for --json-atpg (default 4,8,16)" );
       ( "--trace",
         Arg.String (fun f -> trace := Some f),
         "FILE   write a Chrome trace_event file of the run" );
@@ -696,7 +414,18 @@ let () =
         "       run everything (the default)" );
     ]
   in
-  Arg.parse spec (fun s -> Printf.eprintf "unexpected argument %S\n" s) usage;
+  (match
+     Arg.parse_argv Sys.argv spec
+       (fun s -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" s)))
+       usage
+   with
+  | () -> ()
+  | exception Arg.Bad msg ->
+    prerr_string msg;
+    exit 1
+  | exception Arg.Help msg ->
+    print_string msg;
+    exit 0);
   let run () =
     match List.rev !actions with
     | [] -> all !seed

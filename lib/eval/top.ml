@@ -59,26 +59,29 @@ let read_lines file =
     in
     Ok (lines [] 0)
 
-(* Every complete snapshot currently in [file]; a torn tail and any
-   line that fails to parse are counted as skipped, never fatal. *)
-let read_file file =
+(* Every line of [file] that [parse] accepts, in file order, plus the
+   skipped count: a torn tail and any line that fails to parse are
+   counted as skipped, never fatal. *)
+let read_parsed parse file =
   Result.map
     (fun (lines, torn) ->
       let skipped = ref torn in
-      let hbs =
+      let parsed =
         List.filter_map
           (fun line ->
             if String.trim line = "" then None
             else
-              match parse_line line with
-              | Ok hb -> Some hb
+              match parse line with
+              | Ok x -> Some x
               | Error _ ->
                 incr skipped;
                 None)
           lines
       in
-      (hbs, !skipped))
+      (parsed, !skipped))
     (read_lines file)
+
+let read_file = read_parsed parse_line
 
 (* ---- rendering --------------------------------------------------------- *)
 
@@ -199,11 +202,56 @@ let once ~file =
     let prev = if cur.hb_seq > first.hb_seq then Some first else None in
     Ok (render ?prev ~file ~skipped cur)
 
+(* The loop both live modes share: every [interval_ms], [step ()]
+   re-reads the file and returns the panel to draw and whether it is
+   final, or [None] while the file holds nothing to show yet. *)
+let poll ~frames ~interval_ms ~file ~what write step =
+  let sleep () = Unix.sleepf (float_of_int (max 1 interval_ms) /. 1000.0) in
+  let max_empty_polls = 1 + (60_000 / max 1 interval_ms) in
+  let rec loop ~rendered ~empty =
+    match step () with
+    | Error e -> Error e
+    | Ok None ->
+      if empty >= max_empty_polls then
+        Error (Printf.sprintf "%s: no %s appeared" file what)
+      else begin
+        sleep ();
+        loop ~rendered ~empty:(empty + 1)
+      end
+    | Ok (Some (panel, final)) ->
+      write ("\027[2J\027[H" ^ panel);
+      let rendered = rendered + 1 in
+      if final || (frames > 0 && rendered >= frames) then Ok ()
+      else begin
+        sleep ();
+        loop ~rendered ~empty:0
+      end
+  in
+  loop ~rendered:0 ~empty:0
+
 (* Live mode: re-read [file] every [interval_ms], clear the terminal
-   and redraw. Stops after rendering a final snapshot, or after
-   [frames] frames when [frames > 0]. An existing-but-still-empty file
-   is polled (the producer opens it before the first event), with a
-   bound so a crashed producer cannot hang us forever. *)
+   and redraw, each frame's rates based on the previous frame. Stops
+   after rendering a final snapshot, or after [frames] frames when
+   [frames > 0]. An existing-but-still-empty file is polled (the
+   producer opens it before the first event), with a bound so a crashed
+   producer cannot hang us forever. *)
+let follow ?(frames = 0) ?(interval_ms = 250) ~file write =
+  let prev = ref None in
+  poll ~frames ~interval_ms ~file ~what:"heartbeat snapshot" write (fun () ->
+      Result.map
+        (function
+          | [], _ -> None
+          | (first :: _ as hbs), skipped ->
+            let cur = Option.get (last hbs) in
+            let base =
+              match !prev with
+              | Some p when p.hb_seq < cur.hb_seq -> Some p
+              | _ -> if cur.hb_seq > first.hb_seq then Some first else None
+            in
+            prev := Some cur;
+            Some (render ?prev:base ~file ~skipped cur, cur.hb_final))
+        (read_file file))
+
 (* ---- serve mode: access-log dashboard ----------------------------------- *)
 
 (* One request record from a [serve --access-log] file. *)
@@ -264,31 +312,22 @@ let parse_access_line line =
            ac_total_s;
          })
 
-(* Same tolerance contract as [read_file]: torn trailing fragment and
-   unparseable lines are skipped, never fatal. Returns the request
-   records in file order, whether a final lifecycle line was seen, and
-   the skipped count. *)
+(* The request records in file order, whether a final lifecycle line
+   was seen, and the skipped count. *)
 let read_access_file file =
   Result.map
-    (fun (lines, torn) ->
-      let skipped = ref torn and final = ref false in
+    (fun (lines, skipped) ->
       let accs =
         List.filter_map
-          (fun line ->
-            if String.trim line = "" then None
-            else
-              match parse_access_line line with
-              | Ok (Request a) -> Some a
-              | Ok (Lifecycle l) ->
-                if l.lc_final then final := true;
-                None
-              | Error _ ->
-                incr skipped;
-                None)
+          (function Request a -> Some a | Lifecycle _ -> None)
+          lines
+      and final =
+        List.exists
+          (function Lifecycle l -> l.lc_final | Request _ -> false)
           lines
       in
-      (accs, !final, !skipped))
-    (read_lines file)
+      (accs, final, skipped))
+    (read_parsed parse_access_line file)
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -392,55 +431,10 @@ let once_serve ~file =
   | Ok (accs, final, skipped) -> Ok (render_serve ~file ~skipped ~final accs)
 
 let follow_serve ?(frames = 0) ?(interval_ms = 250) ~file write =
-  let sleep () = Unix.sleepf (float_of_int (max 1 interval_ms) /. 1000.0) in
-  let max_empty_polls = 1 + (60_000 / max 1 interval_ms) in
-  let rec loop ~rendered ~empty =
-    match read_access_file file with
-    | Error e -> Error e
-    | Ok ([], false, _) ->
-      if empty >= max_empty_polls then
-        Error (file ^ ": no access-log record appeared")
-      else begin
-        sleep ();
-        loop ~rendered ~empty:(empty + 1)
-      end
-    | Ok (accs, final, skipped) ->
-      write ("\027[2J\027[H" ^ render_serve ~file ~skipped ~final accs);
-      let rendered = rendered + 1 in
-      if final || (frames > 0 && rendered >= frames) then Ok ()
-      else begin
-        sleep ();
-        loop ~rendered ~empty:0
-      end
-  in
-  loop ~rendered:0 ~empty:0
-
-let follow ?(frames = 0) ?(interval_ms = 250) ~file write =
-  let sleep () = Unix.sleepf (float_of_int (max 1 interval_ms) /. 1000.0) in
-  let max_empty_polls = 1 + (60_000 / max 1 interval_ms) in
-  let rec loop ~rendered ~empty prev =
-    match read_file file with
-    | Error e -> Error e
-    | Ok ([], _) ->
-      if empty >= max_empty_polls then
-        Error (file ^ ": no heartbeat snapshot appeared")
-      else begin
-        sleep ();
-        loop ~rendered ~empty:(empty + 1) prev
-      end
-    | Ok ((first :: _ as hbs), skipped) ->
-      let cur = Option.get (last hbs) in
-      let base =
-        match prev with
-        | Some p when p.hb_seq < cur.hb_seq -> Some p
-        | _ -> if cur.hb_seq > first.hb_seq then Some first else None
-      in
-      write ("\027[2J\027[H" ^ render ?prev:base ~file ~skipped cur);
-      let rendered = rendered + 1 in
-      if cur.hb_final || (frames > 0 && rendered >= frames) then Ok ()
-      else begin
-        sleep ();
-        loop ~rendered ~empty:0 (Some cur)
-      end
-  in
-  loop ~rendered:0 ~empty:0 None
+  poll ~frames ~interval_ms ~file ~what:"access-log record" write (fun () ->
+      Result.map
+        (function
+          | [], false, _ -> None
+          | accs, final, skipped ->
+            Some (render_serve ~file ~skipped ~final accs, final))
+        (read_access_file file))

@@ -296,45 +296,66 @@ let test_bist_longer_session_helps () =
 
 (* --- golden table cells --------------------------------------------------- *)
 
-(* The 24 cells of Tables 1-3 at 4 and 8 bit as the tables build them:
-   [Synth.default_params] at 8-bit structure, expanded at the cell's
-   width, ATPG seed 1. One line per cell with its deterministic ATPG
-   outputs. *)
+(* The 24 cells of Tables 1-3 at 4 and 8 bit as the tables build them,
+   then Ours at 16 bit on the three table designs and at 4/8/16 bit on
+   ewf, paulin and tseng: [Synth.default_params] at 8-bit structure,
+   expanded at the cell's width, ATPG seed 1. One line per cell with its
+   deterministic ATPG outputs, the fault-simulation counters of a
+   Summary sink last. *)
 let table_cell_lines () =
   let params = { Hlts_synth.Synth.default_params with Hlts_synth.Synth.bits = 8 } in
   let config = { Atpg.default_config with Atpg.seed = 1 } in
-  List.concat_map
-    (fun (name, dfg) ->
-      List.concat_map
-        (fun approach ->
-          let o = Hlts_synth.Flows.synthesize ~params approach dfg in
-          List.map
-            (fun bits ->
-              let c = Hlts_netlist.Expand.circuit o.Hlts_synth.Flows.etpn ~bits in
-              let r = Atpg.run ~config c in
-              Printf.sprintf
-                "%s %s %d total_faults=%d detected_random=%d detected_det=%d \
-                 undetected=%d test_cycles=%d effort=%d evals=%d \
-                 detect_digest=%s"
-                name
-                (Hlts_synth.Flows.approach_name approach)
-                bits r.Atpg.total_faults r.Atpg.detected_random
-                r.Atpg.detected_det r.Atpg.undetected r.Atpg.test_cycles
-                r.Atpg.effort r.Atpg.evals r.Atpg.detect_digest)
-            [ 4; 8 ])
-        Hlts_eval.Experiments.approaches)
-    Hlts_dfg.Benchmarks.[ ("ex", ex); ("dct", dct); ("diffeq", diffeq) ]
-
-(* Pinned at the commit before the PODEM sweeps kept their own state: no
-   change to the engine may move any of these outputs. *)
-let test_table_cells_golden () =
-  let golden =
-    In_channel.with_open_text "golden/atpg_table_cells.txt" In_channel.input_all
+  let line name approach o bits =
+    let c = Hlts_netlist.Expand.circuit o.Hlts_synth.Flows.etpn ~bits in
+    let summary = Hlts_obs.Summary.create () in
+    let r =
+      Hlts_obs.with_sink (Hlts_obs.Summary.sink summary) (fun () ->
+          Atpg.run ~config c)
+    in
+    let sample_mean key =
+      match List.assoc_opt key (Hlts_obs.Summary.samples summary) with
+      | Some s when s.Hlts_obs.Summary.n > 0 ->
+        s.Hlts_obs.Summary.sum /. float_of_int s.Hlts_obs.Summary.n
+      | Some _ | None -> 0.0
+    in
+    Printf.sprintf
+      "%s %s %d total_faults=%d detected_random=%d detected_det=%d \
+       undetected=%d test_cycles=%d effort=%d evals=%d detect_digest=%s \
+       coverage=%h words_simulated=%d mean_faults_per_word=%h \
+       mean_cone_gates=%h"
+      name
+      (Hlts_synth.Flows.approach_name approach)
+      bits r.Atpg.total_faults r.Atpg.detected_random r.Atpg.detected_det
+      r.Atpg.undetected r.Atpg.test_cycles r.Atpg.effort r.Atpg.evals
+      r.Atpg.detect_digest r.Atpg.coverage
+      (Hlts_obs.Summary.counter summary "sim.words_simulated")
+      (sample_mean "sim.faults_per_word")
+      (sample_mean "sim.cone_gates")
   in
-  Alcotest.(check (list string))
-    "every table cell's ATPG outputs"
-    (String.split_on_char '\n' (String.trim golden))
-    (table_cell_lines ())
+  let cells widths approaches designs =
+    List.concat_map
+      (fun (name, dfg) ->
+        List.concat_map
+          (fun approach ->
+            let o = Hlts_synth.Flows.synthesize ~params approach dfg in
+            List.map (line name approach o) widths)
+          approaches)
+      designs
+  in
+  let tables =
+    Hlts_dfg.Benchmarks.[ ("ex", ex); ("dct", dct); ("diffeq", diffeq) ]
+  and extras =
+    Hlts_dfg.Benchmarks.[ ("ewf", ewf); ("paulin", paulin); ("tseng", tseng) ]
+  and ours = [ Hlts_synth.Flows.Ours ] in
+  cells [ 4; 8 ] Hlts_eval.Experiments.approaches tables
+  @ cells [ 16 ] ours tables
+  @ cells [ 4; 8; 16 ] ours extras
+
+(* The first 24 lines' fields up to [detect_digest] were pinned at the
+   commit before the PODEM sweeps kept their own state: no change to
+   the engine may move any of these outputs. *)
+let test_table_cells_golden () =
+  Golden.check "atpg_table_cells.txt" (table_cell_lines ())
 
 let () =
   Alcotest.run "hlts_atpg"

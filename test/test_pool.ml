@@ -516,16 +516,6 @@ let test_worker_resources_passive_spawned () =
 
 (* --- parallel synthesis determinism ------------------------------------- *)
 
-(* Same digest as test_synth's golden-trajectory check: %h renders the
-   floats bit-exactly, so any divergence in merge order, cost arithmetic
-   or tie-breaking between the serial and pooled paths shows up. *)
-let records_digest records =
-  let line r =
-    Printf.sprintf "%d|%s|%d|%h|%h|%h" r.Synth.iteration r.Synth.description
-      r.Synth.delta_e r.Synth.delta_h r.Synth.cost r.Synth.seq_depth
-  in
-  Digest.to_hex (Digest.string (String.concat "\n" (List.map line records)))
-
 let tseng_golden = "e7d29eb3d02b6a2b3332583109dbb378"
 
 (* Property: on 200 seeded random DFGs, [~jobs:4] reproduces the serial
@@ -542,8 +532,8 @@ let test_parallel_matches_serial_random () =
     let r4 = Synth.run ~jobs:4 dfg in
     Alcotest.(check string)
       (ctx ^ ": records digest")
-      (records_digest r1.Synth.records)
-      (records_digest r4.Synth.records);
+      (Golden.records_digest r1.Synth.records)
+      (Golden.records_digest r4.Synth.records);
     Alcotest.(check int) (ctx ^ ": iterations") r1.Synth.iterations r4.Synth.iterations;
     Alcotest.(check int)
       (ctx ^ ": final E")
@@ -557,7 +547,7 @@ let test_parallel_matches_golden () =
   let r = Synth.run ~jobs:4 B.tseng in
   Alcotest.(check string)
     "tseng -j 4 hits the serial golden digest" tseng_golden
-    (records_digest r.Synth.records)
+    (Golden.records_digest r.Synth.records)
 
 (* The same golden with 4 lanes multiplexed onto 2 spawned domains. *)
 let test_spawned_golden () =
@@ -565,7 +555,7 @@ let test_spawned_golden () =
       let r = Synth.run ~jobs:4 B.tseng in
       Alcotest.(check string)
         "tseng digest, 4 lanes on 2 spawned domains" tseng_golden
-        (records_digest r.Synth.records))
+        (Golden.records_digest r.Synth.records))
 
 (* The random-DFG property again with 4 lanes multiplexed onto 2 spawned
    domains, so the shared-memory path is exercised even where the
@@ -575,7 +565,8 @@ let test_spawned_matches_serial_random () =
     List.init 200 (fun i ->
         let seed = i + 1 in
         let dfg = B.random ~seed ~ops:(4 + (seed mod 17)) in
-        (seed, dfg, records_digest (Synth.run ~jobs:1 dfg).Synth.records))
+        let r = Synth.run ~jobs:1 dfg in
+        (seed, dfg, Golden.records_digest r.Synth.records))
   in
   with_domains 2 (fun () ->
       List.iter
@@ -583,7 +574,7 @@ let test_spawned_matches_serial_random () =
           Alcotest.(check string)
             (Printf.sprintf "seed %d: domains digest" seed)
             d1
-            (records_digest (Synth.run ~jobs:4 dfg).Synth.records))
+            (Golden.records_digest (Synth.run ~jobs:4 dfg).Synth.records))
         reference)
 
 (* --- execution tiers ------------------------------------------------------ *)
@@ -625,7 +616,7 @@ let test_forced_inline () =
       let r = Synth.run ~jobs:4 B.tseng in
       Alcotest.(check string)
         "tseng digest, 4 inline lanes" tseng_golden
-        (records_digest r.Synth.records))
+        (Golden.records_digest r.Synth.records))
 
 (* Pools never nest: a worker asking for a pool of its own is refused,
    and the refusal reaches the parent as the task's failure. *)

@@ -290,53 +290,55 @@ let test_deterministic () =
     (Schedule.bindings r1.Synth.final.State.schedule
     = Schedule.bindings r2.Synth.final.State.schedule)
 
-(* Golden merge trajectories at 8 bits, recorded with the pre-index,
-   pre-cache implementation (fresh-DFS reachability, no memoized
-   state views). The reachability index, the state caches and the
-   candidate/lifetime rewrites must preserve the committed merge
-   sequence bit for bit — %h prints exact float images, so any change
-   in summation order or tie-breaking shows up here. The three
-   [Benchmarks.random] graphs are the ones the synth-scale benchmark
-   times. *)
-let records_digest records =
-  let line r =
-    Printf.sprintf "%d|%s|%d|%h|%h|%h" r.Synth.iteration r.Synth.description
-      r.Synth.delta_e r.Synth.delta_h r.Synth.cost r.Synth.seq_depth
+(* Golden merge trajectories, one line per (name, bits, jobs): the
+   iteration count, final E and H (%h prints exact float images), the
+   records digest and the attempt-path counters of a Summary sink. The
+   paper designs run at 4/8/16 bit; rnd-a runs at -j 1 and -j 4, whose
+   lines must agree apart from the jobs column (worker tallies replay
+   into the parent); the three rnd-s graphs are the ones the synth-scale
+   benchmark times. The tseng, paulin and rnd-s digests were recorded
+   with the pre-index, pre-cache implementation (fresh-DFS reachability,
+   no memoized state views). Any change in summation order,
+   tie-breaking or the work an attempt does shows up here. *)
+let trajectory_line (name, dfg, bits, jobs) =
+  let summary = Hlts_obs.Summary.create () in
+  let params = { Synth.default_params with Synth.bits } in
+  let r =
+    Hlts_obs.with_sink (Hlts_obs.Summary.sink summary) (fun () ->
+        Synth.run ~params ~jobs dfg)
   in
-  Digest.to_hex (Digest.string (String.concat "\n" (List.map line records)))
+  let counter = Hlts_obs.Summary.counter summary in
+  Printf.sprintf
+    "%s %d %d iterations=%d final_e=%d final_h=%h records_digest=%s \
+     merge_attempts=%d reschedule_attempts=%d testability_analyses=%d \
+     scans_widened=%d commits=%d"
+    name bits jobs r.Synth.iterations
+    (State.execution_time r.Synth.final)
+    (State.area r.Synth.final ~bits)
+    (Golden.records_digest r.Synth.records)
+    (counter "synth.merge_attempts")
+    (counter "sched.reschedule_attempts")
+    (counter "testability.analyses")
+    (counter "synth.scans_widened")
+    (counter "synth.commits")
+
+let trajectory_runs =
+  List.concat_map
+    (fun name ->
+      let dfg = List.assoc name B.all in
+      List.map (fun bits -> (name, dfg, bits, 1)) [ 4; 8; 16 ])
+    [ "ex"; "dct"; "diffeq"; "ewf"; "paulin"; "tseng" ]
+  @ List.map
+      (fun jobs -> ("rnd-a", B.random ~seed:11 ~ops:100, 8, jobs))
+      [ 1; 4 ]
+  @ List.map
+      (fun (seed, ops) ->
+        (Printf.sprintf "rnd-s%d-n%d" seed ops, B.random ~seed ~ops, 8, 1))
+      [ (1, 40); (2, 44); (3, 48) ]
 
 let test_golden_trajectories () =
-  List.iter
-    (fun (name, dfg, digest, iterations, e) ->
-      let r = Synth.run dfg in
-      Alcotest.(check int) (name ^ " iterations") iterations r.Synth.iterations;
-      Alcotest.(check int)
-        (name ^ " final E")
-        e
-        (State.execution_time r.Synth.final);
-      Alcotest.(check string)
-        (name ^ " records digest")
-        digest
-        (records_digest r.Synth.records))
-    [
-      ("tseng", B.tseng, "e7d29eb3d02b6a2b3332583109dbb378", 7, 4);
-      ("paulin", B.paulin, "686cc71cada1cdcf6920f32ea3f2bd46", 15, 7);
-      ( "rnd-s1-n40",
-        B.random ~seed:1 ~ops:40,
-        "00ded574205d6966110b2fdddf64eeb8",
-        62,
-        16 );
-      ( "rnd-s2-n44",
-        B.random ~seed:2 ~ops:44,
-        "6dcda11267e03366753cd85686f04c19",
-        68,
-        19 );
-      ( "rnd-s3-n48",
-        B.random ~seed:3 ~ops:48,
-        "f376d5572b2367e711e3d8f6fa1c6dc9",
-        76,
-        21 );
-    ]
+  Golden.check "synth_trajectories.txt"
+    (List.map trajectory_line trajectory_runs)
 
 (* --- test points -------------------------------------------------------- *)
 
