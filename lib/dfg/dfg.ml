@@ -126,29 +126,35 @@ let make_index t =
     op_value_pos;
   }
 
-let index =
-  (* Atomic, not a plain ref: domain workers index shared DFGs
-     concurrently, and an unsynchronized read of a half-published
-     Hashtbl has no happens-before edge. CAS publishes a fully built
-     index; a lost race merely rebuilds a duplicate (both are valid). *)
-  let cache : (t * index) list Atomic.t = Atomic.make [] in
+(* A memo keyed on the *physical* record, holding the [size] newest
+   entries. Atomic, not a plain ref: domain workers query shared DFGs
+   concurrently, and an unsynchronized read of a half-published value
+   has no happens-before edge. CAS publishes a fully built value; a
+   lost race merely computes a duplicate (both are valid). *)
+let physical_memo ~size make =
+  let cache = Atomic.make [] in
   let rec find t = function
     | [] -> raise Not_found
-    | (key, index) :: rest -> if key == t then index else find t rest
+    | (key, v) :: rest -> if key == t then v else find t rest
+  in
+  let rec keep k = function
+    | x :: rest when k > 0 -> x :: keep (k - 1) rest
+    | _ -> []
   in
   fun t ->
     match find t (Atomic.get cache) with
-    | index -> index
+    | v -> v
     | exception Not_found ->
-      let index = make_index t in
-      let keep = function a :: b :: c :: _ -> [ a; b; c ] | l -> l in
+      let v = make t in
       let rec publish () =
         let cur = Atomic.get cache in
-        if not (Atomic.compare_and_set cache cur ((t, index) :: keep cur)) then
-          publish ()
+        if not (Atomic.compare_and_set cache cur ((t, v) :: keep (size - 1) cur))
+        then publish ()
       in
       publish ();
-      index
+      v
+
+let index = physical_memo ~size:4 make_index
 
 let op_by_id t id = Itbl.find (index t).by_id id
 
@@ -371,7 +377,7 @@ let pp_operand ppf = function
    excluded: a digest identifies the computation, not what a benchmark
    table happens to call it. Input and output order stay significant
    (they are the design's port ordering). *)
-let digest t =
+let render_digest t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "dfg/1;in:";
   List.iter
@@ -399,6 +405,12 @@ let digest t =
       Buffer.add_char buf ',')
     t.outputs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Computed once per design value: the daemon digests the request's
+   design on every request, cache hits included. A memo of its own,
+   larger than the index's, because serve traffic interleaves more
+   designs than the index keeps and a hit must not rebuild an index. *)
+let digest = physical_memo ~size:16 render_digest
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>design %s@,inputs: %s@,outputs: %s@,"

@@ -126,4 +126,6 @@ val digest : t -> string
     topological sort); sensitive to every structural fact — ids, kinds,
     operands, result names, port lists. The [name] field is excluded, so
     structurally identical designs share a digest. This is the
-    content-address the {!Hlts_eval} cache keys synthesis work by. *)
+    content-address the {!Hlts_eval} cache keys synthesis work by.
+    Computed once per design value: a short list of the latest designs
+    digested, keyed on the physical record, answers repeats. *)

@@ -144,29 +144,57 @@ let stop_name = function
   | Synth.Cost_improving -> "cost_improving"
   | Synth.Exhaustive -> "exhaustive"
 
-(* Every float is rendered with %h (hex, bit-exact) — the digest must
-   not depend on decimal rounding. *)
-let params_key (p : Synth.params) =
-  Printf.sprintf "k=%d;alpha=%h;beta=%h;pbits=%d;strategy=%s;stop=%s;lat=%h;maxit=%d"
-    p.Synth.k p.Synth.alpha p.Synth.beta p.Synth.bits
-    (strategy_name p.Synth.strategy)
-    (stop_name p.Synth.stop) p.Synth.latency_factor p.Synth.max_iterations
+(* The primitive behind Printf's [%h]: the same bytes, without
+   interpreting a format on every request. *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
 
-let atpg_key (c : Atpg.config) =
-  Printf.sprintf
-    "seed=%d;lanes=%d;cycles=%d;batches=%d;frames=%d;backtracks=%d;collapse=%b"
-    c.Atpg.seed c.Atpg.random_lanes c.Atpg.random_cycles c.Atpg.random_batches
-    c.Atpg.max_frames c.Atpg.max_backtracks c.Atpg.collapse_gate_inputs
+(* Every float is rendered as [%h] would (hex, bit-exact) — the digest
+   must not depend on decimal rounding. The keys are appended to one
+   buffer per request. *)
+let add_params_key buf (p : Synth.params) =
+  let add k v =
+    Buffer.add_string buf k;
+    Buffer.add_string buf v
+  in
+  add "k=" (string_of_int p.Synth.k);
+  add ";alpha=" (hexstring_of_float p.Synth.alpha (-6) '-');
+  add ";beta=" (hexstring_of_float p.Synth.beta (-6) '-');
+  add ";pbits=" (string_of_int p.Synth.bits);
+  add ";strategy=" (strategy_name p.Synth.strategy);
+  add ";stop=" (stop_name p.Synth.stop);
+  add ";lat=" (hexstring_of_float p.Synth.latency_factor (-6) '-');
+  add ";maxit=" (string_of_int p.Synth.max_iterations)
+
+let add_atpg_key buf (c : Atpg.config) =
+  let add k v =
+    Buffer.add_string buf k;
+    Buffer.add_string buf (string_of_int v)
+  in
+  add "seed=" c.Atpg.seed;
+  add ";lanes=" c.Atpg.random_lanes;
+  add ";cycles=" c.Atpg.random_cycles;
+  add ";batches=" c.Atpg.random_batches;
+  add ";frames=" c.Atpg.max_frames;
+  add ";backtracks=" c.Atpg.max_backtracks;
+  Buffer.add_string buf ";collapse=";
+  Buffer.add_string buf (string_of_bool c.Atpg.collapse_gate_inputs)
 
 let md5 s = Digest.to_hex (Digest.string s)
 
 let spec_digest ~op ?(with_atpg = true) s =
-  md5
-    (Printf.sprintf "%s;op=%s;dfg=%s;approach=%s;bits=%d;%s%s" schema op
-       (Dfg.digest s.dfg)
-       (Flows.approach_name s.approach)
-       s.bits (params_key s.params)
-       (if with_atpg then ";" ^ atpg_key s.atpg else ""))
+  let buf = Buffer.create 256 in
+  List.iter (Buffer.add_string buf)
+    [
+      schema; ";op="; op; ";dfg="; Dfg.digest s.dfg; ";approach=";
+      Flows.approach_name s.approach; ";bits="; string_of_int s.bits; ";";
+    ];
+  add_params_key buf s.params;
+  if with_atpg then begin
+    Buffer.add_char buf ';';
+    add_atpg_key buf s.atpg
+  end;
+  md5 (Buffer.contents buf)
 
 (* The (DFG, approach, params) digest the synthesized outcome is keyed
    by: shared by every evaluation width and independent of the ATPG
@@ -516,9 +544,11 @@ let netlist_digest circuit =
 
 let atpg_result t ?jobs s circuit =
   let key =
-    md5
-      (Printf.sprintf "%s;op=atpgraw;netlist=%s;%s" schema
-         (netlist_digest circuit) (atpg_key s.atpg))
+    let buf = Buffer.create 256 in
+    List.iter (Buffer.add_string buf)
+      [ schema; ";op=atpgraw;netlist="; netlist_digest circuit; ";" ];
+    add_atpg_key buf s.atpg;
+    md5 (Buffer.contents buf)
   in
   match Cache.find t.cache ~kind:"atpg" key with
   | Some r -> r

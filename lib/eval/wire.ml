@@ -43,25 +43,23 @@ let rec write_all fd b off len =
     write_all fd b (off + n) (len - n)
   end
 
-let prefix n =
-  let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set hdr 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set hdr 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set hdr 3 (Char.chr (n land 0xff));
-  hdr
-
 let decode_prefix b off =
   (Char.code (Bytes.get b off) lsl 24)
   lor (Char.code (Bytes.get b (off + 1)) lsl 16)
   lor (Char.code (Bytes.get b (off + 2)) lsl 8)
   lor Char.code (Bytes.get b (off + 3))
 
+(* Prefix and payload leave in one buffer and one [write] call. *)
 let write_frame' fd json =
-  let payload = Bytes.of_string (Json.to_string json) in
-  let n = Bytes.length payload in
-  write_all fd (prefix n) 0 4;
-  write_all fd payload 0 n;
+  let payload = Json.to_string json in
+  let n = String.length payload in
+  let frame = Bytes.create (4 + n) in
+  Bytes.set frame 0 (Char.chr ((n lsr 24) land 0xff));
+  Bytes.set frame 1 (Char.chr ((n lsr 16) land 0xff));
+  Bytes.set frame 2 (Char.chr ((n lsr 8) land 0xff));
+  Bytes.set frame 3 (Char.chr (n land 0xff));
+  Bytes.blit_string payload 0 frame 4 n;
+  write_all fd frame 0 (4 + n);
   4 + n
 
 let write_frame fd json = ignore (write_frame' fd json)
@@ -91,7 +89,9 @@ let read_frame fd =
       match really_read fd len with
       | `Eof_at_start | `Truncated -> failwith "truncated frame payload"
       | `Bytes payload -> (
-        match Json.of_string (Bytes.to_string payload) with
+        (* [payload] is fresh and dropped after the parse, which copies
+           every string it keeps *)
+        match Json.of_string (Bytes.unsafe_to_string payload) with
         | Ok j -> Some j
         | Error e -> failwith (Printf.sprintf "malformed frame: %s" e)))
 
@@ -122,11 +122,13 @@ let next d =
       `Error (Printf.sprintf "frame of %d bytes exceeds limit" flen)
     else if d.len < 4 + flen then `Awaiting
     else begin
-      let payload = Bytes.sub_string d.buf 4 flen in
+      (* parsed in place: the tree shares no bytes with [d.buf], so
+         the blit below cannot reach it *)
+      let parsed = Json.of_substring (Bytes.unsafe_to_string d.buf) 4 flen in
       let rest = d.len - 4 - flen in
       Bytes.blit d.buf (4 + flen) d.buf 0 rest;
       d.len <- rest;
-      match Json.of_string payload with
+      match parsed with
       | Ok j -> `Frame j
       | Error e -> `Error (Printf.sprintf "malformed frame: %s" e)
     end

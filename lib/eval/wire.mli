@@ -30,7 +30,8 @@ val schema_version : int
     not bump it. *)
 
 val write_frame : Unix.file_descr -> Hlts_obs.Json.t -> unit
-(** Writes one complete frame, retrying short writes.
+(** Writes one complete frame, prefix and payload from one buffer in
+    one [write] call (retried on a short write).
     @raise Unix.Unix_error on a closed/broken peer. *)
 
 val write_frame' : Unix.file_descr -> Hlts_obs.Json.t -> int

@@ -6,15 +6,19 @@ module Clock = struct
   let seconds_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
 end
 
+(* The primitive behind Printf's [%.Ng]: the same bytes, without
+   interpreting a format on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest decimal rendering that round-trips the float exactly, so
    encodings are unique and byte-comparable. Shared by the JSON
    emitter and the Prometheus exposition. *)
 let float_repr f =
-  let s = Printf.sprintf "%.12g" f in
+  let s = format_float "%.12g" f in
   if float_of_string s = f then s
   else begin
-    let s15 = Printf.sprintf "%.15g" f in
-    if float_of_string s15 = f then s15 else Printf.sprintf "%.17g" f
+    let s15 = format_float "%.15g" f in
+    if float_of_string s15 = f then s15 else format_float "%.17g" f
   end
 
 module Json = struct
@@ -27,19 +31,30 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
+  let hex_digit = "0123456789abcdef"
+
+  (* Runs of bytes that need no escape are copied in one call. *)
   let escape buf s =
-    String.iter
-      (fun c ->
+    let n = String.length s in
+    let run = ref 0 in
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        Buffer.add_substring buf s !run (i - !run);
+        run := i + 1;
         match c with
         | '"' -> Buffer.add_string buf "\\\""
         | '\\' -> Buffer.add_string buf "\\\\"
         | '\n' -> Buffer.add_string buf "\\n"
         | '\r' -> Buffer.add_string buf "\\r"
         | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
+        | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex_digit.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digit.[Char.code c land 15]
+      end
+    done;
+    Buffer.add_substring buf s !run (n - !run)
 
   let rec emit buf = function
     | Null -> Buffer.add_string buf "null"
@@ -81,135 +96,193 @@ module Json = struct
 
   exception Parse of string
 
-  let of_string s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail fmt =
-      Printf.ksprintf (fun m -> raise (Parse (Printf.sprintf "%s at %d" m !pos))) fmt
-    in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
+  (* One scanner over [s.[off .. off + len - 1]]; error positions count
+     from [off]. It allocates only the tree: no [option] per byte, and
+     a string without escapes is one [String.sub]. *)
+  let of_substring s off len =
+    if off < 0 || len < 0 || off > String.length s - len then
+      invalid_arg "Json.of_substring";
+    let n = off + len in
+    let pos = ref off in
+    let fail msg = raise (Parse (Printf.sprintf "%s at %d" msg (!pos - off))) in
+    let at c = !pos < n && String.unsafe_get s !pos = c in
     let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-        advance ()
+      while
+        !pos < n
+        && match String.unsafe_get s !pos with
+           | ' ' | '\t' | '\n' | '\r' -> true
+           | _ -> false
+      do
+        incr pos
       done
     in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail "expected %c" c
-    in
+    let expect c = if at c then incr pos else fail (Printf.sprintf "expected %c" c) in
     let literal word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
+      let w = String.length word in
+      let rec same i = i = w || (s.[!pos + i] = word.[i] && same (i + 1)) in
+      if !pos + w <= n && same 0 then begin
+        pos := !pos + w;
         v
       end
       else fail "bad literal"
     in
+    (* Advances [pos] to the next quote or backslash, or to the end. *)
+    let plain_run () =
+      while
+        !pos < n
+        && match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true
+      do
+        incr pos
+      done
+    in
+    (* [pos] is just past a backslash. *)
+    let unescape buf =
+      if !pos >= n then fail "bad escape";
+      match s.[!pos] with
+      | '"' -> Buffer.add_char buf '"'; incr pos
+      | '\\' -> Buffer.add_char buf '\\'; incr pos
+      | '/' -> Buffer.add_char buf '/'; incr pos
+      | 'b' -> Buffer.add_char buf '\b'; incr pos
+      | 'f' -> Buffer.add_char buf '\012'; incr pos
+      | 'n' -> Buffer.add_char buf '\n'; incr pos
+      | 'r' -> Buffer.add_char buf '\r'; incr pos
+      | 't' -> Buffer.add_char buf '\t'; incr pos
+      | 'u' ->
+        incr pos;
+        if !pos + 4 > n then fail "bad \\u escape";
+        (* exactly four hex digits: no sign, blank or underscore *)
+        let hex c =
+          match c with
+          | '0' .. '9' -> Char.code c - Char.code '0'
+          | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+          | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+          | _ -> fail "bad \\u escape"
+        in
+        let code = ref 0 in
+        for i = 0 to 3 do
+          code := (!code lsl 4) lor hex s.[!pos + i]
+        done;
+        let code = !code in
+        pos := !pos + 4;
+        (* BMP code points as UTF-8; enough for anything the emitter
+           produces *)
+        if code < 0x80 then Buffer.add_char buf (Char.chr code)
+        else if code < 0x800 then begin
+          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+        end
+        else begin
+          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+        end
+      | c -> fail (Printf.sprintf "bad escape \\%c" c)
+    in
     let parse_string () =
       expect '"';
-      let buf = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match s.[!pos] with
-          | '"' -> advance ()
-          | '\\' ->
-            advance ();
-            (if !pos >= n then fail "bad escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'; advance ()
-               | '\\' -> Buffer.add_char buf '\\'; advance ()
-               | '/' -> Buffer.add_char buf '/'; advance ()
-               | 'b' -> Buffer.add_char buf '\b'; advance ()
-               | 'f' -> Buffer.add_char buf '\012'; advance ()
-               | 'n' -> Buffer.add_char buf '\n'; advance ()
-               | 'r' -> Buffer.add_char buf '\r'; advance ()
-               | 't' -> Buffer.add_char buf '\t'; advance ()
-               | 'u' ->
-                 advance ();
-                 if !pos + 4 > n then fail "bad \\u escape";
-                 (* exactly four hex digits: no sign, blank or
-                    underscore *)
-                 let hex c =
-                   match c with
-                   | '0' .. '9' -> Char.code c - Char.code '0'
-                   | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-                   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-                   | _ -> fail "bad \\u escape"
-                 in
-                 let code = ref 0 in
-                 for i = 0 to 3 do
-                   code := (!code lsl 4) lor hex s.[!pos + i]
-                 done;
-                 let code = !code in
-                 pos := !pos + 4;
-                 (* BMP code points as UTF-8; enough for anything the
-                    emitter produces *)
-                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                 else if code < 0x800 then begin
-                   Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                 end
-                 else begin
-                   Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                   Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                 end
-               | c -> fail "bad escape \\%c" c);
-            loop ()
-          | c -> Buffer.add_char buf c; advance (); loop ()
-      in
-      loop ();
-      Buffer.contents buf
+      let start = !pos in
+      plain_run ();
+      if at '"' then begin
+        incr pos;
+        String.sub s start (!pos - 1 - start)
+      end
+      else begin
+        let buf = Buffer.create (!pos - start + 16) in
+        (* [s.[r .. pos - 1]] is the plain run just scanned *)
+        let rec loop r =
+          Buffer.add_substring buf s r (!pos - r);
+          if !pos >= n then fail "unterminated string"
+          else if at '"' then incr pos
+          else begin
+            incr pos;
+            unescape buf;
+            let r = !pos in
+            plain_run ();
+            loop r
+          end
+        in
+        loop start;
+        Buffer.contents buf
+      end
     in
+    (* A literal of up to 18 digits, after an optional minus, is read
+       here: it cannot overflow, and [int_of_string] reads it the same
+       way. Everything else goes to the stdlib converters. *)
     let parse_number () =
       let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      let fractional = ref false and digits = ref true and v = ref 0 in
+      let neg = at '-' in
+      if neg then incr pos;
+      while
+        !pos < n
+        &&
+        match String.unsafe_get s !pos with
+        | '0' .. '9' as c ->
+          v := (10 * !v) + (Char.code c - Char.code '0');
+          true
+        | '-' | '+' ->
+          digits := false;
+          true
+        | '.' | 'e' | 'E' ->
+          fractional := true;
+          true
         | _ -> false
-      in
-      while !pos < n && is_num_char s.[!pos] do advance () done;
-      let lit = String.sub s start (!pos - start) in
-      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit then
-        match float_of_string_opt lit with
-        | Some f -> Float f
-        | None -> fail "bad number %s" lit
-      else
-        match int_of_string_opt lit with
-        | Some i -> Int i
-        | None -> fail "bad number %s" lit
+      do
+        incr pos
+      done;
+      let width = !pos - start - if neg then 1 else 0 in
+      if (not !fractional) && !digits && width >= 1 && width <= 18 then
+        Int (if neg then - !v else !v)
+      else begin
+        let lit = String.sub s start (!pos - start) in
+        if !fractional then
+          match float_of_string_opt lit with
+          | Some f -> Float f
+          | None -> fail ("bad number " ^ lit)
+        else
+          match int_of_string_opt lit with
+          | Some i -> Int i
+          | None -> fail ("bad number " ^ lit)
+      end
     in
     let rec parse_value () =
       skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end"
-      | Some '"' -> Str (parse_string ())
-      | Some 'n' -> literal "null" Null
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some '[' ->
-        advance ();
+      if !pos >= n then fail "unexpected end";
+      match String.unsafe_get s !pos with
+      | '"' -> Str (parse_string ())
+      | 'n' -> literal "null" Null
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin advance (); List [] end
+        if at ']' then begin
+          incr pos;
+          List []
+        end
         else begin
           let rec items acc =
             let v = parse_value () in
             skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
+            if at ',' then begin
+              incr pos;
+              items (v :: acc)
+            end
+            else if at ']' then begin
+              incr pos;
+              List (List.rev (v :: acc))
+            end
+            else fail "expected , or ]"
           in
           items []
         end
-      | Some '{' ->
-        advance ();
+      | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
+        if at '}' then begin
+          incr pos;
+          Obj []
+        end
         else begin
           let field () =
             skip_ws ();
@@ -221,23 +294,29 @@ module Json = struct
           let rec fields acc =
             let f = field () in
             skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); fields (f :: acc)
-            | Some '}' -> advance (); Obj (List.rev (f :: acc))
-            | _ -> fail "expected , or }"
+            if at ',' then begin
+              incr pos;
+              fields (f :: acc)
+            end
+            else if at '}' then begin
+              incr pos;
+              Obj (List.rev (f :: acc))
+            end
+            else fail "expected , or }"
           in
           fields []
         end
-      | Some c -> if is_start_of_number c then parse_number () else fail "unexpected %c" c
-    and is_start_of_number c =
-      match c with '0' .. '9' | '-' -> true | _ -> false
+      | '0' .. '9' | '-' -> parse_number ()
+      | c -> fail (Printf.sprintf "unexpected %c" c)
     in
     match parse_value () with
     | v ->
       skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing garbage at %d" !pos)
+      if !pos <> n then Error (Printf.sprintf "trailing garbage at %d" (!pos - off))
       else Ok v
     | exception Parse msg -> Error msg
+
+  let of_string s = of_substring s 0 (String.length s)
 
   let member key = function
     | Obj fields -> List.assoc_opt key fields

@@ -49,12 +49,33 @@ module Json : sig
     | Obj of (string * t) list
 
   val to_string : t -> string
-  (** Compact rendering; strings are escaped per RFC 8259, non-finite
-      floats become [null]. *)
+  (** Compact rendering: no whitespace, fields and items in the order
+      given. The bytes are a contract — request, response and journal
+      digests are MD5 over them, and cached answers are compared by
+      them — so they never change for the same tree:
+      - an [Int] is its decimal [string_of_int];
+      - a finite [Float] is the first of [%.12g], [%.15g] and [%.17g]
+        that reads back as the same float (so [1.0] renders [1], and
+        [-0.0] renders [-0]); NaN and infinities render [null];
+      - in a string, a double quote and a backslash get a backslash
+        before them; newline, carriage return and tab become the
+        two-byte escapes [\\n], [\\r] and [\\t]; every other byte
+        below 0x20 becomes [\\u00XX] with lowercase hex; every other
+        byte (0x7f and non-ASCII included) is copied as is. *)
 
   val of_string : string -> (t, string) result
   (** Strict parser for the subset {!to_string} emits (which is plain
-      JSON); rejects trailing garbage. *)
+      JSON); rejects trailing garbage. An error is
+      ["<what> at <byte offset>"] (["trailing garbage at <offset>"]
+      for bytes after the value). A number with [.], [e] or [E] is a
+      [Float], any other an [Int]; one that does not fit is an
+      error. *)
+
+  val of_substring : string -> int -> int -> (t, string) result
+  (** [of_substring s off len] parses [s.[off .. off + len - 1]]
+      exactly as {!of_string} parses that substring, error offsets
+      included, without copying it first.
+      @raise Invalid_argument if the range is not inside [s]. *)
 
   val member : string -> t -> t option
   (** Field lookup in an [Obj]; [None] otherwise. *)

@@ -8,8 +8,11 @@
    testability analysis behind the
    schedule-free data-path view, the id-keyed ASAP behind the
    constraint set's dense levels, the per-query DFS behind its
-   reachability index, and the Prometheus reader that round-trips the
-   metrics exposition. Each is built from public APIs alone. The PODEM reference is the one that
+   reachability index, the Prometheus reader that round-trips the
+   metrics exposition, the Printf JSON encoder and parser behind the
+   scanning codec, and the DFG digest and request key rendered anew on
+   every call behind the memoized and buffered ones. Each is built from
+   public APIs alone. The PODEM reference is the one that
    shares code with what it checks, by design: what it checks is the
    cone restriction, so it plugs full-sweep steps into the product
    search through [Podem.Test_hook] and keeps everything else. *)
@@ -885,3 +888,310 @@ module Prometheus = struct
       (Ok []) lines
     |> Result.map List.rev
 end
+
+(* --- the Printf JSON codec ------------------------------------------------ *)
+
+(* The JSON encoder and parser [Hlts_obs.Json] had before its scanner
+   and run-copying escaper, kept as the byte reference for the codec
+   properties: same bytes out, same [Ok] trees and [Error] texts in. *)
+module Json_ref = struct
+  open Hlts_obs.Json
+
+  (* Shortest decimal rendering that round-trips the float exactly, so
+     encodings are unique and byte-comparable. Shared by the JSON
+     emitter and the Prometheus exposition. *)
+  let float_repr f =
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s
+    else begin
+      let s15 = Printf.sprintf "%.15g" f in
+      if float_of_string s15 = f then s15 else Printf.sprintf "%.17g" f
+    end
+
+  let escape buf s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+  let rec emit buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f -> begin
+      match Float.classify_float f with
+      | FP_nan | FP_infinite -> Buffer.add_string buf "null"
+      | FP_normal | FP_subnormal | FP_zero -> Buffer.add_string buf (float_repr f)
+    end
+    | Str s ->
+      Buffer.add_char buf '"';
+      escape buf s;
+      Buffer.add_char buf '"'
+    | List l ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          emit buf v)
+        l;
+      Buffer.add_char buf ']'
+    | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          escape buf k;
+          Buffer.add_string buf "\":";
+          emit buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    emit buf v;
+    Buffer.contents buf
+
+  exception Parse of string
+
+  let of_string s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail fmt =
+      Printf.ksprintf (fun m -> raise (Parse (Printf.sprintf "%s at %d" m !pos))) fmt
+    in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let skip_ws () =
+      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
+        advance ()
+      done
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> fail "expected %c" c
+    in
+    let literal word v =
+      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
+      then begin
+        pos := !pos + String.length word;
+        v
+      end
+      else fail "bad literal"
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec loop () =
+        if !pos >= n then fail "unterminated string"
+        else
+          match s.[!pos] with
+          | '"' -> advance ()
+          | '\\' ->
+            advance ();
+            (if !pos >= n then fail "bad escape"
+             else
+               match s.[!pos] with
+               | '"' -> Buffer.add_char buf '"'; advance ()
+               | '\\' -> Buffer.add_char buf '\\'; advance ()
+               | '/' -> Buffer.add_char buf '/'; advance ()
+               | 'b' -> Buffer.add_char buf '\b'; advance ()
+               | 'f' -> Buffer.add_char buf '\012'; advance ()
+               | 'n' -> Buffer.add_char buf '\n'; advance ()
+               | 'r' -> Buffer.add_char buf '\r'; advance ()
+               | 't' -> Buffer.add_char buf '\t'; advance ()
+               | 'u' ->
+                 advance ();
+                 if !pos + 4 > n then fail "bad \\u escape";
+                 (* exactly four hex digits: no sign, blank or
+                    underscore *)
+                 let hex c =
+                   match c with
+                   | '0' .. '9' -> Char.code c - Char.code '0'
+                   | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+                   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+                   | _ -> fail "bad \\u escape"
+                 in
+                 let code = ref 0 in
+                 for i = 0 to 3 do
+                   code := (!code lsl 4) lor hex s.[!pos + i]
+                 done;
+                 let code = !code in
+                 pos := !pos + 4;
+                 (* BMP code points as UTF-8; enough for anything the
+                    emitter produces *)
+                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                 else if code < 0x800 then begin
+                   Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                 end
+                 else begin
+                   Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                   Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                 end
+               | c -> fail "bad escape \\%c" c);
+            loop ()
+          | c -> Buffer.add_char buf c; advance (); loop ()
+      in
+      loop ();
+      Buffer.contents buf
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char c =
+        match c with
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while !pos < n && is_num_char s.[!pos] do advance () done;
+      let lit = String.sub s start (!pos - start) in
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit then
+        match float_of_string_opt lit with
+        | Some f -> Float f
+        | None -> fail "bad number %s" lit
+      else
+        match int_of_string_opt lit with
+        | Some i -> Int i
+        | None -> fail "bad number %s" lit
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end"
+      | Some '"' -> Str (parse_string ())
+      | Some 'n' -> literal "null" Null
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin advance (); List [] end
+        else begin
+          let rec items acc =
+            let v = parse_value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); items (v :: acc)
+            | Some ']' -> advance (); List (List.rev (v :: acc))
+            | _ -> fail "expected , or ]"
+          in
+          items []
+        end
+      | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin advance (); Obj [] end
+        else begin
+          let field () =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            (k, parse_value ())
+          in
+          let rec fields acc =
+            let f = field () in
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); fields (f :: acc)
+            | Some '}' -> advance (); Obj (List.rev (f :: acc))
+            | _ -> fail "expected , or }"
+          in
+          fields []
+        end
+      | Some c -> if is_start_of_number c then parse_number () else fail "unexpected %c" c
+    and is_start_of_number c =
+      match c with '0' .. '9' | '-' -> true | _ -> false
+    in
+    match parse_value () with
+    | v ->
+      skip_ws ();
+      if !pos <> n then Error (Printf.sprintf "trailing garbage at %d" !pos)
+      else Ok v
+    | exception Parse msg -> Error msg
+end
+
+let json_to_string = Json_ref.to_string
+let json_of_string = Json_ref.of_string
+
+(* --- the DFG digest, rendered on every call ------------------------------ *)
+
+(* [Dfg.digest] as it was before it was memoized on the design value:
+   the normal form rendered and hashed anew on each call. *)
+let dfg_digest (t : Dfg.t) =
+  let open Dfg in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "dfg/1;in:";
+  List.iter
+    (fun i ->
+      Buffer.add_string buf i;
+      Buffer.add_char buf ',')
+    t.inputs;
+  Buffer.add_string buf ";ops:";
+  let operand = function
+    | Input name -> "i" ^ name
+    | Const c -> "c" ^ string_of_int c
+    | Op id -> "r" ^ string_of_int id
+  in
+  List.iter
+    (fun o ->
+      let a, b = o.args in
+      Buffer.add_string buf
+        (Printf.sprintf "%d:%s:%s:%s:%s;" o.id (Op.symbol o.kind) (operand a)
+           (operand b) o.result))
+    (List.sort (fun a b -> compare a.id b.id) t.ops);
+  Buffer.add_string buf ";out:";
+  List.iter
+    (fun o ->
+      Buffer.add_string buf o;
+      Buffer.add_char buf ',')
+    t.outputs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* --- request keys through Printf ----------------------------------------- *)
+
+module Engine = Hlts_eval.Engine
+module Synth = Hlts_synth.Synth
+
+(* [Engine.spec_digest] as it was when Printf rendered its key: [%h]
+   floats, [%d] ints, [%b] bools. The engine schema tag is written
+   out here, so a schema bump must update it too. *)
+let spec_digest ~op ?(with_atpg = true) (s : Engine.spec) =
+  let p = s.Engine.params and c = s.Engine.atpg in
+  let strategy =
+    match p.Synth.strategy with
+    | Hlts_synth.Candidates.Balance -> "balance"
+    | Hlts_synth.Candidates.Connectivity -> "connectivity"
+  and stop =
+    match p.Synth.stop with
+    | Synth.Cost_improving -> "cost_improving"
+    | Synth.Exhaustive -> "exhaustive"
+  in
+  let params_key =
+    Printf.sprintf
+      "k=%d;alpha=%h;beta=%h;pbits=%d;strategy=%s;stop=%s;lat=%h;maxit=%d"
+      p.Synth.k p.Synth.alpha p.Synth.beta p.Synth.bits strategy stop
+      p.Synth.latency_factor p.Synth.max_iterations
+  and atpg_key =
+    Printf.sprintf
+      "seed=%d;lanes=%d;cycles=%d;batches=%d;frames=%d;backtracks=%d;collapse=%b"
+      c.Hlts_atpg.Atpg.seed c.random_lanes c.random_cycles c.random_batches
+      c.max_frames c.max_backtracks c.collapse_gate_inputs
+  in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%s;op=%s;dfg=%s;approach=%s;bits=%d;%s%s"
+          "hlts-engine/2" op (dfg_digest s.Engine.dfg)
+          (Hlts_synth.Flows.approach_name s.Engine.approach)
+          s.Engine.bits params_key
+          (if with_atpg then ";" ^ atpg_key else "")))

@@ -584,6 +584,50 @@ let prop_request_of_json_total =
         | Ok req' -> Engine.request_digest req' = Engine.request_digest req
         | Error (_ : string) -> false))
 
+(* The buffered request key against the Printf rendering it replaced,
+   on specs no caller makes: floats from raw bit patterns (negative,
+   subnormal, NaN, infinite), any int, both booleans. Records are built
+   directly, past the range check, so every field varies freely. *)
+let prop_spec_digest_oracle =
+  let gen =
+    let open QCheck.Gen in
+    let float =
+      frequency
+        [ (3, map Int64.float_of_bits ui64); (1, oneofl [ 0.0; -0.0; 1.0; Float.nan ]) ]
+    in
+    let* bench = oneofl [ "toy"; "tseng"; "ex"; "ewf" ] in
+    let* approach = oneofl Flows.[ Camad; Approach1; Approach2; Ours ] in
+    let* bits = int in
+    let* k = int and* alpha = float and* beta = float and* pbits = int in
+    let* strategy =
+      oneofl Hlts_synth.Candidates.[ Balance; Connectivity ]
+    and* stop = oneofl Synth.[ Cost_improving; Exhaustive ] in
+    let* latency_factor = float and* max_iterations = int in
+    let* seed = int and* random_lanes = int and* random_cycles = int in
+    let* random_batches = int and* max_frames = int and* max_backtracks = int in
+    let+ collapse_gate_inputs = bool in
+    let base = spec_exn ~bench ~approach:Flows.Ours ~bits:4 () in
+    {
+      base with
+      Engine.approach;
+      bits;
+      params =
+        { Synth.k; alpha; beta; bits = pbits; strategy; stop; latency_factor;
+          max_iterations };
+      atpg =
+        { Atpg.seed; random_lanes; random_cycles; random_batches; max_frames;
+          max_backtracks; collapse_gate_inputs };
+    }
+  in
+  QCheck.Test.make ~name:"spec_digest = Printf key" ~count:300
+    (QCheck.make gen)
+    (fun s ->
+      List.for_all
+        (fun (op, with_atpg) ->
+          Engine.spec_digest ~op ~with_atpg s
+          = Oracle.spec_digest ~op ~with_atpg s)
+        [ ("atpg", true); ("synth", false); ("outcome", false) ])
+
 let () =
   Alcotest.run "hlts_cache"
     [
@@ -610,6 +654,7 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_request_json_roundtrip;
           Alcotest.test_case "spec range check" `Quick test_spec_range_check;
           QCheck_alcotest.to_alcotest prop_request_of_json_total;
+          QCheck_alcotest.to_alcotest prop_spec_digest_oracle;
         ] );
       ( "engine",
         [

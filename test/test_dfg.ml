@@ -310,6 +310,57 @@ let test_value_index_shared_operands () =
         (Dfg.uses_of_value d v))
     (probe_values d)
 
+(* --- content digest, memoized per design value ------------------------ *)
+
+(* Every benchmark and 20 random graphs: more designs than the digest
+   memo holds, so a pass over them evicts as well as hits. The random
+   graphs share one name, which a digest must not key on. *)
+let digest_designs seed =
+  List.map snd Benchmarks.all
+  @ List.init 20 (fun k -> { (Random_dfg.make (seed + k)) with Dfg.name = "rnd" })
+
+let prop_digest_memo_oracle =
+  QCheck.Test.make ~name:"digest = uncached digest" ~count:50
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let ds = digest_designs seed in
+      List.for_all
+        (fun d -> Dfg.digest d = Oracle.dfg_digest d)
+        (ds @ List.rev ds @ ds))
+
+(* Copies share no record with what they copy, so the memo cannot
+   answer them by identity; each is digested after the originals, which
+   the memo then holds. *)
+let prop_digest_copy =
+  QCheck.Test.make ~name:"digest of a physical copy" ~count:50
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let ds = digest_designs seed in
+      let want = List.map Dfg.digest ds in
+      List.for_all
+        (fun copy ->
+          let copies = List.map copy ds in
+          List.for_all2 ( != ) copies ds
+          && List.rev_map Dfg.digest (List.rev copies) = want)
+        [
+          (fun d -> { d with Dfg.name = d.Dfg.name ^ "'" });
+          (fun d -> Marshal.from_string (Marshal.to_string d []) 0);
+          (fun d -> { d with Dfg.ops = List.rev d.Dfg.ops });
+        ])
+
+(* Two domains digest the same fresh designs in the same order, so
+   they miss, publish and evict together. *)
+let prop_digest_domains =
+  QCheck.Test.make ~name:"digest agrees across two domains" ~count:20
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let ds = List.init 40 (fun k -> Random_dfg.make (seed + k)) in
+      let want = List.map Oracle.dfg_digest ds in
+      let run () = Domain.spawn (fun () -> List.map Dfg.digest ds) in
+      let a = run () and b = run () in
+      let ra = Domain.join a and rb = Domain.join b in
+      ra = want && rb = want)
+
 let () =
   Alcotest.run "hlts_dfg"
     [
@@ -341,6 +392,9 @@ let () =
           Alcotest.test_case "value index: shared operands" `Quick
             test_value_index_shared_operands;
           QCheck_alcotest.to_alcotest prop_value_index_coherent;
+          QCheck_alcotest.to_alcotest prop_digest_memo_oracle;
+          QCheck_alcotest.to_alcotest prop_digest_copy;
+          QCheck_alcotest.to_alcotest prop_digest_domains;
         ] );
       ( "benchmarks",
         [

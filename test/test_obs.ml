@@ -163,6 +163,170 @@ let test_json_unicode_escape () =
   | Ok v -> Alcotest.(check bool) "\\u00e9 decodes" true (v = Str "\xc3\xa9\xc3\x89")
   | Error e -> Alcotest.failf "\\u00e9 rejected: %s" e
 
+(* The codec against the Printf encoder and parser it replaced
+   ([Oracle.Json_ref]): the same bytes out, the same [Ok] trees and
+   [Error] texts in. *)
+
+(* Floats from raw bit patterns, so every exponent and sign occurs,
+   plus the values rendering must get exactly right: both zeros,
+   subnormals, integral values, and neighbours of 1e15 to 1e17, where
+   12 and 15 digits stop being enough. *)
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map Int64.float_of_bits ui64);
+        (1, oneofl [ 0.0; -0.0; Float.min_float; -.Float.min_float; 5e-324;
+                     Float.nan; Float.infinity; Float.neg_infinity;
+                     Float.max_float; 0.1; 1.0 /. 3.0 ]);
+        (1, map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_bound 1_000_000));
+        (2, map float_of_int int);
+        ( 2,
+          map2
+            (fun base k -> Float.succ (base +. float_of_int k))
+            (oneofl [ 1e15; -1e15; 1e17; -1e17; 1e16 ])
+            (int_range (-50) 50) );
+        (1, map2 (fun m e -> ldexp (float_of_int m) e) small_signed_int (int_range (-60) 60));
+      ])
+
+(* All 256 byte values, with the ones escaping treats specially
+   drawn often. *)
+let gen_bytes =
+  QCheck.Gen.(
+    string_size (int_bound 12)
+      ~gen:
+        (frequency
+           [
+             (3, map Char.chr (int_bound 255));
+             (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\x00'; '\x1f'; '\x7f'; '/'; 'u' ]);
+             (3, char_range 'a' 'z');
+           ]))
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             frequency
+               [
+                 (1, return Obs.Json.Null);
+                 (1, map (fun b -> Obs.Json.Bool b) bool);
+                 (2, map (fun i -> Obs.Json.Int i) (oneof [ int; small_signed_int ]));
+                 (3, map (fun f -> Obs.Json.Float f) gen_float);
+                 (3, map (fun s -> Obs.Json.Str s) gen_bytes);
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 5) (self (depth - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Obs.Json.Obj l)
+                     (list_size (int_bound 5) (pair gen_bytes (self (depth - 1)))) );
+               ]))
+
+let prop_json_encode_oracle =
+  QCheck.Test.make ~name:"json to_string = Printf encoder" ~count:1000
+    (QCheck.make ~print:Oracle.json_to_string gen_json)
+    (fun j -> Obs.Json.to_string j = Oracle.json_to_string j)
+
+(* Text the encoder never writes but the parser reads: blanks between
+   tokens, [\u] escapes in either case, [\/], [\b], [\f], and numbers
+   with leading zeros, exponents and signs, some out of range. *)
+let gen_doc =
+  let open QCheck.Gen in
+  let ws = oneofl [ ""; ""; " "; "\n\t"; "\r " ] in
+  let escaped_char c =
+    frequency
+      [
+        (4, return (Oracle.json_to_string (Obs.Json.Str (String.make 1 c))
+                    |> fun q -> String.sub q 1 (String.length q - 2)));
+        (1, map (fun up -> Printf.sprintf (if up then "\\u%04X" else "\\u%04x") (Char.code c)) bool);
+      ]
+  in
+  let str =
+    gen_bytes >>= fun s ->
+    let rec go i acc =
+      if i = String.length s then return (String.concat "" (List.rev acc))
+      else escaped_char s.[i] >>= fun e -> go (i + 1) (e :: acc)
+    in
+    go 0 [] >>= fun body ->
+    oneofl [ ""; "\\/"; "\\b"; "\\f"; "\\u00e9"; "\\u20AC"; "\\u0041" ] >|= fun extra ->
+    "\"" ^ body ^ extra ^ "\""
+  in
+  let number =
+    oneof
+      [
+        map string_of_int int;
+        map (Printf.sprintf "%.17g") gen_float;
+        oneofl
+          [ "007"; "-0"; "-"; "1e5"; "1.5e+3"; "2E-2"; "-.5"; "1.2.3"; "1e";
+            "99999999999999999999"; "-999999999999999999"; "4611686018427387903";
+            "4611686018427387904"; "123456789012345678"; "1-2"; "0.0"; "1_0" ];
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           frequency
+             [ (3, number); (3, str); (1, oneofl [ "null"; "true"; "false"; "nul"; "tru" ]) ]
+         in
+         let wrap l r items = ws >>= fun a -> ws >|= fun b -> l ^ a ^ String.concat ("," ^ b) items ^ a ^ r in
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, list_size (int_bound 4) (self (depth - 1)) >>= wrap "[" "]");
+               ( 1,
+                 list_size (int_bound 4)
+                   (pair str (self (depth - 1)) >>= fun (k, v) ->
+                    ws >|= fun w -> k ^ w ^ ":" ^ w ^ v)
+                 >>= wrap "{" "}" );
+             ])
+
+(* A document, one of its prefixes, or one byte of it replaced. *)
+let gen_parse_input =
+  let open QCheck.Gen in
+  oneof [ gen_doc; map Obs.Json.to_string gen_json ] >>= fun d ->
+  let n = String.length d in
+  frequency
+    [
+      (2, return d);
+      (1, map (fun k -> String.sub d 0 k) (int_bound n));
+      ( 2,
+        map2
+          (fun k c ->
+            if n = 0 then String.make 1 c
+            else String.mapi (fun i x -> if i = k mod n then c else x) d)
+          (int_bound (max 0 (n - 1)))
+          (frequency
+             [
+               (2, map Char.chr (int_bound 255));
+               (3, oneofl [ '"'; '\\'; 'u'; ','; ']'; '}'; ':'; '-'; '.'; 'e'; '0'; ' '; '['; '{' ]);
+             ]) );
+    ]
+
+let same_parse a b =
+  match a, b with
+  | Ok x, Ok y -> x = y && Oracle.json_to_string x = Oracle.json_to_string y
+  | Error e, Error e' -> e = e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_json_parse_oracle =
+  QCheck.Test.make ~name:"json of_string = Printf parser" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_parse_input)
+    (fun d ->
+      let want = Oracle.json_of_string d in
+      same_parse (Obs.Json.of_string d) want
+      (* the same text in the middle of other bytes *)
+      && same_parse
+           (Obs.Json.of_substring ("]\"\\" ^ d ^ "\"x") 3 (String.length d))
+           want)
+
 (* --- file sinks --------------------------------------------------------- *)
 
 let workload_decision =
@@ -778,6 +942,8 @@ let () =
             test_chrome_complete_on_exception;
           Alcotest.test_case "journal complete after exception" `Quick
             test_journal_complete_on_exception;
+          QCheck_alcotest.to_alcotest prop_json_encode_oracle;
+          QCheck_alcotest.to_alcotest prop_json_parse_oracle;
         ] );
       ( "resources",
         [
